@@ -300,9 +300,9 @@ def _run_thresholds(config: ExperimentConfig, out: Path, threads: int) -> Path:
         "lambda_rho_mu": thr.mu_opt,
     }
     if spec.kind == "truncated_gaussian":
-        # the Gaussian mass of the truncation window normalizes the
-        # threshold into a law-free coefficient
-        results["lambda_rho_coefficient"] = thr.value * math.erf(1.0 / math.sqrt(2.0))
+        # the Gaussian mass of the truncation window [-a, a] normalizes
+        # the threshold into a law-free coefficient
+        results["lambda_rho_coefficient"] = thr.value * math.erf(spec.a / math.sqrt(2.0))
 
     path = out / "thresholds.json"
     doc = {"schema_version": SCHEMA_VERSION, "config": config.to_dict(),

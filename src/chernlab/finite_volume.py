@@ -1,10 +1,16 @@
 """Finite-volume restrictions, spectra, projections, Green functions.
 
-One dense Hermitian eigendecomposition per operator is the single
-spectral primitive; projections, resolvents, and time evolution all
-reuse it. Gap-membership arguments should use the periodic restriction:
-open boundaries of a topologically nontrivial model carry in-gap edge
-modes.
+A disordered realization is the clean restriction with lam V added to
+its diagonal (``add_potential``). An ensemble builds and validates the
+clean operator of its box once and pays one matrix copy per
+realization. Each operator offers two lazy spectral products:
+``eigenvalues`` (``eigvalsh``, no eigenvectors formed) for statistics
+that only count or locate eigenvalues, and ``eigensystem`` (one ``eigh``)
+for projections, resolvents and time evolution. A consumer that reads
+eigenvectors takes the eigenvalues from the same ``eigensystem``, so
+values and vectors always come from one solve. Gap-membership arguments
+should use the periodic restriction: open boundaries of a topologically
+nontrivial model carry in-gap edge modes.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ from .model import HoppingModel, build_dense
 __all__ = [
     "FiniteOperator",
     "ProjectionMatrix",
+    "add_potential",
     "restrict_simple",
     "restrict_periodic",
+    "fermi_matrix",
     "spectral_projection",
     "green_function",
 ]
@@ -52,26 +60,29 @@ class FiniteOperator:
         self.matrix.flags.writeable = False
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues from ``eigvalsh``; no eigenvectors are formed."""
+        w = np.linalg.eigvalsh(self.matrix)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v) from one ``eigh``: ascending eigenvalues, eigenvector columns.
+
+        Consumers of v read w from here too, never from ``eigenvalues``:
+        the two LAPACK routines may differ in the last bits.
+        """
         w, v = np.linalg.eigh(self.matrix)
         w.flags.writeable = False
         v.flags.writeable = False
         return w, v
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eig[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._eig[1]
 
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
     matrix: np.ndarray
     fermi_energy: float
-    operator_ref: str
     rank: int = field(default=-1)
 
     def __post_init__(self) -> None:
@@ -89,25 +100,35 @@ def _sample_ref(sample: DisorderSample | None) -> str:
     return f"seed={sample.seed},realization={sample.realization_index}"
 
 
-def _with_potential(H: np.ndarray, sample: DisorderSample | None, lam: float,
-                    N: int) -> np.ndarray:
+def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
+                  lam: float) -> FiniteOperator:
+    """The realization clean + lam V, V the diagonal potential of the sample.
+
+    The clean matrix is copied and lam v_i added to its entry (i, i),
+    which equals clean + diag(lam v) bit for bit. Without a sample or at
+    lam = 0 the read-only clean matrix is shared, not copied.
+    """
     if lam < 0:
         raise ValueError("disorder strength must be >= 0")
+    if clean.sample_ref != "clean":
+        raise ValueError("the potential must be added to a clean operator")
+    H = clean.matrix
     if sample is not None and lam != 0.0:
         vals = np.asarray(sample.values, dtype=float)
-        if vals.shape != (N,):
-            raise ValueError(f"sample has {vals.shape[0]} values, operator needs {N}")
-        H = H + np.diag(lam * vals)
-    return H
+        if vals.shape != (H.shape[0],):
+            raise ValueError(f"sample has {vals.shape[0]} values, operator needs {H.shape[0]}")
+        H = H.copy()
+        H[np.diag_indices_from(H)] += lam * vals
+    return FiniteOperator(matrix=H, box=clean.box, n=clean.n, bc=clean.bc, lam=lam,
+                          sample_ref=_sample_ref(sample))
 
 
 def restrict_simple(model: HoppingModel, sample: DisorderSample | None,
                     lam: float, box: Box) -> FiniteOperator:
     """Compression chi_Box (H0 + lam V) chi_Box, open boundaries."""
-    N = model.n * box.size
-    H = _with_potential(build_dense(model, box, periodic=False), sample, lam, N)
-    return FiniteOperator(matrix=H, box=box, n=model.n, bc="simple", lam=lam,
-                          sample_ref=_sample_ref(sample))
+    clean = FiniteOperator(matrix=build_dense(model, box, periodic=False), box=box,
+                           n=model.n, bc="simple", lam=0.0, sample_ref="clean")
+    return add_potential(clean, sample, lam)
 
 
 def _flux_denominator(flux: float, L: int) -> int:
@@ -131,30 +152,32 @@ def restrict_periodic(model: HoppingModel, sample: DisorderSample | None,
         raise ValueError(f"box side {box.L} is not a multiple of the flux period {q}")
     if 2 * model.r >= box.L:
         raise ValueError(f"hopping range {model.r} needs box side > {2 * model.r}")
-    N = model.n * box.size
-    H = _with_potential(build_dense(model, box, periodic=True), sample, lam, N)
-    return FiniteOperator(matrix=H, box=box, n=model.n, bc="periodic", lam=lam,
-                          sample_ref=_sample_ref(sample))
+    clean = FiniteOperator(matrix=build_dense(model, box, periodic=True), box=box,
+                           n=model.n, bc="periodic", lam=0.0, sample_ref="clean")
+    return add_potential(clean, sample, lam)
+
+
+def fermi_matrix(op: FiniteOperator, E: float) -> np.ndarray:
+    """Raw chi_(-inf, E] of the operator, V_k V_k^*, without validation.
+
+    For inner loops, where the checks of ``ProjectionMatrix`` would
+    dominate the runtime. E exactly at an eigenvalue is included.
+    """
+    w, v = op.eigensystem
+    vk = v[:, :np.searchsorted(w, E, side="right")]
+    return vk @ vk.conj().T
 
 
 def spectral_projection(op: FiniteOperator, E: float) -> ProjectionMatrix:
     """P = chi_(-inf, E] of the operator; E exactly at an eigenvalue is included."""
-    w, v = op._eig
-    k = int(np.searchsorted(w, E, side="right"))
-    if k == 0:
-        P = np.zeros_like(op.matrix)
-    else:
-        vk = v[:, :k]
-        P = vk @ vk.conj().T
-        P = 0.5 * (P + P.conj().T)
-    return ProjectionMatrix(matrix=P, fermi_energy=float(E),
-                            operator_ref=f"{op.bc};lam={op.lam};{op.sample_ref}",
-                            rank=k)
+    P = fermi_matrix(op, E)
+    return ProjectionMatrix(matrix=0.5 * (P + P.conj().T), fermi_energy=float(E),
+                            rank=int(np.searchsorted(op.eigensystem[0], E, side="right")))
 
 
 def green_function(op: FiniteOperator, z: complex) -> np.ndarray:
     """(H - z)^(-1) through the eigendecomposition."""
-    w, v = op._eig
+    w, v = op.eigensystem
     gap = np.min(np.abs(w - z))
     if gap <= 1e-12:
         raise ValueError(f"resonant energy: dist(z, spectrum) = {gap:.3e}")

@@ -36,9 +36,6 @@ class LatticeBasis:
         if abs(det) <= 1e-15:
             raise ValueError("basis vectors must be linearly independent")
 
-    def cartesian(self, g1: float, g2: float) -> np.ndarray:
-        return g1 * np.asarray(self.a1, dtype=float) + g2 * np.asarray(self.a2, dtype=float)
-
 
 def wedge(gamma, xi) -> int:
     """Wedge of two coefficient pairs: g2*x1 - g1*x2.

@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import binomtest
 
 from .bounds import wegner_bound
-from .disorder import DistributionSpec, sample_potential
+from .disorder import DisorderSample, DistributionSpec, sample_potential
 from .finite_volume import (
     FiniteOperator,
+    add_potential,
+    fermi_matrix,
     restrict_periodic,
     restrict_simple,
     spectral_projection,
@@ -88,13 +90,30 @@ class EnsembleConfig:
             raise ValueError("box side must be >= 1")
 
 
-def _restriction(cfg: EnsembleConfig, box: Box, k: int) -> FiniteOperator:
-    sample = None
-    if cfg.lam > 0:
-        sample = sample_potential(cfg.spec, box, cfg.model.n,
-                                  cfg.master_seed, k)
+def _clean_restriction(cfg: EnsembleConfig, box: Box) -> FiniteOperator:
+    """The clean operator every realization of one probe call starts from.
+
+    Each probe call builds its own and drops it on return, so nothing
+    outlives the call: a process that runs many calls holds no matrix.
+    """
     build = restrict_periodic if cfg.bc == "periodic" else restrict_simple
-    return build(cfg.model, sample, cfg.lam, box)
+    return build(cfg.model, None, 0.0, box)
+
+
+def _draw(cfg: EnsembleConfig, box: Box, k: int,
+          lams=None) -> DisorderSample | None:
+    """Potential draw k, shared by every strength in lams (default cfg.lam);
+    None when none of them is positive."""
+    lams = (cfg.lam,) if lams is None else lams
+    if not any(lam > 0 for lam in lams):
+        return None
+    if cfg.spec is None:
+        raise ValueError("nonzero disorder strength needs a distribution")
+    return sample_potential(cfg.spec, box, cfg.model.n, cfg.master_seed, k)
+
+
+def _realization(cfg: EnsembleConfig, clean: FiniteOperator, k: int) -> FiniteOperator:
+    return add_potential(clean, _draw(cfg, clean.box, k), cfg.lam)
 
 
 def _map_indexed(fn, count: int, threads: int) -> list:
@@ -150,10 +169,10 @@ def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid,
     """
     if cfg.lam <= 0:
         raise ValueError("the comparison bound needs lam > 0")
-    box = box_sites(cfg.box_L)
+    clean = _clean_restriction(cfg, box_sites(cfg.box_L))
 
     def dist(k: int) -> float:
-        op = _restriction(cfg, box, k)
+        op = _realization(cfg, clean, k)
         return float(np.min(np.abs(op.eigenvalues - E)))
 
     dists = np.array(_map_indexed(dist, cfg.n_realizations, threads))
@@ -195,10 +214,10 @@ def suitable_box_probability(cfg: EnsembleConfig, E: float, theta: float,
     rows_core = _orbital_rows(box, core.sites, n)
     rows_shell = _orbital_rows(box, shell, n)
     thresh = float(cfg.box_L) ** (-theta)
+    clean = _clean_restriction(cfg, box)
 
     def suitable(k: int) -> int:
-        op = _restriction(cfg, box, k)
-        w, v = op.eigenvalues, op.eigenvectors
+        w, v = _realization(cfg, clean, k).eigensystem
         if np.min(np.abs(w - E)) <= 1e-12:
             return 0
         G = (v[rows_core] / (w - E)) @ v[rows_shell].conj().T
@@ -239,43 +258,44 @@ class DecayProfile:
             raise ValueError("profile entries must be nonnegative")
 
 
-def _displacement_classes(box: Box, bc: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distance classes over site pairs: (sorted distances, id matrix, counts)."""
-    g = box.sites
-    d1 = g[None, :, 0] - g[:, None, 0]
-    d2 = g[None, :, 1] - g[:, None, 1]
-    if bc == "periodic":
-        L = box.L
-        d1 = (d1 + L // 2) % L - L // 2
-        d2 = (d2 + L // 2) % L - L // 2
-    dist = np.hypot(d1, d2)
-    classes, ids = np.unique(np.round(dist, 9), return_inverse=True)
-    counts = np.bincount(ids.ravel()).astype(float)
-    return classes, ids.reshape(dist.shape), counts
+class _DisplacementClasses:
+    """Distance classes over the site pairs of a box, and class means of
+    the n-by-n site-block nuclear norms of a matrix."""
 
+    def __init__(self, box: Box, bc: str, n: int):
+        g = box.sites
+        d1 = g[None, :, 0] - g[:, None, 0]
+        d2 = g[None, :, 1] - g[:, None, 1]
+        if bc == "periodic":
+            L = box.L
+            d1 = (d1 + L // 2) % L - L // 2
+            d2 = (d2 + L // 2) % L - L // 2
+        dist = np.hypot(d1, d2)
+        self.distances, ids = np.unique(np.round(dist, 9), return_inverse=True)
+        self.ids = ids.ravel()
+        self.counts = np.bincount(self.ids).astype(float)
+        self.size, self.n = box.size, n
 
-def _block_nuclear_norms(M: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Nuclear norm of every n-by-n site block of an (m n, m n) matrix."""
-    blocks = M.reshape(m, n, m, n).transpose(0, 2, 1, 3)
-    if n == 1:
-        return np.abs(blocks[..., 0, 0])
-    if n == 2:
-        # sigma1 + sigma2 = sqrt(||B||_F^2 + 2 |det B|) for 2x2 blocks
-        fro2 = np.sum(np.abs(blocks) ** 2, axis=(2, 3))
-        det = blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
-        return np.sqrt(fro2 + 2.0 * np.abs(det))
-    return np.sum(np.linalg.svd(blocks, compute_uv=False), axis=-1)
+    def block_norms(self, M: np.ndarray) -> np.ndarray:
+        """Nuclear norm of every n-by-n site block of an (m n, m n) matrix."""
+        m, n = self.size, self.n
+        blocks = M.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+        if n == 1:
+            return np.abs(blocks[..., 0, 0])
+        if n == 2:
+            # sigma1 + sigma2 = sqrt(||B||_F^2 + 2 |det B|) for 2x2 blocks
+            fro2 = np.sum(np.abs(blocks) ** 2, axis=(2, 3))
+            det = blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
+            return np.sqrt(fro2 + 2.0 * np.abs(det))
+        return np.sum(np.linalg.svd(blocks, compute_uv=False), axis=-1)
 
+    def means(self, norms: np.ndarray) -> np.ndarray:
+        """Mean of per-site-pair values over each distance class."""
+        return np.bincount(self.ids, weights=norms.ravel()) / self.counts
 
-def _fermi_matrix(op: FiniteOperator, E: float) -> np.ndarray:
-    # raw projection without the ProjectionMatrix validation pass; used
-    # in inner loops where the idempotency check would dominate runtime
-    w, v = op.eigenvalues, op.eigenvectors
-    k = int(np.searchsorted(w, E, side="right"))
-    if k == 0:
-        return np.zeros_like(op.matrix)
-    vk = v[:, :k]
-    return vk @ vk.conj().T
+    def profile(self, M: np.ndarray) -> np.ndarray:
+        """Class means of the block nuclear norms of M."""
+        return self.means(self.block_norms(M))
 
 
 def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
@@ -291,17 +311,17 @@ def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
     if not hi >= lo:
         raise ValueError("energy window is empty")
     box = box_sites(cfg.box_L)
-    classes, ids, counts = _displacement_classes(box, cfg.bc)
+    classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
+    clean = _clean_restriction(cfg, box)
     energies = np.linspace(lo, hi, grid_points)
 
     def class_means(k: int) -> np.ndarray:
-        op = _restriction(cfg, box, k)
+        op = _realization(cfg, clean, k)
         sup = None
         for E in energies:
-            P = _fermi_matrix(op, E)
-            norms = _block_nuclear_norms(P, box.size, cfg.model.n)
+            norms = classes.block_norms(fermi_matrix(op, E))
             sup = norms if sup is None else np.maximum(sup, norms)
-        return np.bincount(ids.ravel(), weights=sup.ravel()) / counts
+        return classes.means(sup)
 
     per_real = np.array(_map_indexed(class_means, cfg.n_realizations, threads))
     means = per_real.mean(axis=0)
@@ -310,9 +330,10 @@ def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
     else:
         stderrs = np.zeros_like(means)
 
-    usable = (classes > 0) & (means > 1e-14)
+    distances = classes.distances
+    usable = (distances > 0) & (means > 1e-14)
     if np.sum(usable) >= 2:
-        x, y = classes[usable], np.log(means[usable])
+        x, y = distances[usable], np.log(means[usable])
         slope, intercept = np.polyfit(x, y, 1)
         resid = y - (slope * x + intercept)
         total = y - y.mean()
@@ -321,7 +342,7 @@ def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
         fit_amp, fit_rate = float(np.exp(intercept)), float(-slope)
     else:
         fit_amp, fit_rate, r2 = 0.0, 0.0, 0.0
-    return DecayProfile(distances=classes, means=means, stderrs=stderrs,
+    return DecayProfile(distances=distances, means=means, stderrs=stderrs,
                         fit_amplitude=fit_amp, fit_rate=fit_rate,
                         r_squared=r2, n=cfg.n_realizations)
 
@@ -340,10 +361,11 @@ class IdsRow:
 def ids_estimate(cfg: EnsembleConfig, E_grid, threads: int = 1) -> list[IdsRow]:
     """Per-site state count below E: mean of rank/|box| over the ensemble."""
     box = box_sites(cfg.box_L)
+    clean = _clean_restriction(cfg, box)
     energies = [float(E) for E in E_grid]
 
     def counts(k: int) -> np.ndarray:
-        w = _restriction(cfg, box, k).eigenvalues
+        w = _realization(cfg, clean, k).eigenvalues
         return np.searchsorted(w, energies, side="right") / box.size
 
     per_real = np.array(_map_indexed(counts, cfg.n_realizations, threads))
@@ -384,15 +406,14 @@ def ids_continuity_check(cfg: EnsembleConfig, E1: float, E2: float,
     n = cfg.model.n
     scale = (2.0 ** (2.0 - tau)) * math.pi * C * abs((E2 - E1) / cfg.lam) ** tau
     rhs = (n * n if off_diagonal else n) * scale
+    clean = _clean_restriction(cfg, box)
 
     if off_diagonal:
-        classes, ids, counts = _displacement_classes(box, cfg.bc)
+        classes = _DisplacementClasses(box, cfg.bc, n)
 
         def stat(k: int) -> np.ndarray:
-            op = _restriction(cfg, box, k)
-            D = _fermi_matrix(op, E2) - _fermi_matrix(op, E1)
-            norms = _block_nuclear_norms(D, box.size, n)
-            return np.bincount(ids.ravel(), weights=norms.ravel()) / counts
+            op = _realization(cfg, clean, k)
+            return classes.profile(fermi_matrix(op, E2) - fermi_matrix(op, E1))
 
         per_real = np.array(_map_indexed(stat, cfg.n_realizations, threads))
         class_mean = per_real.mean(axis=0)
@@ -400,7 +421,7 @@ def ids_continuity_check(cfg: EnsembleConfig, E1: float, E2: float,
         lhs, stderr = _mean_stderr(per_real[:, j])
     else:
         def stat(k: int) -> float:
-            w = _restriction(cfg, box, k).eigenvalues
+            w = _realization(cfg, clean, k).eigenvalues
             k2 = int(np.searchsorted(w, E2, side="right"))
             k1 = int(np.searchsorted(w, E1, side="right"))
             return (k2 - k1) / box.size
@@ -432,14 +453,14 @@ def disorder_continuity_lhs(cfg: EnsembleConfig, lam_a: float, lam_b: float,
     so the statistic vanishes exactly at lam_a = lam_b.
     """
     box = box_sites(cfg.box_L)
-    classes, ids, counts = _displacement_classes(box, cfg.bc)
+    classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
+    clean = _clean_restriction(cfg, box)
 
     def stat(k: int) -> np.ndarray:
-        op_a = _restriction(replace(cfg, lam=lam_a), box, k)
-        op_b = _restriction(replace(cfg, lam=lam_b), box, k)
-        D = _fermi_matrix(op_a, E) - _fermi_matrix(op_b, E)
-        norms = _block_nuclear_norms(D, box.size, cfg.model.n)
-        return np.bincount(ids.ravel(), weights=norms.ravel()) / counts
+        sample = _draw(cfg, box, k, (lam_a, lam_b))
+        P_a = fermi_matrix(add_potential(clean, sample, lam_a), E)
+        P_b = fermi_matrix(add_potential(clean, sample, lam_b), E)
+        return classes.profile(P_a - P_b)
 
     per_real = np.array(_map_indexed(stat, cfg.n_realizations, threads))
     return float(np.max(per_real.mean(axis=0)))
@@ -459,17 +480,17 @@ def disorder_continuity_check(cfg: EnsembleConfig, lam1: float, lam2: float,
     if rungs < 2:
         raise ValueError("need at least two ladder rungs")
     box = box_sites(cfg.box_L)
-    classes, ids, counts = _displacement_classes(box, cfg.bc)
+    classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
+    clean = _clean_restriction(cfg, box)
     dlams = (lam2 - lam1) * 0.5 ** np.arange(rungs)
 
     def stat(k: int) -> np.ndarray:
-        base = _fermi_matrix(_restriction(replace(cfg, lam=lam1), box, k), E)
-        out = np.empty((len(dlams), len(classes)))
+        sample = _draw(cfg, box, k, (lam1, lam2))
+        base = fermi_matrix(add_potential(clean, sample, lam1), E)
+        out = np.empty((len(dlams), len(classes.distances)))
         for j, dl in enumerate(dlams):
-            op = _restriction(replace(cfg, lam=lam1 + dl), box, k)
-            D = _fermi_matrix(op, E) - base
-            norms = _block_nuclear_norms(D, box.size, cfg.model.n)
-            out[j] = np.bincount(ids.ravel(), weights=norms.ravel()) / counts
+            op = add_potential(clean, sample, lam1 + dl)
+            out[j] = classes.profile(fermi_matrix(op, E) - base)
         return out
 
     per_real = np.array(_map_indexed(stat, cfg.n_realizations, threads))
@@ -510,11 +531,13 @@ def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
         window_L = max(2, cfg.box_L // 3)
     energies = [float(E) for E in E_grid]
     lams = [float(x) for x in lam_grid]
+    clean = _clean_restriction(cfg, box)
 
     def markers(k: int) -> np.ndarray:
+        sample = _draw(cfg, box, k, lams)
         out = np.empty((len(lams), len(energies)))
         for i, lam in enumerate(lams):
-            op = _restriction(replace(cfg, lam=lam), box, k)
+            op = add_potential(clean, sample, lam)
             for j, E in enumerate(energies):
                 P = spectral_projection(op, E)
                 out[i, j] = chern_marker(P, box, window_L).value
@@ -580,10 +603,10 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
     if origin < 0:
         raise ValueError("box does not contain the origin cell")
     rows0 = origin * cfg.model.n + np.arange(cfg.model.n)
+    clean = _clean_restriction(cfg, box)
 
     def moments(k: int) -> np.ndarray:
-        op = _restriction(cfg, box, k)
-        w, v = op.eigenvalues, op.eigenvectors
+        w, v = _realization(cfg, clean, k).eigensystem
         gv = g(w)
         idx = np.flatnonzero(gv > 0)
         if idx.size == 0:

@@ -69,6 +69,19 @@ def test_thresholds_pipeline_json(tmp_path, model_file, tg_file):
     assert doc["config"]["command"] == "thresholds"
 
 
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.0, 3.0])
+def test_lambda_rho_coefficient_is_law_free(tmp_path, model_file, a):
+    # the Gaussian mass erf(a/sqrt 2) of the truncation window cancels
+    # the a-dependence of the threshold
+    dist = tmp_path / "tg.json"
+    dist.write_text(json.dumps({"kind": "truncated_gaussian", "a": a}))
+    out = tmp_path / "run"
+    assert main(["thresholds", "--model", model_file, "--dist", str(dist),
+                 "--out", str(out)]) == 0
+    r = json.loads((out / "thresholds.json").read_text())["results"]
+    assert abs(r["lambda_rho_coefficient"] - 39.974) < 1e-3
+
+
 def test_csv_format_and_lossless_floats(tmp_path, model_file):
     out = tmp_path / "run"
     assert main(["bloch", "--model", model_file, "--out", str(out)]) == 0
@@ -93,6 +106,53 @@ def test_rerun_is_byte_identical_across_threads(tmp_path, model_file, uniform_fi
         assert main(args + ["--out", str(out), "--threads", threads]) == 0
         outs.append((out / "wegner.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+WEGNER_PINNED = """\
+# schema-version: 1
+# command: wegner
+# energy: 0
+eps,empirical,upper_99,bound,n
+0.001,0,0.20973346885562544,0.40212385965949354,25
+0.01,0.080000000000000002,0.32039002368145975,1,25
+0.10000000000000001,0.88,0.96911994190631312,1,25
+"""
+
+IDS_PINNED = """\
+# schema-version: 1
+# command: ids
+energy,value,stderr,n
+-4,0.00062500000000000001,0.00062500000000000001,25
+-3.5,0.047500000000000001,0.0034327618861008506,25
+-3,0.16312499999999999,0.0044267769501824539,25
+-2.5,0.30375000000000002,0.0064474033856015758,25
+-2,0.455625,0.0071988135596545823,25
+-1.5,0.61375000000000002,0.0074126861977738311,25
+-1,0.77437500000000004,0.0071078008788466596,25
+-0.5,0.91562500000000002,0.0063147685692615321,25
+0,0.99750000000000005,0.0023315655505832698,25
+0.5,1.0700000000000001,0.0049509310992983929,25
+1,1.2124999999999999,0.0062500000000000003,25
+1.5,1.3712500000000001,0.0069456596159040221,25
+2,1.5325,0.0072123664054640673,25
+2.5,1.680625,0.0058519049604950583,25
+3,1.828125,0.0053369535239372904,25
+3.5,1.944375,0.004141853198348134,25
+4,1.9981249999999999,0.0010364452469860624,25
+"""
+
+
+def test_wegner_and_ids_csv_bodies_are_pinned(tmp_path, uniform_file):
+    # frozen seeded outputs of the eigenvalue-only probes (reference
+    # model, side 8, periodic, 25 realizations, seed 7)
+    common = ["--dist", uniform_file, "--lambda", "2", "--box-l", "8",
+              "--bc", "periodic", "--realizations", "25", "--seed", "7"]
+    assert main(["wegner", *common, "--energy", "0", "--eps-grid", "1e-1,1e-2,1e-3",
+                 "--out", str(tmp_path / "w")]) == 0
+    assert main(["ids", *common, "--energy-grid=-4:4:17",
+                 "--out", str(tmp_path / "i")]) == 0
+    assert (tmp_path / "w" / "wegner.csv").read_text() == WEGNER_PINNED
+    assert (tmp_path / "i" / "ids.csv").read_text() == IDS_PINNED
 
 
 def test_sidecar_round_trips_and_reproduces(tmp_path, model_file, uniform_file):

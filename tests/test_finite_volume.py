@@ -7,13 +7,20 @@ from chernlab.bloch import bloch_matrix
 from chernlab.disorder import uniform, sample_potential
 from chernlab.finite_volume import (
     FiniteOperator,
+    add_potential,
     green_function,
     restrict_periodic,
     restrict_simple,
     spectral_projection,
 )
 from chernlab.lattice import box_sites, inner_boundary
-from chernlab.model import HaldaneParams, HoppingModel, haldane_model, honeycomb_basis
+from chernlab.model import (
+    HaldaneParams,
+    HoppingModel,
+    build_dense,
+    haldane_model,
+    honeycomb_basis,
+)
 
 T2 = 1.0 / (3.0 * math.sqrt(3.0))
 TOPO = HaldaneParams(t1=1.0, t2=T2, phi=math.pi / 2, M=0.0)
@@ -111,6 +118,36 @@ def test_simple_spectrum_in_convex_hull():
     assert np.all(w <= 3.0 + lam * spec.b + 1e-9)
 
 
+def test_eigenvalues_match_eigensystem():
+    m = haldane_model(TOPO)
+    box = box_sites(8)
+    sample = sample_potential(uniform(1.0), box, 2, seed=3, realization_index=1)
+    op = restrict_periodic(m, sample, 2.0, box)
+    w, v = op.eigensystem
+    assert np.max(np.abs(op.eigenvalues - w)) < 1e-12
+    assert np.max(np.abs(op.matrix @ v - v * w)) < 1e-11
+
+
+def test_add_potential_equals_dense_diagonal_sum():
+    # a realization is the clean matrix plus diag(lam v), bit for bit,
+    # and leaves the shared clean operator untouched
+    m = haldane_model(TOPO)
+    box = box_sites(6)
+    clean = restrict_periodic(m, None, 0.0, box)
+    before = clean.matrix.copy()
+    sample = sample_potential(uniform(1.0), box, 2, seed=4, realization_index=7)
+    op = add_potential(clean, sample, 1.7)
+    expected = build_dense(m, box, periodic=True) + np.diag(1.7 * sample.values)
+    assert op.matrix.tobytes() == expected.tobytes()
+    assert np.array_equal(clean.matrix, before)
+    assert op.sample_ref == "seed=4,realization=7" and op.lam == 1.7
+    assert add_potential(clean, sample, 0.0).matrix is clean.matrix
+    with pytest.raises(ValueError, match="clean"):
+        add_potential(op, sample, 1.0)
+    with pytest.raises(ValueError):
+        add_potential(clean, sample, -1.0)
+
+
 def test_periodic_flux_divisibility():
     m = haldane_model(TOPO)
     flux_model = HoppingModel(basis=m.basis, n=2, r=1, hoppings=dict(m.hoppings),
@@ -147,8 +184,10 @@ def test_projection_half_filling():
 
 
 def test_projection_rank_right_continuous():
+    # the projection counts the eigenvalues of its own eigh solve, which
+    # may differ from the eigvalsh values in the last bits
     op = restrict_simple(haldane_model(TOPO), None, 0.0, box_sites(4))
-    w = op.eigenvalues
+    w = op.eigensystem[0]
     ranks = [spectral_projection(op, E).rank for E in w]
     assert ranks == [int(np.searchsorted(w, E, side="right")) for E in w]
     assert all(b >= a for a, b in zip(ranks, ranks[1:]))

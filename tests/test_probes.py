@@ -6,9 +6,13 @@ exact reruns, not statistical expectations. Values were measured once
 with throwaway driver scripts and are asserted at the printed precision.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from chernlab import probes
 from chernlab.bounds import (
     alpha_for_gap,
     combes_thomas_rate,
@@ -396,6 +400,32 @@ def test_slope_estimator_validation():
 
 
 # ---------------------------------------------------------------- determinism
+
+
+def test_finished_probe_call_keeps_no_reference(monkeypatch):
+    # the clean restriction is scoped to one probe call: once the call
+    # returns, neither it nor the model may stay reachable from chernlab
+    built = []
+    restrict = probes.restrict_periodic
+
+    def spy(*args):
+        op = restrict(*args)
+        built.append(weakref.ref(op.matrix))
+        return op
+
+    monkeypatch.setattr(probes, "restrict_periodic", spy)
+    fresh = haldane_model(HaldaneParams())
+    model_ref = weakref.ref(fresh)
+    cfg = EnsembleConfig(model=fresh, spec=uniform(1.0), lam=2.0, box_L=6,
+                         bc="periodic", n_realizations=3, master_seed=1)
+    wegner_empirical(cfg, 0.0, [1e-2], threads=2)
+    ids_estimate(cfg, [0.0])
+    averaged_marker_scan(cfg, [0.0], [0.0, 1.0], window_L=2)
+    del fresh, cfg
+    gc.collect()
+    assert len(built) == 3
+    assert all(ref() is None for ref in built)
+    assert model_ref() is None
 
 
 def test_thread_count_never_changes_results(model):
