@@ -3,12 +3,12 @@
 A disordered realization is the clean restriction with lam V added to
 its diagonal (``add_potential``). An ensemble builds and validates the
 clean operator of its box once and pays one matrix copy per
-realization. Each operator offers two lazy spectral products:
-``eigenvalues`` (``eigvalsh``, no eigenvectors formed) for statistics
-that only count or locate eigenvalues, and ``eigensystem`` (one ``eigh``)
-for projections, resolvents and time evolution. A consumer that reads
-eigenvectors takes the eigenvalues from the same ``eigensystem``, so
-values and vectors always come from one solve. Gap-membership arguments
+realization. Each operator solves lazily with one ``eigh``
+(``eigensystem``; ``eigenvalues`` is its first part), so an energy read
+from ``eigenvalues`` sits exactly on the state a projection counts.
+Statistics that only count or locate eigenvalues call ``eigvalsh`` on
+the matrix instead and form no eigenvectors; its values may differ
+from the ``eigh`` ones in the last bits. Gap-membership arguments
 should use the periodic restriction: open boundaries of a topologically
 nontrivial model carry in-gap edge modes.
 """
@@ -60,23 +60,17 @@ class FiniteOperator:
         self.matrix.flags.writeable = False
 
     @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues from ``eigvalsh``; no eigenvectors are formed."""
-        w = np.linalg.eigvalsh(self.matrix)
-        w.flags.writeable = False
-        return w
-
-    @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, v) from one ``eigh``: ascending eigenvalues, eigenvector columns.
-
-        Consumers of v read w from here too, never from ``eigenvalues``:
-        the two LAPACK routines may differ in the last bits.
-        """
+        """(w, v) from one ``eigh``: ascending eigenvalues, eigenvector columns."""
         w, v = np.linalg.eigh(self.matrix)
         w.flags.writeable = False
         v.flags.writeable = False
         return w, v
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of ``eigensystem``."""
+        return self.eigensystem[0]
 
 
 @dataclass(frozen=True)
@@ -105,15 +99,20 @@ def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
     """The realization clean + lam V, V the diagonal potential of the sample.
 
     The clean matrix is copied and lam v_i added to its entry (i, i),
-    which equals clean + diag(lam v) bit for bit. Without a sample or at
-    lam = 0 the read-only clean matrix is shared, not copied.
+    which equals clean + diag(lam v) bit for bit. Without a sample the
+    clean operator itself is returned; at lam = 0 its read-only matrix
+    is shared, not copied.
     """
     if lam < 0:
         raise ValueError("disorder strength must be >= 0")
     if clean.sample_ref != "clean":
         raise ValueError("the potential must be added to a clean operator")
+    if sample is None:
+        if lam != 0.0:
+            raise ValueError("nonzero disorder strength needs a sample")
+        return clean
     H = clean.matrix
-    if sample is not None and lam != 0.0:
+    if lam != 0.0:
         vals = np.asarray(sample.values, dtype=float)
         if vals.shape != (H.shape[0],):
             raise ValueError(f"sample has {vals.shape[0]} values, operator needs {H.shape[0]}")
@@ -157,22 +156,28 @@ def restrict_periodic(model: HoppingModel, sample: DisorderSample | None,
     return add_potential(clean, sample, lam)
 
 
+def _occupied(op: FiniteOperator, E: float) -> np.ndarray:
+    """Eigenvector columns of the eigenvalues <= E."""
+    w, v = op.eigensystem
+    return v[:, :np.searchsorted(w, E, side="right")]
+
+
 def fermi_matrix(op: FiniteOperator, E: float) -> np.ndarray:
     """Raw chi_(-inf, E] of the operator, V_k V_k^*, without validation.
 
     For inner loops, where the checks of ``ProjectionMatrix`` would
     dominate the runtime. E exactly at an eigenvalue is included.
     """
-    w, v = op.eigensystem
-    vk = v[:, :np.searchsorted(w, E, side="right")]
+    vk = _occupied(op, E)
     return vk @ vk.conj().T
 
 
 def spectral_projection(op: FiniteOperator, E: float) -> ProjectionMatrix:
     """P = chi_(-inf, E] of the operator; E exactly at an eigenvalue is included."""
-    P = fermi_matrix(op, E)
+    vk = _occupied(op, E)
+    P = vk @ vk.conj().T
     return ProjectionMatrix(matrix=0.5 * (P + P.conj().T), fermi_energy=float(E),
-                            rank=int(np.searchsorted(op.eigensystem[0], E, side="right")))
+                            rank=vk.shape[1])
 
 
 def green_function(op: FiniteOperator, z: complex) -> np.ndarray:

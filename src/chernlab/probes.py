@@ -100,20 +100,18 @@ def _clean_restriction(cfg: EnsembleConfig, box: Box) -> FiniteOperator:
     return build(cfg.model, None, 0.0, box)
 
 
-def _draw(cfg: EnsembleConfig, box: Box, k: int,
-          lams=None) -> DisorderSample | None:
-    """Potential draw k, shared by every strength in lams (default cfg.lam);
-    None when none of them is positive."""
-    lams = (cfg.lam,) if lams is None else lams
+def _draw(cfg: EnsembleConfig, box: Box, k: int, lams) -> DisorderSample | None:
+    """Potential draw k, shared by every strength in lams; None when none
+    of them is positive."""
     if not any(lam > 0 for lam in lams):
         return None
-    if cfg.spec is None:
+    if cfg.spec is None:  # coupled strengths bypass EnsembleConfig's check
         raise ValueError("nonzero disorder strength needs a distribution")
     return sample_potential(cfg.spec, box, cfg.model.n, cfg.master_seed, k)
 
 
 def _realization(cfg: EnsembleConfig, clean: FiniteOperator, k: int) -> FiniteOperator:
-    return add_potential(clean, _draw(cfg, clean.box, k), cfg.lam)
+    return add_potential(clean, _draw(cfg, clean.box, k, (cfg.lam,)), cfg.lam)
 
 
 def _map_indexed(fn, count: int, threads: int) -> list:
@@ -172,8 +170,8 @@ def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid,
     clean = _clean_restriction(cfg, box_sites(cfg.box_L))
 
     def dist(k: int) -> float:
-        op = _realization(cfg, clean, k)
-        return float(np.min(np.abs(op.eigenvalues - E)))
+        w = np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
+        return float(np.min(np.abs(w - E)))
 
     dists = np.array(_map_indexed(dist, cfg.n_realizations, threads))
     rows = []
@@ -365,7 +363,7 @@ def ids_estimate(cfg: EnsembleConfig, E_grid, threads: int = 1) -> list[IdsRow]:
     energies = [float(E) for E in E_grid]
 
     def counts(k: int) -> np.ndarray:
-        w = _realization(cfg, clean, k).eigenvalues
+        w = np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
         return np.searchsorted(w, energies, side="right") / box.size
 
     per_real = np.array(_map_indexed(counts, cfg.n_realizations, threads))
@@ -421,7 +419,7 @@ def ids_continuity_check(cfg: EnsembleConfig, E1: float, E2: float,
         lhs, stderr = _mean_stderr(per_real[:, j])
     else:
         def stat(k: int) -> float:
-            w = _realization(cfg, clean, k).eigenvalues
+            w = np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
             k2 = int(np.searchsorted(w, E2, side="right"))
             k1 = int(np.searchsorted(w, E1, side="right"))
             return (k2 - k1) / box.size

@@ -118,13 +118,15 @@ def test_simple_spectrum_in_convex_hull():
     assert np.all(w <= 3.0 + lam * spec.b + 1e-9)
 
 
-def test_eigenvalues_match_eigensystem():
+def test_eigvalsh_matches_eigensystem():
+    # the eigenvalue-only probes call eigvalsh; projections count eigh values
     m = haldane_model(TOPO)
     box = box_sites(8)
     sample = sample_potential(uniform(1.0), box, 2, seed=3, realization_index=1)
     op = restrict_periodic(m, sample, 2.0, box)
     w, v = op.eigensystem
-    assert np.max(np.abs(op.eigenvalues - w)) < 1e-12
+    assert op.eigenvalues is w
+    assert np.max(np.abs(np.linalg.eigvalsh(op.matrix) - w)) < 1e-12
     assert np.max(np.abs(op.matrix @ v - v * w)) < 1e-11
 
 
@@ -142,6 +144,9 @@ def test_add_potential_equals_dense_diagonal_sum():
     assert np.array_equal(clean.matrix, before)
     assert op.sample_ref == "seed=4,realization=7" and op.lam == 1.7
     assert add_potential(clean, sample, 0.0).matrix is clean.matrix
+    assert add_potential(clean, None, 0.0) is clean
+    with pytest.raises(ValueError, match="sample"):
+        add_potential(clean, None, 0.5)
     with pytest.raises(ValueError, match="clean"):
         add_potential(op, sample, 1.0)
     with pytest.raises(ValueError):
@@ -184,10 +189,8 @@ def test_projection_half_filling():
 
 
 def test_projection_rank_right_continuous():
-    # the projection counts the eigenvalues of its own eigh solve, which
-    # may differ from the eigvalsh values in the last bits
     op = restrict_simple(haldane_model(TOPO), None, 0.0, box_sites(4))
-    w = op.eigensystem[0]
+    w = op.eigenvalues
     ranks = [spectral_projection(op, E).rank for E in w]
     assert ranks == [int(np.searchsorted(w, E, side="right")) for E in w]
     assert all(b >= a for a, b in zip(ranks, ranks[1:]))
