@@ -28,6 +28,10 @@ __all__ = [
 # Chern number -1 for the lower-band Fermi projection.
 _ORIENTATION = 1.0
 
+# Both doubling ladders of chern_number stop at this grid side: the gap
+# check gives up past it, and the curvature loop accepts it as final.
+_MAX_GRID = 768
+
 
 def bloch_matrix(model: HoppingModel, k) -> np.ndarray:
     """H(k) = sum_delta H0(0,delta) exp(i k.delta), k in dual coordinates."""
@@ -126,33 +130,31 @@ def chern_number(
     model: HoppingModel,
     gap_index: int = 1,
     grid: int = 24,
-    check_gap: bool = True,
-    max_grid: int = 768,
 ) -> ChernResult:
     """Chern number of the Fermi projection below the ``gap_index``-th gap.
 
     Plaquette link-variable discretization on the torus grid; the grid is
     doubled while any plaquette field strength exceeds 1 radian, which
-    keeps the rounded sum an exact integer on gapped models.
+    keeps the rounded sum an exact integer on gapped models. Raises
+    ValueError when the gap is not open on any grid of the ladder.
     """
     if not (1 <= gap_index <= model.n - 1):
         raise ValueError(f"gap index must be in 1..{model.n - 1}")
-    if check_gap:
-        # small open gaps certify only on fine grids, so walk the same
-        # doubling ladder as the curvature loop before declaring failure
-        N_bs = max(int(grid), 32)
-        while True:
-            bs = band_structure(model, grid=N_bs)
-            if bs.gap_open[gap_index - 1]:
-                break
-            if N_bs >= max_grid:
-                raise ValueError(
-                    f"gapless: gap {gap_index} is not open on a {bs.grid}x{bs.grid} grid")
-            N_bs *= 2
+    # small open gaps certify only on fine grids, so walk the same
+    # doubling ladder as the curvature loop before declaring failure
+    N_bs = max(int(grid), 32)
+    while True:
+        bs = band_structure(model, grid=N_bs)
+        if bs.gap_open[gap_index - 1]:
+            break
+        if N_bs >= _MAX_GRID:
+            raise ValueError(
+                f"gapless: gap {gap_index} is not open on a {bs.grid}x{bs.grid} grid")
+        N_bs *= 2
     N = max(int(grid), 4)
     while True:
         F = _fhs_curvatures(bloch_grid(model, N), gap_index)
-        if np.max(np.abs(F)) <= 1.0 or N >= max_grid:
+        if np.max(np.abs(F)) <= 1.0 or N >= _MAX_GRID:
             break
         N *= 2
     total = _ORIENTATION * float(F.sum()) / (2.0 * np.pi)

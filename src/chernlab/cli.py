@@ -3,7 +3,8 @@
 Output contract: every run writes a CSV (or JSON for scalar reports)
 plus a sidecar JSON carrying the fully resolved configuration, so any
 output file can be reproduced from its sidecar alone. CSV bodies are
-byte-identical for a fixed (config, seed) regardless of --threads.
+byte-identical for a fixed (config, seed). --threads is accepted and
+selects nothing, so no value of it can change an output.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def _ensemble(config: ExperimentConfig, model) -> EnsembleConfig:
     )
 
 
-def _run_bloch(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_bloch(config: ExperimentConfig, out: Path) -> Path:
     bs = band_structure(_model(config), int(config.scan.get("grid", 201)))
     rows = [(i, lo, hi) for i, (lo, hi) in enumerate(bs.bands)]
     meta = {"grid": bs.grid}
@@ -215,7 +216,7 @@ def _run_bloch(config: ExperimentConfig, out: Path, threads: int) -> Path:
     return path
 
 
-def _run_chern(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_chern(config: ExperimentConfig, out: Path) -> Path:
     model = _model(config)
     gap_index = int(config.scan.get("gap_index", 1))
     res = chern_number(model, gap_index=gap_index,
@@ -226,21 +227,20 @@ def _run_chern(config: ExperimentConfig, out: Path, threads: int) -> Path:
     return path
 
 
-def _run_marker(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_marker(config: ExperimentConfig, out: Path) -> Path:
     model = _model(config)
     cfg = _ensemble(config, model)
     E = float(config.scan.get("energy", 0.0))
     window = config.scan.get("window_L")
     window = int(window) if window is not None else None
-    rows = averaged_marker_scan(cfg, [E], [cfg.lam], window_L=window,
-                                threads=threads)
+    rows = averaged_marker_scan(cfg, [E], [cfg.lam], window_L=window)
     path = out / "marker.csv"
     _write_csv(path, config, ["energy", "lam", "mean", "stderr", "n"],
                [(r.E, r.lam, r.mean, r.stderr, r.n) for r in rows])
     return path
 
 
-def _run_spectrum(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_spectrum(config: ExperimentConfig, out: Path) -> Path:
     model = _model(config)
     spec = _spec(config)
     if spec is None:
@@ -257,7 +257,7 @@ def _run_spectrum(config: ExperimentConfig, out: Path, threads: int) -> Path:
     return path
 
 
-def _run_thresholds(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_thresholds(config: ExperimentConfig, out: Path) -> Path:
     model = _model(config)
     spec = _spec(config)
     if spec is None:
@@ -271,13 +271,13 @@ def _run_thresholds(config: ExperimentConfig, out: Path, threads: int) -> Path:
         raise ValueError("model has no open gap")
     gap = bs.gap_sizes[open_gaps[0]]
 
-    if spec.kind == "truncated_gaussian" and spec.a >= 1.0:
+    if spec.kind == "truncated_gaussian":
         B_mom = trunc_gauss_abs_moment_bound()
         C_mom = trunc_gauss_power_moment_bound(q)
     else:
         B_mom = abs_moment(spec, 1.0)
-        C_mom = float(np.trapezoid(spec.pdf(np.linspace(-spec.a, spec.b, 4001)) ** (1.0 + q),
-                                   np.linspace(-spec.a, spec.b, 4001)))
+        x = np.linspace(-spec.a, spec.b, 4001)
+        C_mom = float(np.trapezoid(spec.pdf(x) ** (1.0 + q), x))
     K = d_s1_bound(B_mom, C_mom, s, t, q)
     alpha = alpha_for_gap(model, gap)
     C_sa = c_s_alpha(model.n, gap, s, alpha)
@@ -311,12 +311,12 @@ def _run_thresholds(config: ExperimentConfig, out: Path, threads: int) -> Path:
     return path
 
 
-def _run_wegner(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_wegner(config: ExperimentConfig, out: Path) -> Path:
     model = _model(config)
     cfg = _ensemble(config, model)
     E = float(config.scan.get("energy", 0.0))
     eps_grid = config.scan.get("eps_grid", [1e-2, 1e-3, 1e-4])
-    rows = wegner_empirical(cfg, E, eps_grid, threads=threads)
+    rows = wegner_empirical(cfg, E, eps_grid)
     path = out / "wegner.csv"
     _write_csv(path, config, ["eps", "empirical", "upper_99", "bound", "n"],
                [(r.eps, r.empirical, r.upper_99, r.bound, r.n) for r in rows],
@@ -324,7 +324,7 @@ def _run_wegner(config: ExperimentConfig, out: Path, threads: int) -> Path:
     return path
 
 
-def _run_msa_probe(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_msa_probe(config: ExperimentConfig, out: Path) -> Path:
     model = _model(config)
     E = float(config.scan.get("energy", 0.0))
     theta = float(config.scan.get("theta", 1.0))
@@ -337,7 +337,7 @@ def _run_msa_probe(config: ExperimentConfig, out: Path, threads: int) -> Path:
         cfg = _ensemble(ExperimentConfig(config.command, config.model,
                                          config.distribution, config.scan,
                                          ens, config.output), model)
-        r = suitable_box_probability(cfg, E, theta, r=rng, threads=threads)
+        r = suitable_box_probability(cfg, E, theta, r=rng)
         rows.append((int(L), theta, r.probability, r.ci_low, r.ci_high, r.n))
     path = out / "msa_probe.csv"
     _write_csv(path, config,
@@ -346,13 +346,12 @@ def _run_msa_probe(config: ExperimentConfig, out: Path, threads: int) -> Path:
     return path
 
 
-def _run_decay(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_decay(config: ExperimentConfig, out: Path) -> Path:
     model = _model(config)
     cfg = _ensemble(config, model)
     window = config.scan.get("window", (-0.2, 0.2))
     prof = projection_decay(cfg, (float(window[0]), float(window[1])),
-                            grid_points=int(config.scan.get("grid_points", 16)),
-                            threads=threads)
+                            grid_points=int(config.scan.get("grid_points", 16)))
     rows = list(zip(prof.distances, prof.means, prof.stderrs))
     path = out / "decay.csv"
     _write_csv(path, config, ["distance", "mean", "stderr"], rows,
@@ -362,18 +361,18 @@ def _run_decay(config: ExperimentConfig, out: Path, threads: int) -> Path:
     return path
 
 
-def _run_ids(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_ids(config: ExperimentConfig, out: Path) -> Path:
     model = _model(config)
     cfg = _ensemble(config, model)
     lo, hi, count = config.scan.get("energy_grid", (-4.0, 4.0, 17))
-    rows = ids_estimate(cfg, np.linspace(lo, hi, int(count)), threads=threads)
+    rows = ids_estimate(cfg, np.linspace(lo, hi, int(count)))
     path = out / "ids.csv"
     _write_csv(path, config, ["energy", "value", "stderr", "n"],
                [(r.E, r.value, r.stderr, r.n) for r in rows])
     return path
 
 
-def _run_moments(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_moments(config: ExperimentConfig, out: Path) -> Path:
     model = _model(config)
     cfg = _ensemble(config, model)
     p = float(config.scan.get("p", 2.0))
@@ -382,8 +381,7 @@ def _run_moments(config: ExperimentConfig, out: Path, threads: int) -> Path:
     if lo <= 0:
         raise ValueError("t_grid must start above 0 (0 is prepended automatically)")
     Ts = [0.0] + list(np.geomspace(lo, hi, int(count)))
-    rows = time_averaged_moment(cfg, p, (float(window[0]), float(window[1])),
-                                Ts, threads=threads)
+    rows = time_averaged_moment(cfg, p, (float(window[0]), float(window[1])), Ts)
     M = [r.mean for r in rows]
     meta = {"p": p,
             "window": f"{_fmt(float(window[0]))} {_fmt(float(window[1]))}",
@@ -398,7 +396,7 @@ def _run_moments(config: ExperimentConfig, out: Path, threads: int) -> Path:
     return path
 
 
-def _run_phase_diagram(config: ExperimentConfig, out: Path, threads: int) -> Path:
+def _run_phase_diagram(config: ExperimentConfig, out: Path) -> Path:
     base = config.model
     if base.get("type") != "haldane":
         raise ValueError("phase-diagram sweeps haldane parameters; model type must be haldane")
@@ -440,11 +438,11 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig, threads: int = 1) -> Path:
+def run(config: ExperimentConfig) -> Path:
     """Execute one resolved configuration; returns the primary output path."""
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    path = _RUNNERS[config.command](config, out, threads)
+    path = _RUNNERS[config.command](config, out)
     if path.suffix == ".csv":
         _write_sidecar(path.with_suffix(".json"), config)
     return path
@@ -467,7 +465,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--realizations", type=int, default=None)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; 0 = auto; never changes results")
+                       help="accepted and selects nothing: realizations run in "
+                            "index order on the calling thread, and BLAS threads "
+                            "parallelize each solve")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="disorder strength")
@@ -586,7 +586,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve(args)
-        path = run(config, threads=args.threads)
+        path = run(config)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
 """Single-site disorder laws, their regularity constants, and sampling.
 
 Sampling is hash-based: every value is a pure function of
-(master seed, realization index, site coefficients, orbital), so
-parallel workers and nested boxes agree without any sequential RNG
-state. The truncated Gaussian is inverted by fixed-count bisection,
-which keeps results bit-identical across platforms and thread counts.
+(master seed, realization index, site coefficients, orbital), so a
+draw does not depend on the order realizations are taken in, and
+nested boxes agree, without any sequential RNG state. The truncated
+Gaussian is inverted by fixed-count bisection, which keeps results
+bit-identical across platforms.
 """
 
 from __future__ import annotations

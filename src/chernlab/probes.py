@@ -1,11 +1,13 @@
 """Monte-Carlo probes pitting finite-volume samples against the bounds.
 
 Every probe is a pure function of an EnsembleConfig: realization k of
-the potential is drawn from (master_seed, k) regardless of execution
-order, and reductions run in fixed realization order, so thread count
-never changes a single output bit. Probes that compare against an
-analytic bound report the bound next to the estimate instead of hiding
-the comparison in a boolean.
+the potential is drawn from (master_seed, k), and reductions run in
+realization order. Realizations run in index order on the calling
+thread; BLAS threads parallelize each solve. The ``threads`` keyword
+every ensemble probe takes is accepted and selects nothing, so the
+worker count never changes a single output bit. Probes that compare
+against an analytic bound report the bound next to the estimate instead
+of hiding the comparison in a boolean.
 
 Infinite-volume expectations are stood in for by the combination of
 realization averaging and translation averaging over box centers (the
@@ -16,7 +18,6 @@ a finite-size surrogate under simple ones).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,15 +115,6 @@ def _realization(cfg: EnsembleConfig, clean: FiniteOperator, k: int) -> FiniteOp
     return add_potential(clean, _draw(cfg, clean.box, k, (cfg.lam,)), cfg.lam)
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    """fn over range(count), results in index order regardless of threads."""
-    if threads == 1 or count == 1:
-        return [fn(k) for k in range(count)]
-    workers = threads if threads > 0 else None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _mean_stderr(values) -> tuple[float, float]:
     v = np.asarray(values, dtype=float)
     m = float(np.mean(v))
@@ -173,7 +165,7 @@ def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid,
         w = np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
         return float(np.min(np.abs(w - E)))
 
-    dists = np.array(_map_indexed(dist, cfg.n_realizations, threads))
+    dists = np.array([dist(k) for k in range(cfg.n_realizations)])
     rows = []
     for eps in sorted(float(e) for e in eps_grid):
         hits = int(np.sum(dists < eps))
@@ -223,7 +215,7 @@ def suitable_box_probability(cfg: EnsembleConfig, E: float, theta: float,
         norms = np.linalg.svd(blocks, compute_uv=False)[..., 0]
         return int(np.all(norms <= thresh))
 
-    hits = sum(_map_indexed(suitable, cfg.n_realizations, threads))
+    hits = sum(suitable(k) for k in range(cfg.n_realizations))
     lo, hi = wilson_interval(hits, cfg.n_realizations)
     return SuitabilityResult(probability=hits / cfg.n_realizations,
                              ci_low=lo, ci_high=hi, n=cfg.n_realizations)
@@ -321,7 +313,7 @@ def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
             sup = norms if sup is None else np.maximum(sup, norms)
         return classes.means(sup)
 
-    per_real = np.array(_map_indexed(class_means, cfg.n_realizations, threads))
+    per_real = np.array([class_means(k) for k in range(cfg.n_realizations)])
     means = per_real.mean(axis=0)
     if cfg.n_realizations > 1:
         stderrs = per_real.std(axis=0, ddof=1) / math.sqrt(cfg.n_realizations)
@@ -366,7 +358,7 @@ def ids_estimate(cfg: EnsembleConfig, E_grid, threads: int = 1) -> list[IdsRow]:
         w = np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
         return np.searchsorted(w, energies, side="right") / box.size
 
-    per_real = np.array(_map_indexed(counts, cfg.n_realizations, threads))
+    per_real = np.array([counts(k) for k in range(cfg.n_realizations)])
     rows = []
     for j, E in enumerate(energies):
         m, s = _mean_stderr(per_real[:, j])
@@ -413,7 +405,7 @@ def ids_continuity_check(cfg: EnsembleConfig, E1: float, E2: float,
             op = _realization(cfg, clean, k)
             return classes.profile(fermi_matrix(op, E2) - fermi_matrix(op, E1))
 
-        per_real = np.array(_map_indexed(stat, cfg.n_realizations, threads))
+        per_real = np.array([stat(k) for k in range(cfg.n_realizations)])
         class_mean = per_real.mean(axis=0)
         j = int(np.argmax(class_mean))
         lhs, stderr = _mean_stderr(per_real[:, j])
@@ -424,7 +416,7 @@ def ids_continuity_check(cfg: EnsembleConfig, E1: float, E2: float,
             k1 = int(np.searchsorted(w, E1, side="right"))
             return (k2 - k1) / box.size
 
-        lhs, stderr = _mean_stderr(_map_indexed(stat, cfg.n_realizations, threads))
+        lhs, stderr = _mean_stderr([stat(k) for k in range(cfg.n_realizations)])
     return EnergyContinuityResult(lhs=lhs, lhs_stderr=stderr, rhs=rhs,
                                   passed=lhs + _Z99 * stderr <= rhs,
                                   n=cfg.n_realizations)
@@ -460,7 +452,7 @@ def disorder_continuity_lhs(cfg: EnsembleConfig, lam_a: float, lam_b: float,
         P_b = fermi_matrix(add_potential(clean, sample, lam_b), E)
         return classes.profile(P_a - P_b)
 
-    per_real = np.array(_map_indexed(stat, cfg.n_realizations, threads))
+    per_real = np.array([stat(k) for k in range(cfg.n_realizations)])
     return float(np.max(per_real.mean(axis=0)))
 
 
@@ -491,7 +483,7 @@ def disorder_continuity_check(cfg: EnsembleConfig, lam1: float, lam2: float,
             out[j] = classes.profile(fermi_matrix(op, E) - base)
         return out
 
-    per_real = np.array(_map_indexed(stat, cfg.n_realizations, threads))
+    per_real = np.array([stat(k) for k in range(cfg.n_realizations)])
     lhs = per_real.mean(axis=0).max(axis=1)
     ok = lhs > 0
     if np.sum(ok) < 2:
@@ -541,7 +533,7 @@ def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
                 out[i, j] = chern_marker(P, box, window_L).value
         return out
 
-    per_real = np.array(_map_indexed(markers, cfg.n_realizations, threads))
+    per_real = np.array([markers(k) for k in range(cfg.n_realizations)])
     rows = []
     for i, lam in enumerate(lams):
         for j, E in enumerate(energies):
@@ -620,7 +612,7 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
             out[j] = float(np.real(np.sum(2.0 * F / (2.0 - 1j * T * dE))))
         return out
 
-    per_real = np.array(_map_indexed(moments, cfg.n_realizations, threads))
+    per_real = np.array([moments(k) for k in range(cfg.n_realizations)])
     rows = []
     for j, T in enumerate(times):
         m, s = _mean_stderr(per_real[:, j])
@@ -675,5 +667,4 @@ def transport_slope(T, M, floor_rel: float = 1e-3) -> float:
     keep = inc > floor_rel * abs(M[0])
     if np.sum(keep) < 2:
         return 0.0
-    t, i = np.log(T[1:][keep]), np.log(inc[keep])
-    return float(np.max(np.diff(i) / np.diff(t)))
+    return max_secant_slope(T[1:][keep], inc[keep])

@@ -7,6 +7,7 @@ with throwaway driver scripts and are asserted at the printed precision.
 """
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -438,3 +439,24 @@ def test_thread_count_never_changes_results(model):
     s1 = suitable_box_probability(cfg, 3.2, 1.0)
     s3 = suitable_box_probability(cfg, 3.2, 1.0, threads=3)
     assert s1 == s3
+
+
+def test_realizations_run_in_order_on_the_calling_thread(monkeypatch, model):
+    # --threads selects nothing: every draw happens on the caller's
+    # thread, realization 0 first, whatever value is passed
+    calls = []
+    sample = probes.sample_potential
+
+    def spy(spec, box, n, master_seed, k):
+        calls.append((threading.get_ident(), k))
+        return sample(spec, box, n, master_seed, k)
+
+    monkeypatch.setattr(probes, "sample_potential", spy)
+    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=2.0, box_L=6,
+                         bc="periodic", n_realizations=5, master_seed=3)
+    me = threading.get_ident()
+    wegner_empirical(cfg, 0.0, [1e-2], threads=3)
+    assert calls == [(me, k) for k in range(5)]
+    calls.clear()
+    averaged_marker_scan(cfg, [0.0], [0.0, 1.0], window_L=2, threads=0)
+    assert calls == [(me, k) for k in range(5)]
