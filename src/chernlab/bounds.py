@@ -95,10 +95,12 @@ class GapGeometry:
 
 @dataclass(frozen=True)
 class ThresholdReport:
+    """mu_opt is always 0.0 (see `strong_disorder_threshold`); it is kept
+    so the `thresholds` report keeps its lambda_rho_mu key."""
+
     value: float
     s_opt: float
     mu_opt: float
-    grid: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -179,65 +181,57 @@ def combes_thomas_rate(S_alpha: float, alpha: float, delta: float) -> tuple[floa
     return 2.0 / delta, rate
 
 
-def _row_moment_sums(model: HoppingModel, s: float, mu: float) -> float:
-    # sup over the orbital index of sum |entry|^s e^{mu |delta|}, the
-    # (0,0) diagonal entry excluded; translation covariance collapses
-    # the sup over gamma
+def _row_moment_sums(model: HoppingModel, s: float) -> float:
+    # sup over the orbital index of sum |entry|^s, the (0,0) diagonal
+    # entry excluded; translation covariance collapses the sup over gamma
     totals = np.zeros(model.n)
     for delta, mat in model.hoppings.items():
-        w = math.exp(mu * float(np.hypot(*delta)))
         power = np.where(np.abs(mat) > 0, np.abs(mat) ** s, 0.0)
         if delta == (0, 0):
             np.fill_diagonal(power, 0.0)
-        totals += w * np.sum(power, axis=1)
+        totals += np.sum(power, axis=1)
     return float(np.max(totals))
 
 
 def strong_disorder_threshold(model: HoppingModel, spec: DistributionSpec,
-                              s_grid: np.ndarray | None = None,
-                              mu_grid: np.ndarray | None = None) -> ThresholdReport:
-    """Grid infimum of [C_{s,tau} * sup-row-sum(s, mu)]^{1/s}.
+                              s_grid: np.ndarray | None = None) -> ThresholdReport:
+    """Grid infimum of [C_{s,tau} * sup-row-sum(s, mu)]^{1/s} over s and mu.
 
     C_{s,tau} = tau (2^tau C_tau)^{s/tau} / (tau - s), the 2^tau being
-    the one-sided-to-two-sided window conversion. mu=0 is an admissible
-    grid point for finite-range models and is always the mu-optimum
-    there; the grid keeps nonzero mu anyway for reporting. The best s
-    cell gets one golden-section refinement.
+    the one-sided-to-two-sided window conversion. The row sum weighs
+    each hopping block by e^{mu |delta|} >= 1, so for every s the
+    infimum over mu >= 0 sits at mu = 0, and only s is scanned. The
+    best s cell gets one golden-section refinement.
     """
     tau, C2 = spec.tau, 2.0 ** spec.tau * spec.C_tau
     if s_grid is None:
         s_grid = np.geomspace(0.01 * tau, 0.99 * tau, 64)
-    if mu_grid is None:
-        mu_grid = np.linspace(0.0, 2.0, 32)
     s_grid = np.asarray(s_grid, dtype=float)
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    if len(s_grid) == 0 or len(mu_grid) == 0:
+    if len(s_grid) == 0:
         raise ValueError("empty search grid")
     if np.any(s_grid <= 0) or np.any(s_grid >= tau):
         raise ValueError("s grid must lie inside (0, tau)")
 
-    def objective(s: float, mu: float) -> float:
-        row = _row_moment_sums(model, s, mu)
+    def objective(s: float) -> float:
+        row = _row_moment_sums(model, s)
         if row == 0.0:
             return 0.0
         c = tau * C2 ** (s / tau) / (tau - s)
         return (c * row) ** (1.0 / s)
 
-    values = np.array([[objective(s, mu) for mu in mu_grid] for s in s_grid])
-    k, m = np.unravel_index(int(np.argmin(values)), values.shape)
-    best_s, best_mu, best = float(s_grid[k]), float(mu_grid[m]), float(values[k, m])
+    values = np.array([objective(s) for s in s_grid])
+    k = int(np.argmin(values))
+    best_s, best = float(s_grid[k]), float(values[k])
     if best > 0 and 0 < k < len(s_grid) - 1:
         lo, hi = float(s_grid[k - 1]), float(s_grid[k + 1])
         try:
-            res = minimize_scalar(lambda s: objective(s, best_mu),
-                                  bracket=(lo, best_s, hi), method="golden",
-                                  options={"xtol": 1e-10})
+            res = minimize_scalar(objective, bracket=(lo, best_s, hi),
+                                  method="golden", options={"xtol": 1e-10})
             if res.fun < best:
                 best, best_s = float(res.fun), float(res.x)
         except ValueError:
             pass  # flat bracket, grid point already optimal
-    return ThresholdReport(value=best, s_opt=best_s, mu_opt=best_mu,
-                           grid=(len(s_grid), len(mu_grid)))
+    return ThresholdReport(value=best, s_opt=best_s, mu_opt=0.0)
 
 
 def d_s1_bound(B_mom: float, C_mom: float, s: float, t: float, q: float) -> KReport:

@@ -25,7 +25,6 @@ __all__ = [
     "uniform",
     "truncated_gaussian",
     "custom_density",
-    "holder_constant",
     "sample_potential",
     "hash64",
     "abs_moment",
@@ -64,7 +63,11 @@ def _splitmix_vec(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Law of one disorder entry, supported in [-a, b]."""
+    """Law of one disorder entry, supported in [-a, b].
+
+    (tau, C_tau) are its Holder constants, sup_u rho([u, u+t]) <= C_tau
+    t^tau; for bounded densities tau = 1 with the density sup.
+    """
 
     kind: str
     a: float
@@ -157,16 +160,6 @@ def custom_density(points: np.ndarray, density: np.ndarray, beta: float = math.i
 
     return DistributionSpec(kind="custom_density", a=a, b=b, tau=1.0,
                             C_tau=float(np.max(den)), beta=beta, pdf=pdf, cdf=cdf)
-
-
-def holder_constant(spec: DistributionSpec) -> tuple[float, float]:
-    """(tau, C_tau) with sup_u rho([u, u+t]) <= C_tau t^tau.
-
-    For bounded densities this is tau=1 with the density sup.
-    """
-    if spec.pdf is None:
-        raise ValueError("distribution has no density to bound")
-    return spec.tau, spec.C_tau
 
 
 def _ppf(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:

@@ -76,7 +76,6 @@ class FiniteOperator:
 @dataclass(frozen=True)
 class ProjectionMatrix:
     matrix: np.ndarray
-    fermi_energy: float
     rank: int = field(default=-1)
 
     def __post_init__(self) -> None:
@@ -176,8 +175,7 @@ def spectral_projection(op: FiniteOperator, E: float) -> ProjectionMatrix:
     """P = chi_(-inf, E] of the operator; E exactly at an eigenvalue is included."""
     vk = _occupied(op, E)
     P = vk @ vk.conj().T
-    return ProjectionMatrix(matrix=0.5 * (P + P.conj().T), fermi_energy=float(E),
-                            rank=vk.shape[1])
+    return ProjectionMatrix(matrix=0.5 * (P + P.conj().T), rank=vk.shape[1])
 
 
 def green_function(op: FiniteOperator, z: complex) -> np.ndarray:

@@ -31,12 +31,6 @@ __all__ = [
 
 _HERMITICITY_TOL = 1e-12
 
-# Cartesian honeycomb data: nearest-neighbor bonds d1, d2, d3 and the
-# Bravais vectors a1 = d2 - d3, a2 = d3 - d1 (a3 = -a1 - a2).
-_D1 = (0.5, -np.sqrt(3.0) / 2.0)
-_D2 = (0.5, np.sqrt(3.0) / 2.0)
-_D3 = (-1.0, 0.0)
-
 # Displacements in lattice coefficients.
 _A1 = (1, 0)
 _A2 = (0, 1)
@@ -44,6 +38,8 @@ _A3 = (-1, -1)
 
 
 def honeycomb_basis() -> LatticeBasis:
+    # a1 = d2 - d3, a2 = d3 - d1 for the nearest-neighbor bonds
+    # d1 = (1/2, -sqrt3/2), d2 = (1/2, sqrt3/2), d3 = (-1, 0)
     return LatticeBasis(a1=(1.5, np.sqrt(3.0) / 2.0), a2=(-1.5, np.sqrt(3.0) / 2.0))
 
 

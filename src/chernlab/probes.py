@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .bounds import wegner_bound
 from .disorder import DisorderSample, DistributionSpec, sample_potential
@@ -64,6 +63,7 @@ __all__ = [
 ]
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_FLOOR_REL = 1e-3  # transport floor of `transport_slope`, relative to M(0)
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,21 @@ def _mean_stderr(values) -> tuple[float, float]:
     return m, float(np.std(v, ddof=1) / math.sqrt(v.size))
 
 
-def wilson_interval(successes: int, n: int,
-                    confidence: float = 0.99) -> tuple[float, float]:
-    """Two-sided Wilson score interval for a binomial proportion."""
-    ci = binomtest(successes, n).proportion_ci(confidence_level=confidence,
-                                               method="wilson")
-    return float(ci.low), float(ci.high)
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Two-sided 99% Wilson score interval for a binomial proportion.
+
+    The closed form in the operation order of scipy's binomtest, whose
+    interval it reproduces bit for bit.
+    """
+    if n < 1 or not 0 <= successes <= n:
+        raise ValueError("need n >= 1 and 0 <= successes <= n")
+    p, z = successes / n, _Z99
+    denom = 2 * (n + z * z)
+    center = (2 * n * p + z * z) / denom
+    delta = z / denom * math.sqrt(4 * n * p * (1 - p) + z * z)
+    lo = 0.0 if successes == 0 else center - delta
+    hi = 1.0 if successes == n else center + delta
+    return lo, hi
 
 
 def _orbital_rows(box: Box, sites: np.ndarray, n: int) -> np.ndarray:
@@ -639,22 +648,22 @@ def max_secant_slope(T, M) -> float:
     return float(np.max(np.diff(np.log(M)) / np.diff(np.log(T))))
 
 
-def transport_slope(T, M, floor_rel: float = 1e-3) -> float:
+def transport_slope(T, M) -> float:
     """Growth rate of the moment increment M(T) - M(0) on a log-log scale.
 
     The grid must start at T=0 so the static envelope of the windowed
     initial state can be subtracted; the envelope carries no transport
     information and otherwise dilutes the visible growth on small boxes.
     A rung counts as transport only once the state has spread by at
-    least floor_rel of that envelope. Localized dynamics still shows a
-    transient increment, but it saturates exponentially far below this
-    scale (measured ~1e-6 relative at twice the strong-disorder
-    threshold), while any genuinely spreading regime crosses it on its
-    first rung (~1e-2 relative); the floor sits between the two and
-    also buries double-precision cancellation noise. Rungs below it are
-    dropped; if fewer than two survive there is no transport to rate
-    and the slope is 0. Returns the largest consecutive-pair secant
-    over the surviving rungs.
+    least _FLOOR_REL = 1e-3 of that envelope. Localized dynamics still
+    shows a transient increment, but it saturates exponentially far
+    below this scale (measured ~1e-6 relative at twice the
+    strong-disorder threshold), while any genuinely spreading regime
+    crosses it on its first rung (~1e-2 relative); the floor sits
+    between the two and also buries double-precision cancellation
+    noise. Rungs below it are dropped; if fewer than two survive there
+    is no transport to rate and the slope is 0. Returns the largest
+    consecutive-pair secant over the surviving rungs.
     """
     T, M = np.asarray(T, dtype=float), np.asarray(M, dtype=float)
     if T.size != M.size or T.size < 3:
@@ -664,7 +673,7 @@ def transport_slope(T, M, floor_rel: float = 1e-3) -> float:
     if np.any(np.diff(T) <= 0):
         raise ValueError("grid must be strictly increasing")
     inc = M[1:] - M[0]
-    keep = inc > floor_rel * abs(M[0])
+    keep = inc > _FLOOR_REL * abs(M[0])
     if np.sum(keep) < 2:
         return 0.0
     return max_secant_slope(T[1:][keep], inc[keep])

@@ -296,12 +296,8 @@ def test_row_moment_sums_reference_point(reference_model):
     # t2 neighbors at distance 1 and two at sqrt(2)
     t2 = 1.0 / (3.0 * math.sqrt(3.0))
     for s in (0.3, 0.5, 0.78):
-        got = bounds._row_moment_sums(reference_model, s, 0.0)
+        got = bounds._row_moment_sums(reference_model, s)
         assert got == pytest.approx(3.0 + 6.0 * t2 ** s, rel=1e-12)
-        got_mu = bounds._row_moment_sums(reference_model, s, 0.4)
-        want = (1.0 + 2.0 * math.exp(0.4)) + t2 ** s * (
-            4.0 * math.exp(0.4) + 2.0 * math.exp(0.4 * math.sqrt(2.0)))
-        assert got_mu == pytest.approx(want, rel=1e-12)
 
 
 def test_strong_threshold_reference_point(reference_model):
@@ -315,6 +311,21 @@ def test_strong_threshold_reference_point(reference_model):
     coeff = rep.value * math.erf(1.0 / math.sqrt(2.0))
     assert 35.0 < coeff < 39.98
     assert coeff == pytest.approx(39.97427732805992, rel=1e-6)
+
+
+def test_strong_threshold_scans_s_only(reference_model, monkeypatch):
+    # one row sum per s grid point plus the golden-section refinement;
+    # a (s, mu) grid would need thousands
+    calls = []
+    row_sums = bounds._row_moment_sums
+
+    def spy(model, s):
+        calls.append(s)
+        return row_sums(model, s)
+
+    monkeypatch.setattr(bounds, "_row_moment_sums", spy)
+    bounds.strong_disorder_threshold(reference_model, truncated_gaussian(1.0))
+    assert 64 <= len(calls) < 200
 
 
 def test_strong_threshold_uniform_law(reference_model):

@@ -82,6 +82,39 @@ def test_lambda_rho_coefficient_is_law_free(tmp_path, model_file, a):
     assert abs(r["lambda_rho_coefficient"] - 39.974) < 1e-3
 
 
+THRESHOLDS_UNIFORM_PINNED = {
+    "B_mom": 0.5, "C_mom": 0.25, "C_s_alpha": 1695395.7621202879,
+    "K": 10.378414230005445, "K_C_pq": 4.000000000000001, "K_p": 0.5,
+    "S_alpha": 0.1659082915165083, "S_alpha_overbound": 0.4999702041742749,
+    "a_zero": 9.589929708719103e+28, "alpha": 0.034753941095545506,
+    "gap_over_2a0": 1.042698370812261e-29, "gap_size": 1.9998808166971018,
+    "lambda_rho": 50.100326904227984, "lambda_rho_mu": 0.0,
+    "lambda_rho_s": 0.7778866929959833, "q": 2.0, "s": 0.25, "t": 1.0,
+}
+
+THRESHOLDS_TG_PINNED = {
+    "B_mom": 1.6487212707001282, "C_mom": 0.8107389584591749,
+    "C_s_alpha": 1695395.7621202879, "K": 22.963798680773785,
+    "K_C_pq": 5.440531270356422, "K_p": 0.5, "S_alpha": 0.1659082915165083,
+    "S_alpha_overbound": 0.4999702041742749, "a_zero": 2.2986155750464074e+30,
+    "alpha": 0.034753941095545506, "gap_over_2a0": 4.3501854733946225e-31,
+    "gap_size": 1.9998808166971018, "lambda_rho": 58.5541125042437,
+    "lambda_rho_coefficient": 39.97427732805992, "lambda_rho_mu": 0.0,
+    "lambda_rho_s": 0.7778866947296681, "q": 2.0, "s": 0.25, "t": 1.0,
+}
+
+
+@pytest.mark.parametrize("law, pinned", [("uniform", THRESHOLDS_UNIFORM_PINNED),
+                                         ("tg", THRESHOLDS_TG_PINNED)])
+def test_thresholds_results_are_pinned(tmp_path, request, law, pinned):
+    # frozen report of the reference model for the unit uniform and
+    # unit truncated Gaussian laws, every entry to the last bit
+    dist = request.getfixturevalue(f"{law}_file")
+    out = tmp_path / "run"
+    assert main(["thresholds", "--dist", dist, "--out", str(out)]) == 0
+    assert json.loads((out / "thresholds.json").read_text())["results"] == pinned
+
+
 def test_csv_format_and_lossless_floats(tmp_path, model_file):
     out = tmp_path / "run"
     assert main(["bloch", "--model", model_file, "--out", str(out)]) == 0
@@ -291,3 +324,13 @@ def test_console_script_entry_point(tmp_path, model_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "bloch.csv").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs every CLI process about half a second at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import chernlab.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

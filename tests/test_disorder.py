@@ -9,7 +9,6 @@ from chernlab.disorder import (
     abs_moment,
     custom_density,
     hash64,
-    holder_constant,
     sample_potential,
     spec_from_json,
     trunc_gauss_abs_moment_bound,
@@ -73,14 +72,16 @@ def test_hash64_order_sensitive():
 
 
 def test_uniform_holder_constant():
-    tau, c = holder_constant(uniform(1.0))
+    spec = uniform(1.0)
+    tau, c = spec.tau, spec.C_tau
     assert tau == 1.0
     assert c == 0.5
 
 
 def test_truncated_gaussian_holder_constant():
     # peak density (1/sqrt(2 pi)) / erf(a/sqrt(2)); at a=1 this is 0.584369...
-    tau, c = holder_constant(truncated_gaussian(1.0))
+    spec = truncated_gaussian(1.0)
+    tau, c = spec.tau, spec.C_tau
     assert tau == 1.0
     assert c == pytest.approx((1.0 / math.sqrt(2 * math.pi)) / math.erf(1 / math.sqrt(2)), rel=1e-12)
     assert c == pytest.approx(0.584368567257, abs=1e-9)

@@ -75,12 +75,26 @@ def test_config_validation(model):
 
 
 def test_wilson_interval_basics():
-    lo, hi = wilson_interval(0, 50, 0.99)
+    lo, hi = wilson_interval(0, 50)
     assert lo == 0.0 and 0.0 < hi < 0.2
-    lo, hi = wilson_interval(16, 100, 0.99)
+    lo, hi = wilson_interval(16, 100)
     # frozen scipy Wilson bracket for 16/100 at 99%
     assert lo == pytest.approx(0.0872934555, rel=1e-8)
     assert hi == pytest.approx(0.2750166121, rel=1e-8)
+
+
+def test_wilson_interval_matches_scipy_bit_for_bit():
+    from scipy.stats import binomtest
+
+    # the interval ignores the null proportion p; p = k/n only makes
+    # binomtest's unused p-value trivial to compute
+    for n in range(1, 201):
+        for k in range(n + 1):
+            ci = binomtest(k, n, p=k / n).proportion_ci(0.99, method="wilson")
+            assert wilson_interval(k, n) == (ci.low, ci.high), (k, n)
+    for k, n in ((0, 0), (-1, 5), (6, 5)):
+        with pytest.raises(ValueError):
+            wilson_interval(k, n)
 
 
 # ---------------------------------------------------------------- Wegner

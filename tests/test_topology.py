@@ -40,8 +40,8 @@ def proj_minus():
 def test_marker_trivial_projections():
     box = box_sites(6)
     N = 2 * box.size
-    zero = ProjectionMatrix(np.zeros((N, N), dtype=complex), -99.0, 0)
-    one = ProjectionMatrix(np.eye(N, dtype=complex), 99.0, N)
+    zero = ProjectionMatrix(np.zeros((N, N), dtype=complex), 0)
+    one = ProjectionMatrix(np.eye(N, dtype=complex), N)
     assert chern_marker(zero, box, 4).value == 0.0
     assert chern_marker(one, box, 4).value == 0.0
     assert chern_marker_triple(one, box, 4) == 0.0
@@ -67,7 +67,7 @@ def test_marker_rank_one_localized_vanishes():
     amp = np.exp(-np.hypot(g[:, 0], g[:, 1]) / 1.5)
     psi = (amp[:, None] * np.exp(2j * math.pi * rng.random((BOX16.size, 2)))).ravel()
     psi /= np.linalg.norm(psi)
-    P = ProjectionMatrix(np.outer(psi, psi.conj()), 0.0, 1)
+    P = ProjectionMatrix(np.outer(psi, psi.conj()), 1)
     assert abs(chern_marker(P, BOX16, 4).value) < 0.05
 
 
@@ -118,7 +118,7 @@ def test_index_diagonal_projection_zero():
     N = 2 * box.size
     P = np.zeros((N, N), dtype=complex)
     P[::2, ::2] = np.eye(box.size)
-    assert index_pair(ProjectionMatrix(P, 0.0, box.size), box, (0.3, 0.2)) == 0
+    assert index_pair(ProjectionMatrix(P, box.size), box, (0.3, 0.2)) == 0
 
 
 def test_index_matches_chern_sign(proj_plus, proj_minus):
