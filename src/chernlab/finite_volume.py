@@ -8,14 +8,17 @@ realization. Each operator solves lazily with one ``eigh``
 from ``eigenvalues`` sits exactly on the state a projection counts.
 Statistics that only count or locate eigenvalues call ``eigvalsh`` on
 the matrix instead and form no eigenvectors; its values may differ
-from the ``eigh`` ones in the last bits. Gap-membership arguments
-should use the periodic restriction: open boundaries of a topologically
-nontrivial model carry in-gap edge modes.
+from the ``eigh`` ones in the last bits. A spectral projection is held
+by its occupied eigenvectors V (N x k) and forms P = V V^* only when a
+caller reads ``matrix``; the windowed marker reads rows of P from V
+alone. Gap-membership arguments should use the periodic restriction:
+open boundaries of a topologically nontrivial model carry in-gap edge
+modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import pi
@@ -38,6 +41,7 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-12
+_ORTHO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,13 @@ class FiniteOperator:
         N = self.n * self.box.size
         if self.matrix.shape != (N, N):
             raise ValueError(f"matrix must be {N}x{N}")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > _HERM_TOL:
+        # m - m^* written part by part into one buffer: np.abs(m - m.conj().T)
+        # bit for bit, with one complex temporary instead of two
+        m = self.matrix
+        d = np.empty(m.shape, dtype=complex)
+        np.subtract(m.real, m.real.T, out=d.real)
+        np.add(m.imag, m.imag.T, out=d.imag)
+        if np.max(np.abs(d)) > _HERM_TOL:
             raise ValueError("matrix is not Hermitian")
         if self.bc not in ("simple", "periodic"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
@@ -75,16 +85,35 @@ class FiniteOperator:
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    matrix: np.ndarray
-    rank: int = field(default=-1)
+    """The orthogonal projection P = V V^* onto the columns of ``vectors``.
+
+    V (N x k) must have orthonormal columns, |V^*V - 1| <= 1e-9 entrywise,
+    which makes V V^* a projection of rank k; the check costs O(N k^2)
+    and forms no N x N product.
+    """
+
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("projection is not Hermitian")
-        if np.max(np.abs(m @ m - m)) > 1e-9:
-            raise ValueError("projection is not idempotent")
-        self.matrix.flags.writeable = False
+        v = self.vectors
+        if v.ndim != 2:
+            raise ValueError("projection vectors must be an N x k array")
+        if v.shape[1] and np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > _ORTHO_TOL:
+            raise ValueError("projection vectors are not orthonormal")
+        v.flags.writeable = False
+
+    @property
+    def rank(self) -> int:
+        return self.vectors.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """P = V V^*, symmetrized to be Hermitian to the last bit (N x N)."""
+        v = self.vectors
+        P = v @ v.conj().T
+        P = 0.5 * (P + P.conj().T)
+        P.flags.writeable = False
+        return P
 
 
 def _sample_ref(sample: DisorderSample | None) -> str:
@@ -162,20 +191,22 @@ def _occupied(op: FiniteOperator, E: float) -> np.ndarray:
 
 
 def fermi_matrix(op: FiniteOperator, E: float) -> np.ndarray:
-    """Raw chi_(-inf, E] of the operator, V_k V_k^*, without validation.
+    """Raw chi_(-inf, E] of the operator, V_k V_k^* (N x N), unsymmetrized.
 
-    For inner loops, where the checks of ``ProjectionMatrix`` would
-    dominate the runtime. E exactly at an eigenvalue is included.
+    For the probes that reduce the kernel itself and compare its raw
+    bits across energies and strengths. E exactly at an eigenvalue is
+    included.
     """
     vk = _occupied(op, E)
     return vk @ vk.conj().T
 
 
 def spectral_projection(op: FiniteOperator, E: float) -> ProjectionMatrix:
-    """P = chi_(-inf, E] of the operator; E exactly at an eigenvalue is included."""
-    vk = _occupied(op, E)
-    P = vk @ vk.conj().T
-    return ProjectionMatrix(matrix=0.5 * (P + P.conj().T), rank=vk.shape[1])
+    """P = chi_(-inf, E] of the operator, held by its occupied eigenvectors.
+
+    E exactly at an eigenvalue is included. No N x N product is formed.
+    """
+    return ProjectionMatrix(_occupied(op, E))
 
 
 def green_function(op: FiniteOperator, z: complex) -> np.ndarray:

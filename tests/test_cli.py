@@ -315,6 +315,13 @@ def test_command_mismatch_and_runtime_errors(tmp_path, model_file, capsys):
     assert main(["chern", "--model", str(gapless), "--out", str(out)]) == 1
     assert "gapless" in capsys.readouterr().err
 
+    # a window side below 1 is an error, not a NaN marker
+    for side in ("0", "-2"):
+        assert main(["marker", "--model", model_file, "--box-l", "6",
+                     "--window-l", side, "--out", str(out)]) == 1
+        assert f"window side {side} must be at least 1" in capsys.readouterr().err
+    assert not (out / "marker.csv").exists()
+
 
 def test_console_script_entry_point(tmp_path, model_file):
     out = tmp_path / "run"

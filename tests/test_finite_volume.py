@@ -8,6 +8,7 @@ from chernlab.disorder import uniform, sample_potential
 from chernlab.finite_volume import (
     FiniteOperator,
     add_potential,
+    fermi_matrix,
     green_function,
     restrict_periodic,
     restrict_simple,
@@ -184,6 +185,8 @@ def test_projection_half_filling():
     op = restrict_periodic(haldane_model(TOPO), None, 0.0, box_sites(11))
     P = spectral_projection(op, 0.0)
     assert P.rank == 121
+    F = fermi_matrix(op, 0.0)
+    assert P.matrix.tobytes() == (0.5 * (F + F.conj().T)).tobytes()
     assert np.max(np.abs(P.matrix @ P.matrix - P.matrix)) < 1e-9
     assert np.max(np.abs(P.matrix - P.matrix.conj().T)) < 1e-10
 
@@ -238,6 +241,17 @@ def test_operator_validation():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
         FiniteOperator(matrix=bad, box=box, n=2, bc="simple", lam=0.0, sample_ref="clean")
+    # complex-symmetric off-diagonal pair and an imaginary diagonal
+    for entries in (((0, 1, 1j), (1, 0, 1j)), ((2, 2, 1j),)):
+        bad = np.zeros((18, 18), dtype=complex)
+        for i, j, x in entries:
+            bad[i, j] = x
+        with pytest.raises(ValueError, match="Hermitian"):
+            FiniteOperator(matrix=bad, box=box, n=2, bc="simple", lam=0.0,
+                           sample_ref="clean")
+    good = np.zeros((18, 18), dtype=complex)
+    good[0, 1], good[1, 0] = 1j, -1j
+    FiniteOperator(matrix=good, box=box, n=2, bc="simple", lam=0.0, sample_ref="clean")
     with pytest.raises(ValueError):
         FiniteOperator(matrix=np.eye(18, dtype=complex), box=box, n=2, bc="weird",
                        lam=0.0, sample_ref="clean")

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from chernlab import probes
+from chernlab import finite_volume, probes
 from chernlab.bounds import (
     alpha_for_gap,
     combes_thomas_rate,
@@ -326,6 +326,23 @@ def test_marker_scan_clean_column_equals_marker(model):
     row, = averaged_marker_scan(clean_cfg(model, 10), [0.0], [0.0], window_L=3)
     assert row.mean == pytest.approx(direct, abs=1e-12)
     assert row.stderr == 0.0
+
+
+def test_marker_scan_never_forms_projection(model, monkeypatch):
+    # the scan reads window rows from the occupied vectors: no realization
+    # may build an N x N projection, lazily or raw
+    formed = []
+    monkeypatch.setattr(finite_volume.ProjectionMatrix, "matrix",
+                        property(lambda P: formed.append("matrix")))
+    monkeypatch.setattr(finite_volume, "fermi_matrix",
+                        lambda *a: formed.append("fermi_matrix"))
+    monkeypatch.setattr(probes, "fermi_matrix",
+                        lambda *a: formed.append("fermi_matrix"))
+    cfg = EnsembleConfig(model=model, spec=truncated_gaussian(2.0), lam=0.1,
+                         box_L=8, bc="periodic", n_realizations=2, master_seed=3)
+    rows = averaged_marker_scan(cfg, [0.0, -1.3], [0.0, 0.1], window_L=3)
+    assert len(rows) == 4 and all(np.isfinite(r.mean) for r in rows)
+    assert formed == []
 
 
 # ---------------------------------------------------------------- moments

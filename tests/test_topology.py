@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from chernlab.bounds import strong_disorder_threshold
+from chernlab.disorder import sample_potential, truncated_gaussian
 from chernlab.finite_volume import (
     ProjectionMatrix,
+    add_potential,
     restrict_periodic,
     restrict_simple,
     spectral_projection,
@@ -12,6 +15,8 @@ from chernlab.finite_volume import (
 from chernlab.lattice import box_sites
 from chernlab.model import HaldaneParams, haldane_model
 from chernlab.topology import (
+    _positions,
+    _window_rows,
     chern_marker,
     chern_marker_triple,
     flux_unitary,
@@ -40,8 +45,8 @@ def proj_minus():
 def test_marker_trivial_projections():
     box = box_sites(6)
     N = 2 * box.size
-    zero = ProjectionMatrix(np.zeros((N, N), dtype=complex), 0)
-    one = ProjectionMatrix(np.eye(N, dtype=complex), N)
+    zero = ProjectionMatrix(np.zeros((N, 0), dtype=complex))
+    one = ProjectionMatrix(np.eye(N, dtype=complex))
     assert chern_marker(zero, box, 4).value == 0.0
     assert chern_marker(one, box, 4).value == 0.0
     assert chern_marker_triple(one, box, 4) == 0.0
@@ -67,8 +72,18 @@ def test_marker_rank_one_localized_vanishes():
     amp = np.exp(-np.hypot(g[:, 0], g[:, 1]) / 1.5)
     psi = (amp[:, None] * np.exp(2j * math.pi * rng.random((BOX16.size, 2)))).ravel()
     psi /= np.linalg.norm(psi)
-    P = ProjectionMatrix(np.outer(psi, psi.conj()), 1)
+    P = ProjectionMatrix(psi[:, None])
     assert abs(chern_marker(P, BOX16, 4).value) < 0.05
+
+
+def test_projection_rejects_non_orthonormal_vectors():
+    box = box_sites(4)
+    psi = np.zeros(2 * box.size, dtype=complex)
+    psi[3] = 1.0
+    with pytest.raises(ValueError, match="orthonormal"):
+        ProjectionMatrix(2.0 * psi[:, None])
+    with pytest.raises(ValueError, match="orthonormal"):
+        ProjectionMatrix(np.stack([psi, psi], axis=1))
 
 
 def test_marker_window_validation(proj_plus):
@@ -77,6 +92,43 @@ def test_marker_window_validation(proj_plus):
     with pytest.raises(ValueError):
         # window legal by size but pushed out of the box by its center
         chern_marker(proj_plus, BOX16, 8, center=(7, 0))
+    for side in (0, -1):
+        with pytest.raises(ValueError, match=f"window side {side} must be at least 1"):
+            chern_marker(proj_plus, BOX16, side)
+        with pytest.raises(ValueError, match=f"window side {side} must be at least 1"):
+            chern_marker_triple(proj_plus, BOX16, side)
+
+
+def _reference_marker(m, box, window_L, center=(0, 0)):
+    """The dense O(N^3) evaluation of the windowed marker from the matrix P."""
+    n = m.shape[0] // box.size
+    x1, x2 = _positions(box, n)
+    A1 = x1[:, None] * m - m * x1[None, :]
+    A2 = x2[:, None] * m - m * x2[None, :]
+    core = m @ (A1 @ A2 - A2 @ A1) @ m
+    rows, nsites = _window_rows(box, n, window_L, center)
+    raw = 2j * math.pi * np.sum(np.diagonal(core)[rows]) / nsites
+    return float(raw.real)
+
+
+@pytest.mark.parametrize("restrict", [restrict_periodic, restrict_simple])
+@pytest.mark.parametrize("strength", ["clean", "weak", "strong"])
+def test_marker_rows_match_dense_reference(restrict, strength):
+    box = box_sites(10)
+    m = haldane_model(HaldaneParams())
+    spec = truncated_gaussian(2.0)
+    lam = {"clean": 0.0, "weak": 0.1,
+           "strong": 1.5 * strong_disorder_threshold(m, spec).value}[strength]
+    sample = sample_potential(spec, box, m.n, 14, 0) if lam else None
+    op = add_potential(restrict(m, None, 0.0, box), sample, lam)
+    # E = 0 in the clean gap, E = -1.3 in the lower clean band
+    for E in (0.0, -1.3):
+        P = spectral_projection(op, E)
+        for window_L, center in ((4, (0, 0)), (3, (2, -1))):
+            ref = _reference_marker(P.matrix, box, window_L, center)
+            got = chern_marker(P, box, window_L, center)
+            assert abs(got.value - ref) <= 1e-12
+            assert got.imag_residual <= 1e-12
 
 
 def test_marker_equals_triple_full_box():
@@ -116,9 +168,8 @@ def test_flux_unitary_rejects_lattice_point():
 def test_index_diagonal_projection_zero():
     box = box_sites(10)
     N = 2 * box.size
-    P = np.zeros((N, N), dtype=complex)
-    P[::2, ::2] = np.eye(box.size)
-    assert index_pair(ProjectionMatrix(P, box.size), box, (0.3, 0.2)) == 0
+    P = ProjectionMatrix(np.eye(N, dtype=complex)[:, ::2])
+    assert index_pair(P, box, (0.3, 0.2)) == 0
 
 
 def test_index_matches_chern_sign(proj_plus, proj_minus):
