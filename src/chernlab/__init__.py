@@ -9,7 +9,7 @@ Layers, from geometry to experiment:
 - finite_volume: simple/periodic restrictions, projections, resolvents.
 - topology: real-space Chern marker, triple-kernel form, index pairing.
 - bounds: resolvent-decay rates, fractional-moment constants, disorder
-  thresholds, finite-volume scale estimates.
+  thresholds.
 - probes: seeded Monte-Carlo estimators confronting the bounds.
 - cli: JSON-configured experiment runner with reproducible outputs.
 """

@@ -20,8 +20,8 @@ __all__ = [
     "bloch_matrix",
     "bloch_grid",
     "band_structure",
+    "plaquette_field",
     "chern_number",
-    "haldane_gapless",
 ]
 
 # Fixed so that the half-flux honeycomb point phi=+pi/2, M=0 lands on
@@ -159,12 +159,3 @@ def chern_number(
         N *= 2
     total = _ORIENTATION * float(F.sum()) / (2.0 * np.pi)
     return ChernResult(value=int(np.rint(total)), curvature_sum=total, grid=N)
-
-
-def haldane_gapless(p) -> bool:
-    """True iff the mass sits exactly on the critical curve |M| = 3 sqrt(3) t2 |sin phi|."""
-    import math
-
-    lhs = abs(p.M)
-    rhs = 3.0 * np.sqrt(3.0) * p.t2 * abs(np.sin(p.phi))
-    return math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=0.0)

@@ -33,24 +33,17 @@ __all__ = [
     "GapGeometry",
     "ThresholdReport",
     "KReport",
-    "BandEdgeDeltas",
-    "MsaLengthThresholds",
     "combes_thomas_salpha",
     "salpha_overbound",
     "alpha_for_gap",
     "combes_thomas_rate",
     "strong_disorder_threshold",
     "d_s1_bound",
-    "d_s1_uniform_bracket",
     "c_s_alpha",
     "weak_disorder_upper",
     "lambda_zero",
     "a_zero",
     "wegner_bound",
-    "msa_delta",
-    "band_edge_delta",
-    "msa_length_thresholds",
-    "log_power_constant",
 ]
 
 
@@ -95,12 +88,10 @@ class GapGeometry:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """mu_opt is always 0.0 (see `strong_disorder_threshold`); it is kept
-    so the `thresholds` report keeps its lambda_rho_mu key."""
+    """Strong-disorder threshold and the s at which the scan attains it."""
 
     value: float
     s_opt: float
-    mu_opt: float
 
 
 @dataclass(frozen=True)
@@ -108,30 +99,6 @@ class KReport:
     value: float
     p: float
     C_pq: float
-
-
-@dataclass(frozen=True)
-class BandEdgeDeltas:
-    external: float
-    internal: float
-    gap_closed: bool
-
-
-@dataclass(frozen=True)
-class MsaLengthThresholds:
-    q_l1: float
-    q_l2: float
-    q_l3: float
-    q_l4: float
-    q_l5: float
-    q_l6: float
-    q_l7: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {f"q_l{k}": getattr(self, f"q_l{k}") for k in range(1, 8)}
-
-    def largest(self) -> float:
-        return max(self.as_dict().values())
 
 
 def combes_thomas_salpha(model: HoppingModel, alpha: float) -> float:
@@ -231,7 +198,7 @@ def strong_disorder_threshold(model: HoppingModel, spec: DistributionSpec,
                 best, best_s = float(res.fun), float(res.x)
         except ValueError:
             pass  # flat bracket, grid point already optimal
-    return ThresholdReport(value=best, s_opt=best_s, mu_opt=0.0)
+    return ThresholdReport(value=best, s_opt=best_s)
 
 
 def d_s1_bound(B_mom: float, C_mom: float, s: float, t: float, q: float) -> KReport:
@@ -250,13 +217,6 @@ def d_s1_bound(B_mom: float, C_mom: float, s: float, t: float, q: float) -> KRep
     K = max(5.0 * (2.0 * B_mom) ** (s / t),
             2.0 ** (2.0 * s + 1.0) * B_mom ** (s / t) * (1.0 + B_mom ** (s / t) * C_pq))
     return KReport(value=K, p=p, C_pq=C_pq)
-
-
-def d_s1_uniform_bracket(a: float, s: float) -> tuple[float, float]:
-    """Two-sided bracket a^s (1-s) <= D_{s,1} <= a^s for the uniform law."""
-    if a <= 0 or not (0 < s < 1):
-        raise ValueError("need a > 0 and s in (0,1)")
-    return a ** s * (1.0 - s), a ** s
 
 
 def c_s_alpha(n: int, gap_size: float, s: float, alpha: float) -> float:
@@ -302,86 +262,3 @@ def wegner_bound(n: int, C_tau: float, tau: float, L: int, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     return min(1.0, 4.0 * math.pi * n * C_tau * L * L * eps ** tau / lam ** tau)
-
-
-def msa_delta(alpha: float, S_alpha: float, theta: float, lam: float, qL: int) -> float:
-    """Relative resolvent-distance scale (2 sqrt2 S_alpha (3 theta+5)/(alpha lam)) 8 log(qL)/qL."""
-    if qL < 2:
-        raise ValueError("length scale must be at least 2")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return (2.0 * math.sqrt(2.0) * S_alpha * (3.0 * theta + 5.0) / (alpha * lam)) \
-        * 8.0 * math.log(qL) / qL
-
-
-def band_edge_delta(lam: float, gap_size: float, a: float, b: float, beta: float,
-                    eps: float, C_eps: float = 1.0) -> BandEdgeDeltas:
-    """Localization-window widths at external and internal band edges.
-
-    beta = inf collapses the tail exponent beta/((beta-2)(1-eps)) to
-    1/(1-eps). Once lam reaches gap/(a+b) the internal gap is gone and
-    the internal width is reported as 0 with the flag set.
-    """
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0,1)")
-    if not math.isinf(beta) and beta <= 2:
-        raise ValueError("tail exponent must exceed 2 (or be inf)")
-    expo = 1.0 / (1.0 - eps) if math.isinf(beta) else beta / ((beta - 2.0) * (1.0 - eps))
-    external = C_eps * min(1.0, lam ** expo)
-    closing = gap_size / (a + b) - lam
-    if closing <= 0:
-        return BandEdgeDeltas(external=external, internal=0.0, gap_closed=True)
-    internal = C_eps * min(1.0, lam ** expo, closing ** (1.0 / (1.0 - eps)))
-    return BandEdgeDeltas(external=external, internal=internal, gap_closed=False)
-
-
-def log_power_constant(eps: float, beta: float = math.inf) -> float:
-    """Tight c with log x <= c x^kappa for all x > 0, kappa = eps (beta-2)/beta."""
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0,1)")
-    kappa = eps if math.isinf(beta) else eps * (beta - 2.0) / beta
-    if kappa <= 0:
-        raise ValueError("tail exponent must exceed 2 (or be inf)")
-    return 1.0 / (math.e * kappa)
-
-
-def msa_length_thresholds(S_alpha: float, alpha: float, theta: float, eps: float,
-                          lam: float, gap_size: float, a: float, b: float,
-                          q: int, r: int, beta: float, C_mom: float, n: int,
-                          C_tau: float, tau: float, norm_H0: float,
-                          p0: float = 0.5) -> MsaLengthThresholds:
-    """The seven admissible-length-scale floors of the initial MSA step.
-
-    Plug-in evaluation only; callers take the max. The second floor is
-    infinite once lam closes the internal gap, and the sixth collapses
-    to its heavy-tail limit under the beta = inf sentinel.
-    """
-    if not (0 < p0 < 1):
-        raise ValueError("p0 must lie in (0,1)")
-    if theta * tau <= 2:
-        raise ValueError("need theta > 2/tau")
-    ce = log_power_constant(eps)
-    ceb = log_power_constant(eps, beta)
-    om = 1.0 / (1.0 - eps)
-    ab = a + b
-    base = math.sqrt(2.0) * S_alpha * (3.0 * theta + 5.0)
-
-    q_l1 = (32.0 * base * ce / (alpha * ab)) ** om * lam ** (-om)
-    closing = gap_size / ab - lam
-    q_l2 = math.inf if closing <= 0 else \
-        (8.0 * base * ce / (alpha * ab)) ** om * closing ** (-om)
-    q_l3 = (4.0 * math.sqrt(2.0) * (3.0 * theta + 5.0) * ce / alpha) ** om
-    q_l4 = 3.0 ** (1.0 / (4.0 * (3.0 * theta + 5.0)))
-    q_l5 = max(math.e, 16.0 * q * r,
-               (2.0 * math.sqrt(2.0) * alpha * (1.0 + 8.0 * norm_H0)
-                / (S_alpha * (3.0 * theta + 5.0))) ** (1.0 / theta))
-    if math.isinf(beta):
-        q_l6 = (16.0 * base * ceb / alpha) ** om * lam ** (-om)
-    else:
-        pw = 1.0 / ((beta - 2.0) * (1.0 - eps))
-        q_l6 = (2.0 * C_mom * n * p0 * (16.0 * base * ceb / alpha) ** beta) ** pw \
-            * lam ** (-beta * pw)
-    q_l7 = (8.0 * math.pi * n * C_tau * p0) ** (1.0 / (tau * theta - 2.0)) \
-        * lam ** (-tau / (tau * theta - 2.0))
-    return MsaLengthThresholds(q_l1=q_l1, q_l2=q_l2, q_l3=q_l3, q_l4=q_l4,
-                               q_l5=q_l5, q_l6=q_l6, q_l7=q_l7)

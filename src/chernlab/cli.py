@@ -48,7 +48,7 @@ from .probes import (
     wegner_empirical,
 )
 
-__all__ = ["ExperimentConfig", "main", "run"]
+__all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
 
 SCHEMA_VERSION = 1
 
@@ -297,7 +297,8 @@ def _run_thresholds(config: ExperimentConfig, out: Path) -> Path:
         "gap_over_2a0": gap / (2.0 * a0),
         "lambda_rho": thr.value,
         "lambda_rho_s": thr.s_opt,
-        "lambda_rho_mu": thr.mu_opt,
+        # the mu-weighted row sum is least at mu = 0 for every s
+        "lambda_rho_mu": 0.0,
     }
     if spec.kind == "truncated_gaussian":
         # the Gaussian mass of the truncation window [-a, a] normalizes
@@ -330,6 +331,8 @@ def _run_msa_probe(config: ExperimentConfig, out: Path) -> Path:
     theta = float(config.scan.get("theta", 1.0))
     rng = int(config.scan.get("range", 1))
     boxes = config.scan.get("box_grid", [int(config.ensemble.get("box_L", 13))])
+    if not boxes:
+        raise ValueError("box_grid is empty")
     rows = []
     for L in boxes:
         ens = dict(config.ensemble)
@@ -401,6 +404,8 @@ def _run_phase_diagram(config: ExperimentConfig, out: Path) -> Path:
     if base.get("type") != "haldane":
         raise ValueError("phase-diagram sweeps haldane parameters; model type must be haldane")
     rows_n, cols_n = config.scan.get("grid", (41, 41))
+    if int(rows_n) < 1 or int(cols_n) < 1:
+        raise ValueError(f"grid {rows_n}x{cols_n} needs at least one row and one column")
     t1 = float(base.get("t1", 1.0))
     t2 = float(base.get("t2", _DEFAULT_MODEL["t2"]))
     phis = np.linspace(-math.pi, math.pi, int(rows_n))

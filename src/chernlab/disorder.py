@@ -66,7 +66,9 @@ class DistributionSpec:
     """Law of one disorder entry, supported in [-a, b].
 
     (tau, C_tau) are its Holder constants, sup_u rho([u, u+t]) <= C_tau
-    t^tau; for bounded densities tau = 1 with the density sup.
+    t^tau; for bounded densities tau = 1 with the density sup. No tail
+    exponent is kept: nothing reads one, and spec_from_json ignores a
+    "beta" key like any other unknown key.
     """
 
     kind: str
@@ -74,7 +76,6 @@ class DistributionSpec:
     b: float
     tau: float
     C_tau: float
-    beta: float
     pdf: Callable[[np.ndarray], np.ndarray] | None = None
     cdf: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -107,7 +108,7 @@ def uniform(a: float, b: float | None = None) -> DistributionSpec:
         return np.clip((v + a) * dens, 0.0, 1.0)
 
     return DistributionSpec(kind="uniform", a=a, b=b, tau=1.0, C_tau=dens,
-                            beta=math.inf, pdf=pdf, cdf=cdf)
+                            pdf=pdf, cdf=cdf)
 
 
 def _gauss_mass(a: float) -> float:
@@ -133,10 +134,10 @@ def truncated_gaussian(a: float) -> DistributionSpec:
         return np.clip((ndtr(np.clip(v, -a, a)) - lo) / Z, 0.0, 1.0)
 
     return DistributionSpec(kind="truncated_gaussian", a=a, b=a, tau=1.0,
-                            C_tau=peak, beta=math.inf, pdf=pdf, cdf=cdf)
+                            C_tau=peak, pdf=pdf, cdf=cdf)
 
 
-def custom_density(points: np.ndarray, density: np.ndarray, beta: float = math.inf) -> DistributionSpec:
+def custom_density(points: np.ndarray, density: np.ndarray) -> DistributionSpec:
     """Tabulated density, piecewise-linear between sample points."""
     pts = np.asarray(points, dtype=float)
     den = np.asarray(density, dtype=float)
@@ -159,7 +160,7 @@ def custom_density(points: np.ndarray, density: np.ndarray, beta: float = math.i
         return np.interp(np.asarray(v, dtype=float), pts, cum, left=0.0, right=1.0)
 
     return DistributionSpec(kind="custom_density", a=a, b=b, tau=1.0,
-                            C_tau=float(np.max(den)), beta=beta, pdf=pdf, cdf=cdf)
+                            C_tau=float(np.max(den)), pdf=pdf, cdf=cdf)
 
 
 def _ppf(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
@@ -249,6 +250,5 @@ def spec_from_json(doc) -> DistributionSpec:
         return truncated_gaussian(float(doc["a"]))
     if kind == "custom_density":
         return custom_density(np.asarray(doc["points"], dtype=float),
-                              np.asarray(doc["density"], dtype=float),
-                              beta=float(doc.get("beta", math.inf)))
+                              np.asarray(doc["density"], dtype=float))
     raise ValueError(f"unknown distribution kind: {kind!r}")

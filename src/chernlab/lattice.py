@@ -17,7 +17,6 @@ __all__ = [
     "wedge",
     "norm",
     "norm_inf",
-    "japanese_bracket",
     "box_sites",
     "inner_boundary",
     "core_sites",
@@ -51,11 +50,6 @@ def norm(gamma) -> float:
 
 def norm_inf(gamma) -> int:
     return max(abs(gamma[0]), abs(gamma[1]))
-
-
-def japanese_bracket(gamma) -> float:
-    """sqrt(1 + g1^2 + g2^2), the weight used by moment observables."""
-    return float(np.sqrt(1.0 + gamma[0] ** 2 + gamma[1] ** 2))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,7 @@
 Every probe is a pure function of an EnsembleConfig: realization k of
 the potential is drawn from (master_seed, k), and reductions run in
 realization order. Realizations run in index order on the calling
-thread; BLAS threads parallelize each solve. The ``threads`` keyword
-every ensemble probe takes is accepted and selects nothing, so the
-worker count never changes a single output bit. Probes that compare
+thread; BLAS threads parallelize each solve. Probes that compare
 against an analytic bound report the bound next to the estimate instead
 of hiding the comparison in a boolean.
 
@@ -159,8 +157,7 @@ class WegnerRow:
     n: int
 
 
-def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid,
-                     threads: int = 1) -> list[WegnerRow]:
+def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid) -> list[WegnerRow]:
     """Frequency of an eigenvalue within eps of E, against the bound.
 
     Counting is strict (dist < eps) so exact collisions land on the
@@ -168,6 +165,9 @@ def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid,
     """
     if cfg.lam <= 0:
         raise ValueError("the comparison bound needs lam > 0")
+    eps_values = sorted(float(e) for e in eps_grid)
+    if not eps_values:
+        raise ValueError("eps_grid is empty")
     clean = _clean_restriction(cfg, box_sites(cfg.box_L))
 
     def dist(k: int) -> float:
@@ -176,7 +176,7 @@ def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid,
 
     dists = np.array([dist(k) for k in range(cfg.n_realizations)])
     rows = []
-    for eps in sorted(float(e) for e in eps_grid):
+    for eps in eps_values:
         hits = int(np.sum(dists < eps))
         _, hi = wilson_interval(hits, cfg.n_realizations)
         b = wegner_bound(cfg.model.n, cfg.spec.C_tau, cfg.spec.tau,
@@ -198,7 +198,7 @@ class SuitabilityResult:
 
 
 def suitable_box_probability(cfg: EnsembleConfig, E: float, theta: float,
-                             r: int = 1, threads: int = 1) -> SuitabilityResult:
+                             r: int = 1) -> SuitabilityResult:
     """Fraction of realizations whose box resolvent decays core-to-shell.
 
     A realization counts iff E avoids the spectrum and every n-by-n
@@ -298,7 +298,7 @@ class _DisplacementClasses:
 
 
 def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
-                     grid_points: int = 16, threads: int = 1) -> DecayProfile:
+                     grid_points: int = 16) -> DecayProfile:
     """Averaged sup over an energy grid of the Fermi-kernel block norms.
 
     Per realization the sup over a grid_points-point grid inside the
@@ -309,6 +309,8 @@ def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
     lo, hi = float(E_window[0]), float(E_window[1])
     if not hi >= lo:
         raise ValueError("energy window is empty")
+    if grid_points < 1:
+        raise ValueError(f"grid_points {grid_points} must be at least 1")
     box = box_sites(cfg.box_L)
     classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
     clean = _clean_restriction(cfg, box)
@@ -357,7 +359,7 @@ class IdsRow:
     n: int
 
 
-def ids_estimate(cfg: EnsembleConfig, E_grid, threads: int = 1) -> list[IdsRow]:
+def ids_estimate(cfg: EnsembleConfig, E_grid) -> list[IdsRow]:
     """Per-site state count below E: mean of rank/|box| over the ensemble."""
     box = box_sites(cfg.box_L)
     clean = _clean_restriction(cfg, box)
@@ -385,8 +387,7 @@ class EnergyContinuityResult:
 
 
 def ids_continuity_check(cfg: EnsembleConfig, E1: float, E2: float,
-                         off_diagonal: bool = False,
-                         threads: int = 1) -> EnergyContinuityResult:
+                         off_diagonal: bool = False) -> EnergyContinuityResult:
     """Projection increment against the energy-regularity ceiling.
 
     Diagonal form: mean per-site rank increment vs
@@ -445,7 +446,7 @@ class DisorderContinuityResult:
 
 
 def disorder_continuity_lhs(cfg: EnsembleConfig, lam_a: float, lam_b: float,
-                            E: float, threads: int = 1) -> float:
+                            E: float) -> float:
     """sup over displacements of E[block nuclear norm of P(lam_a)-P(lam_b)].
 
     Coupled sampling: both strengths see the identical potential draw,
@@ -466,8 +467,7 @@ def disorder_continuity_lhs(cfg: EnsembleConfig, lam_a: float, lam_b: float,
 
 
 def disorder_continuity_check(cfg: EnsembleConfig, lam1: float, lam2: float,
-                              E: float, rungs: int = 6,
-                              threads: int = 1) -> DisorderContinuityResult:
+                              E: float, rungs: int = 6) -> DisorderContinuityResult:
     """Scaling exponent of the coupled projection difference in |dlam|.
 
     The ladder halves dlam = lam2 - lam1 per rung with the lower
@@ -517,8 +517,7 @@ class MarkerScanRow:
 
 
 def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
-                         window_L: int | None = None,
-                         threads: int = 1) -> list[MarkerScanRow]:
+                         window_L: int | None = None) -> list[MarkerScanRow]:
     """Disorder-averaged windowed marker on an (E, lam) grid.
 
     Realization k reuses the same potential draw across the whole lam
@@ -576,8 +575,7 @@ def bump_window(center: float, half_width: float):
 
 
 def time_averaged_moment(cfg: EnsembleConfig, p: float,
-                         g_window: tuple[float, float], T_grid,
-                         threads: int = 1) -> list[MomentRow]:
+                         g_window: tuple[float, float], T_grid) -> list[MomentRow]:
     """Abel-averaged spread of a windowed state launched from the origin.
 
     In the eigenbasis the time integral per eigenvalue pair is exact:

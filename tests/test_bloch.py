@@ -9,7 +9,6 @@ from chernlab.bloch import (
     bloch_grid,
     bloch_matrix,
     chern_number,
-    haldane_gapless,
     plaquette_field,
 )
 
@@ -139,8 +138,3 @@ def test_chern_constant_per_region():
             got += 1
         assert vals == {expect}, region
 
-
-def test_haldane_gapless_predicate():
-    assert haldane_gapless(HaldaneParams(t1=1.0, t2=1.0, phi=np.pi / 2, M=3.0 * np.sqrt(3.0)))
-    assert not haldane_gapless(HaldaneParams(t1=1.0, t2=1.0, phi=np.pi / 2, M=0.0))
-    assert haldane_gapless(HaldaneParams(t1=1.0, t2=0.0, phi=1.234, M=0.0))

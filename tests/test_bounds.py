@@ -224,16 +224,6 @@ def test_k_constant_admissibility():
     assert bounds.d_s1_bound(B, C, s=2.0 / 7.0 - 1e-6, t=1.0, q=2.0).value > 0
 
 
-def test_uniform_density_bracket():
-    assert bounds.d_s1_uniform_bracket(1.0, 0.5) == pytest.approx((0.5, 1.0))
-    lo, hi = bounds.d_s1_uniform_bracket(4.0, 0.5)
-    assert (lo, hi) == pytest.approx((1.0, 2.0))
-    with pytest.raises(ValueError):
-        bounds.d_s1_uniform_bracket(0.0, 0.5)
-    with pytest.raises(ValueError):
-        bounds.d_s1_uniform_bracket(1.0, 1.0)
-
-
 def test_weak_disorder_ceiling_midgap_form(reference_geometry, reference_model,
                                            reference_bands):
     # at gap center the generic expression collapses to the symmetric
@@ -306,7 +296,6 @@ def test_strong_threshold_reference_point(reference_model):
     # coefficient just below 40
     rep = bounds.strong_disorder_threshold(reference_model, truncated_gaussian(1.0))
     assert rep.value == pytest.approx(58.5541125042437, rel=1e-6)
-    assert rep.mu_opt == 0.0
     assert rep.s_opt == pytest.approx(0.7779, abs=2e-3)
     coeff = rep.value * math.erf(1.0 / math.sqrt(2.0))
     assert 35.0 < coeff < 39.98
@@ -382,123 +371,6 @@ def test_wegner_bound_sublinear_in_tau():
     v1 = bounds.wegner_bound(2, 0.5, 1.0, 8, 1e-4, 2.0)
     v_half = bounds.wegner_bound(2, 0.5, 0.5, 8, 1e-4, 2.0)
     assert v_half > v1
-
-
-def test_msa_delta_scaling():
-    v100 = bounds.msa_delta(0.05, 0.2, 3.0, 0.1, 100)
-    v200 = bounds.msa_delta(0.05, 0.2, 3.0, 0.1, 200)
-    # 8 log(qL)/qL prefactor: ratio log(200)/200 / (log(100)/100)
-    assert v200 / v100 == pytest.approx(
-        (math.log(200.0) / 200.0) / (math.log(100.0) / 100.0), rel=1e-12)
-    want = (2.0 * math.sqrt(2.0) * 0.2 * 14.0 / (0.05 * 0.1)) * 8.0 * math.log(100.0) / 100.0
-    assert v100 == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        bounds.msa_delta(0.05, 0.2, 3.0, 0.1, 1)
-    with pytest.raises(ValueError):
-        bounds.msa_delta(0.05, 0.2, 3.0, 0.0, 100)
-
-
-def test_band_edge_widths():
-    # eps = 1/2, beta = inf: exponent 2, so external = lam^2 below 1
-    d = bounds.band_edge_delta(0.3, 2.0, 1.0, 1.0, math.inf, 0.5)
-    assert d.external == pytest.approx(0.09, rel=1e-12)
-    assert d.internal == pytest.approx(0.09, rel=1e-12)
-    assert not d.gap_closed
-    # near closing the gap margin takes over the internal width
-    d = bounds.band_edge_delta(0.9, 2.0, 1.0, 1.0, math.inf, 0.5)
-    assert d.internal == pytest.approx(0.1 ** 2.0, rel=1e-12)
-    assert d.external == pytest.approx(0.81, rel=1e-12)
-    d = bounds.band_edge_delta(1.2, 2.0, 1.0, 1.0, math.inf, 0.5)
-    assert d.gap_closed and d.internal == 0.0 and d.external == 1.0
-    # finite tail beta = 4: exponent beta/((beta-2)(1-eps)) = 4
-    d = bounds.band_edge_delta(0.3, 2.0, 1.0, 1.0, 4.0, 0.5)
-    assert d.external == pytest.approx(0.3 ** 4, rel=1e-12)
-    with pytest.raises(ValueError):
-        bounds.band_edge_delta(0.3, 2.0, 1.0, 1.0, 1.5, 0.5)
-    with pytest.raises(ValueError):
-        bounds.band_edge_delta(0.3, 2.0, 1.0, 1.0, math.inf, 1.0)
-
-
-def test_log_power_constant_is_tight():
-    # sup_x log(x)/x^kappa is attained at x = e^{1/kappa} with value
-    # 1/(e kappa); the constant must match it exactly
-    for eps in (0.3, 0.5, 0.9):
-        c = bounds.log_power_constant(eps)
-        x_star = math.exp(1.0 / eps)
-        assert math.log(x_star) / x_star ** eps == pytest.approx(c, rel=1e-12)
-        xs = np.geomspace(1.0, 1e6, 2001)
-        assert np.max(np.log(xs) / xs ** eps) <= c + 1e-12
-    # finite beta rescales the exponent to eps (beta-2)/beta
-    assert bounds.log_power_constant(0.5, 4.0) == pytest.approx(
-        1.0 / (math.e * 0.25), rel=1e-12)
-    with pytest.raises(ValueError):
-        bounds.log_power_constant(0.0)
-
-
-# --------------------------------------------------------- length thresholds
-
-
-@pytest.fixture(scope="module")
-def threshold_inputs(reference_model, reference_bands):
-    gap = reference_bands.gap_sizes[0]
-    alpha = bounds.alpha_for_gap(reference_model, gap)
-    S = bounds.combes_thomas_salpha(reference_model, alpha)
-    return dict(S_alpha=S, alpha=alpha, theta=3.0, eps=0.5, lam=0.05,
-                gap_size=gap, a=1.0, b=1.0, q=1, r=1, beta=math.inf,
-                C_mom=math.sqrt(math.e), n=2, C_tau=0.584368567257, tau=1.0,
-                norm_H0=3.0)
-
-
-def test_length_thresholds_frozen(threshold_inputs):
-    th = bounds.msa_length_thresholds(**threshold_inputs)
-    # frozen from one hand evaluation of the seven closed forms
-    assert th.q_l1 == pytest.approx(495205103.6863144, rel=1e-9)
-    assert th.q_l2 == pytest.approx(85745.71261037764, rel=1e-9)
-    assert th.q_l3 == pytest.approx(2811052.4942924324, rel=1e-9)
-    assert th.q_l4 == pytest.approx(3.0 ** (1.0 / 56.0), rel=1e-12)
-    assert th.q_l5 == 16.0  # 16 q r beats both e and the norm term
-    assert th.q_l7 == pytest.approx(293.73567966134146, rel=1e-9)
-    assert th.largest() == th.q_l1
-
-
-def test_length_thresholds_heavy_tail_limit(threshold_inputs):
-    # with a + b = 2 the first floor and the beta = inf sixth floor are
-    # the same expression; a finite beta must break the tie upward
-    th = bounds.msa_length_thresholds(**threshold_inputs)
-    assert th.q_l6 == pytest.approx(th.q_l1, rel=1e-12)
-    finite = dict(threshold_inputs, beta=4.0, C_mom=1.0)
-    th4 = bounds.msa_length_thresholds(**finite)
-    assert th4.q_l6 != pytest.approx(th.q_l6, rel=1e-3)
-    assert th4.q_l6 > 0
-
-
-def test_length_thresholds_gap_closure(threshold_inputs):
-    closed = dict(threshold_inputs, lam=2.5)
-    th = bounds.msa_length_thresholds(**closed)
-    assert math.isinf(th.q_l2)
-    assert math.isfinite(th.q_l1)
-
-
-def test_length_thresholds_validation(threshold_inputs):
-    with pytest.raises(ValueError):
-        bounds.msa_length_thresholds(**dict(threshold_inputs, p0=1.0))
-    with pytest.raises(ValueError):
-        bounds.msa_length_thresholds(**dict(threshold_inputs, theta=1.5))
-
-
-@settings(max_examples=40, deadline=None)
-@given(lam=st.floats(min_value=1e-3, max_value=0.4),
-       factor=st.floats(min_value=1.1, max_value=4.0))
-def test_length_floor_decreases_with_disorder(lam, factor):
-    # the first floor scales like lam^{-1/(1-eps)}: more disorder means
-    # a shorter admissible starting scale
-    kw = dict(S_alpha=0.2, alpha=0.05, theta=3.0, eps=0.5, gap_size=2.0,
-              a=1.0, b=1.0, q=1, r=1, beta=math.inf, C_mom=1.0, n=2,
-              C_tau=0.5, tau=1.0, norm_H0=3.0)
-    low = bounds.msa_length_thresholds(lam=lam, **kw)
-    high = bounds.msa_length_thresholds(lam=lam * factor, **kw)
-    assert high.q_l1 < low.q_l1
-    assert high.q_l1 == pytest.approx(low.q_l1 * factor ** (-2.0), rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

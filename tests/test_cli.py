@@ -322,6 +322,33 @@ def test_command_mismatch_and_runtime_errors(tmp_path, model_file, capsys):
         assert f"window side {side} must be at least 1" in capsys.readouterr().err
     assert not (out / "marker.csv").exists()
 
+    # so is a kernel-decay energy grid of fewer than one point
+    for points in ("0", "-2"):
+        assert main(["decay", "--model", model_file, "--box-l", "4",
+                     f"--grid-points={points}", "--out", str(out)]) == 1
+        assert f"grid_points {points} must be at least 1" in capsys.readouterr().err
+    assert not (out / "decay.csv").exists()
+
+
+def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsys):
+    # an empty grid is an error, not a header-only CSV
+    out = tmp_path / "run"
+    cases = [
+        (["wegner", "--dist", uniform_file, "--lambda", "2", "--box-l", "4",
+          "--eps-grid="], "eps_grid is empty", "wegner.csv"),
+        (["msa-probe", "--dist", uniform_file, "--lambda", "0.3",
+          "--box-grid="], "box_grid is empty", "msa_probe.csv"),
+        (["phase-diagram", "--grid", "0x5"], "grid 0x5", "phase_diagram.csv"),
+    ]
+    cfg = tmp_path / "pd.json"
+    cfg.write_text(json.dumps({"command": "phase-diagram", "scan": {"grid": [0, 5]}}))
+    cases.append((["phase-diagram", "--config", str(cfg)], "grid 0x5",
+                  "phase_diagram.csv"))
+    for args, message, name in cases:
+        assert main(args + ["--model", model_file, "--out", str(out)]) == 1, args
+        assert message in capsys.readouterr().err, args
+        assert not (out / name).exists(), args
+
 
 def test_console_script_entry_point(tmp_path, model_file):
     out = tmp_path / "run"

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +7,6 @@ from chernlab.lattice import (
     box_sites,
     core_sites,
     inner_boundary,
-    japanese_bracket,
     norm,
     norm_inf,
     wedge,
@@ -39,8 +37,6 @@ def test_wedge_shift_invariance(g, x):
 def test_norms_use_coefficients():
     assert norm((3, 4)) == pytest.approx(5.0)
     assert norm_inf((3, -4)) == 4
-    assert japanese_bracket((0, 0)) == pytest.approx(1.0)
-    assert japanese_bracket((1, 2)) == pytest.approx(np.sqrt(6.0))
 
 
 def test_basis_requires_independence():

@@ -450,7 +450,7 @@ def test_finished_probe_call_keeps_no_reference(monkeypatch):
     model_ref = weakref.ref(fresh)
     cfg = EnsembleConfig(model=fresh, spec=uniform(1.0), lam=2.0, box_L=6,
                          bc="periodic", n_realizations=3, master_seed=1)
-    wegner_empirical(cfg, 0.0, [1e-2], threads=2)
+    wegner_empirical(cfg, 0.0, [1e-2])
     ids_estimate(cfg, [0.0])
     averaged_marker_scan(cfg, [0.0], [0.0, 1.0], window_L=2)
     del fresh, cfg
@@ -460,21 +460,8 @@ def test_finished_probe_call_keeps_no_reference(monkeypatch):
     assert model_ref() is None
 
 
-def test_thread_count_never_changes_results(model):
-    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=2.0, box_L=7,
-                         bc="periodic", n_realizations=30, master_seed=8)
-    serial = wegner_empirical(cfg, 0.0, [1e-2, 1e-1])
-    pooled = wegner_empirical(cfg, 0.0, [1e-2, 1e-1], threads=3)
-    assert serial == pooled
-
-    s1 = suitable_box_probability(cfg, 3.2, 1.0)
-    s3 = suitable_box_probability(cfg, 3.2, 1.0, threads=3)
-    assert s1 == s3
-
-
 def test_realizations_run_in_order_on_the_calling_thread(monkeypatch, model):
-    # --threads selects nothing: every draw happens on the caller's
-    # thread, realization 0 first, whatever value is passed
+    # every draw happens on the caller's thread, realization 0 first
     calls = []
     sample = probes.sample_potential
 
@@ -486,8 +473,8 @@ def test_realizations_run_in_order_on_the_calling_thread(monkeypatch, model):
     cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=2.0, box_L=6,
                          bc="periodic", n_realizations=5, master_seed=3)
     me = threading.get_ident()
-    wegner_empirical(cfg, 0.0, [1e-2], threads=3)
+    wegner_empirical(cfg, 0.0, [1e-2])
     assert calls == [(me, k) for k in range(5)]
     calls.clear()
-    averaged_marker_scan(cfg, [0.0], [0.0, 1.0], window_L=2, threads=0)
+    averaged_marker_scan(cfg, [0.0], [0.0, 1.0], window_L=2)
     assert calls == [(me, k) for k in range(5)]
