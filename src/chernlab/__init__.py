@@ -11,13 +11,14 @@ Layers, from geometry to experiment:
 - bounds: resolvent-decay rates, fractional-moment constants, disorder
   thresholds.
 - probes: seeded Monte-Carlo estimators confronting the bounds.
-- cli: JSON-configured experiment runner with reproducible outputs.
+- cli: JSON-configured experiment runner with reproducible outputs;
+  loaded by ``import chernlab.cli``, not here, so that
+  ``python -m chernlab.cli`` executes it only once.
 """
 
 from . import (
     bloch,
     bounds,
-    cli,
     disorder,
     finite_volume,
     lattice,

@@ -1,5 +1,12 @@
 """Experiment runner: JSON-configured subcommands over the library.
 
+Each command is one entry of ``_COMMANDS``: its output file, its CSV
+header (none for a JSON report), its scan flags as (flag, parser, scan
+key), and its runner. A flag parser only turns text into the JSON value
+a config file would hold; the runner reads every scan value through
+one checking reader per kind, so a value from a flag and the same value
+from a config file pass the same checks.
+
 Output contract: every run writes a CSV (or JSON for scalar reports)
 plus a sidecar JSON carrying the fully resolved configuration, so any
 output file can be reproduced from its sidecar alone. CSV bodies are
@@ -14,8 +21,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,11 +59,6 @@ from .probes import (
 __all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
 
 SCHEMA_VERSION = 1
-
-COMMANDS = (
-    "bloch", "chern", "marker", "spectrum", "thresholds", "wegner",
-    "msa-probe", "decay", "ids", "moments", "phase-diagram",
-)
 
 _DEFAULT_MODEL = {"type": "haldane", "t1": 1.0, "t2": 1.0 / (3.0 * math.sqrt(3.0)),
                   "phi": math.pi / 2.0, "M": 0.0, "dimerization": "d3"}
@@ -107,7 +110,7 @@ class ExperimentConfig:
     output: str = "."
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
 
     def to_dict(self) -> dict:
@@ -142,11 +145,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, config: ExperimentConfig, header: list[str],
-               rows: list[tuple], extra_meta: dict | None = None) -> None:
+def _write_csv(path: Path, config: ExperimentConfig, header: tuple[str, ...],
+               rows: list[tuple], meta: dict) -> None:
     lines = [f"# schema-version: {SCHEMA_VERSION}",
              f"# command: {config.command}"]
-    meta = dict(extra_meta or {})
     for key in sorted(meta):
         lines.append(f"# {key}: {_fmt(meta[key])}")
     lines.append(",".join(header))
@@ -155,19 +157,8 @@ def _write_csv(path: Path, config: ExperimentConfig, header: list[str],
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_sidecar(path: Path, config: ExperimentConfig) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "config": config.to_dict()}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _parse_range(text: str, what: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"{what} must look like lo:hi:count, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1 or hi < lo:
-        raise ValueError(f"{what} needs hi >= lo and count >= 1")
-    return lo, hi, n
+# ------------------------------------------------------------- flag parsers
+# Text to the JSON value a config file would hold; the runners check it.
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -178,11 +169,61 @@ def _parse_ints(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip()]
 
 
+def _parse_range(text: str) -> list:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"must look like lo:hi:count, got {text!r}")
+    return [float(parts[0]), float(parts[1]), int(parts[2])]
+
+
+def _parse_window(text: str) -> list[float]:
+    parts = _parse_floats(text.replace(":", ","))
+    if len(parts) != 2:
+        raise ValueError(f"must be two numbers, got {text!r}")
+    return parts
+
+
+def _parse_dims(text: str) -> list[int]:
+    m = re.fullmatch(r"(\d+)x(\d+)", text)
+    if not m:
+        raise ValueError(f"must look like 41x41, got {text!r}")
+    return [int(m.group(1)), int(m.group(2))]
+
+
+# ------------------------------------------------------------- scan readers
+# Shape and range checks of scan values, from a flag or a config file.
+
+
+def _read_numbers(config: ExperimentConfig, key: str, default: list, size: int) -> list:
+    """The scan value of key as a list of size finite numbers."""
+    value = config.scan.get(key, default)
+    if not (isinstance(value, list) and len(value) == size and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+            for x in value)):
+        raise ValueError(f"{key} must be a list of {size} finite numbers, got {value!r}")
+    return value
+
+
+def _is_count(x) -> bool:
+    return x >= 1 and x == int(x)
+
+
+def _read_grid(config: ExperimentConfig, key: str, default: list) -> tuple[float, float, int]:
+    """A [lo, hi, count] grid with hi >= lo and a whole count >= 1."""
+    lo, hi, count = _read_numbers(config, key, default, 3)
+    if hi < lo or not _is_count(count):
+        raise ValueError(f"{key} needs hi >= lo and a whole count >= 1, got {[lo, hi, count]}")
+    return float(lo), float(hi), int(count)
+
+
+def _read_window(config: ExperimentConfig, default: list) -> tuple[float, float]:
+    lo, hi = _read_numbers(config, "window", default, 2)
+    return float(lo), float(hi)
+
+
 # ------------------------------------------------------------- runners
-
-
-def _model(config: ExperimentConfig):
-    return model_from_json(config.model)
+# Each takes the config and returns (rows, meta), or a results dict for
+# a JSON report; run() writes every output file.
 
 
 def _spec(config: ExperimentConfig):
@@ -191,10 +232,10 @@ def _spec(config: ExperimentConfig):
     return spec_from_json(config.distribution)
 
 
-def _ensemble(config: ExperimentConfig, model) -> EnsembleConfig:
+def _ensemble(config: ExperimentConfig) -> EnsembleConfig:
     ens = config.ensemble
     return EnsembleConfig(
-        model=model,
+        model=model_from_json(config.model),
         spec=_spec(config),
         lam=float(ens.get("lam", 0.0)),
         box_L=int(ens.get("box_L", 12)),
@@ -204,61 +245,47 @@ def _ensemble(config: ExperimentConfig, model) -> EnsembleConfig:
     )
 
 
-def _run_bloch(config: ExperimentConfig, out: Path) -> Path:
-    bs = band_structure(_model(config), int(config.scan.get("grid", 201)))
+def _run_bloch(config: ExperimentConfig):
+    bs = band_structure(model_from_json(config.model), int(config.scan.get("grid", 201)))
     rows = [(i, lo, hi) for i, (lo, hi) in enumerate(bs.bands)]
     meta = {"grid": bs.grid}
     for i, ((lo, hi), size, is_open) in enumerate(
             zip(bs.gaps, bs.gap_sizes, bs.gap_open)):
         meta[f"gap-{i + 1}"] = f"{_fmt(lo)} {_fmt(hi)} {_fmt(size)} {is_open}"
-    path = out / "bloch.csv"
-    _write_csv(path, config, ["band", "lower", "upper"], rows, meta)
-    return path
+    return rows, meta
 
 
-def _run_chern(config: ExperimentConfig, out: Path) -> Path:
-    model = _model(config)
+def _run_chern(config: ExperimentConfig):
     gap_index = int(config.scan.get("gap_index", 1))
-    res = chern_number(model, gap_index=gap_index,
+    res = chern_number(model_from_json(config.model), gap_index=gap_index,
                        grid=int(config.scan.get("grid", 24)))
-    path = out / "chern.csv"
-    _write_csv(path, config, ["gap_index", "chern_number", "curvature_sum", "grid"],
-               [(gap_index, res.value, res.curvature_sum, res.grid)])
-    return path
+    return [(gap_index, res.value, res.curvature_sum, res.grid)], {}
 
 
-def _run_marker(config: ExperimentConfig, out: Path) -> Path:
-    model = _model(config)
-    cfg = _ensemble(config, model)
+def _run_marker(config: ExperimentConfig):
+    cfg = _ensemble(config)
     E = float(config.scan.get("energy", 0.0))
     window = config.scan.get("window_L")
     window = int(window) if window is not None else None
     rows = averaged_marker_scan(cfg, [E], [cfg.lam], window_L=window)
-    path = out / "marker.csv"
-    _write_csv(path, config, ["energy", "lam", "mean", "stderr", "n"],
-               [(r.E, r.lam, r.mean, r.stderr, r.n) for r in rows])
-    return path
+    return [(r.E, r.lam, r.mean, r.stderr, r.n) for r in rows], {}
 
 
-def _run_spectrum(config: ExperimentConfig, out: Path) -> Path:
-    model = _model(config)
+def _run_spectrum(config: ExperimentConfig):
     spec = _spec(config)
     if spec is None:
         raise ValueError("spectrum needs a distribution (for the support [-a, b])")
-    lo, hi, count = config.scan.get("lambda_grid", (0.0, 3.0, 31))
-    bs = band_structure(model, int(config.scan.get("grid", 201)))
+    lo, hi, count = _read_grid(config, "lambda_grid", [0.0, 3.0, 31])
+    bs = band_structure(model_from_json(config.model), int(config.scan.get("grid", 201)))
     rows = []
-    for lam in np.linspace(lo, hi, int(count)):
+    for lam in np.linspace(lo, hi, count):
         for i, (blo, bhi) in enumerate(bs.bands):
             rows.append((lam, i, blo - spec.a * lam, bhi + spec.b * lam))
-    path = out / "spectrum.csv"
-    _write_csv(path, config, ["lam", "band", "lower", "upper"], rows,
-               {"support_a": spec.a, "support_b": spec.b})
-    return path
+    return rows, {"support_a": spec.a, "support_b": spec.b}
 
 
-def _run_thresholds(config: ExperimentConfig, out: Path) -> Path:
-    model = _model(config)
+def _run_thresholds(config: ExperimentConfig):
+    model = model_from_json(config.model)
     spec = _spec(config)
     if spec is None:
         raise ValueError("thresholds needs a distribution")
@@ -304,29 +331,19 @@ def _run_thresholds(config: ExperimentConfig, out: Path) -> Path:
         # the Gaussian mass of the truncation window [-a, a] normalizes
         # the threshold into a law-free coefficient
         results["lambda_rho_coefficient"] = thr.value * math.erf(spec.a / math.sqrt(2.0))
-
-    path = out / "thresholds.json"
-    doc = {"schema_version": SCHEMA_VERSION, "config": config.to_dict(),
-           "results": results}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return results
 
 
-def _run_wegner(config: ExperimentConfig, out: Path) -> Path:
-    model = _model(config)
-    cfg = _ensemble(config, model)
+def _run_wegner(config: ExperimentConfig):
+    cfg = _ensemble(config)
     E = float(config.scan.get("energy", 0.0))
-    eps_grid = config.scan.get("eps_grid", [1e-2, 1e-3, 1e-4])
-    rows = wegner_empirical(cfg, E, eps_grid)
-    path = out / "wegner.csv"
-    _write_csv(path, config, ["eps", "empirical", "upper_99", "bound", "n"],
-               [(r.eps, r.empirical, r.upper_99, r.bound, r.n) for r in rows],
-               {"energy": E})
-    return path
+    rows = wegner_empirical(cfg, E, config.scan.get("eps_grid", [1e-2, 1e-3, 1e-4]))
+    return ([(r.eps, r.empirical, r.upper_99, r.bound, r.n) for r in rows],
+            {"energy": E})
 
 
-def _run_msa_probe(config: ExperimentConfig, out: Path) -> Path:
-    model = _model(config)
+def _run_msa_probe(config: ExperimentConfig):
+    cfg = _ensemble(config)
     E = float(config.scan.get("energy", 0.0))
     theta = float(config.scan.get("theta", 1.0))
     rng = int(config.scan.get("range", 1))
@@ -335,77 +352,55 @@ def _run_msa_probe(config: ExperimentConfig, out: Path) -> Path:
         raise ValueError("box_grid is empty")
     rows = []
     for L in boxes:
-        ens = dict(config.ensemble)
-        ens["box_L"] = int(L)
-        cfg = _ensemble(ExperimentConfig(config.command, config.model,
-                                         config.distribution, config.scan,
-                                         ens, config.output), model)
-        r = suitable_box_probability(cfg, E, theta, r=rng)
+        r = suitable_box_probability(replace(cfg, box_L=int(L)), E, theta, r=rng)
         rows.append((int(L), theta, r.probability, r.ci_low, r.ci_high, r.n))
-    path = out / "msa_probe.csv"
-    _write_csv(path, config,
-               ["box_L", "theta", "probability", "ci_low", "ci_high", "n"],
-               rows, {"energy": E, "range": rng})
-    return path
+    return rows, {"energy": E, "range": rng}
 
 
-def _run_decay(config: ExperimentConfig, out: Path) -> Path:
-    model = _model(config)
-    cfg = _ensemble(config, model)
-    window = config.scan.get("window", (-0.2, 0.2))
-    prof = projection_decay(cfg, (float(window[0]), float(window[1])),
+def _run_decay(config: ExperimentConfig):
+    cfg = _ensemble(config)
+    lo, hi = _read_window(config, [-0.2, 0.2])
+    prof = projection_decay(cfg, (lo, hi),
                             grid_points=int(config.scan.get("grid_points", 16)))
     rows = list(zip(prof.distances, prof.means, prof.stderrs))
-    path = out / "decay.csv"
-    _write_csv(path, config, ["distance", "mean", "stderr"], rows,
-               {"fit_amplitude": prof.fit_amplitude, "fit_rate": prof.fit_rate,
-                "r_squared": prof.r_squared, "n": prof.n,
-                "window": f"{_fmt(float(window[0]))} {_fmt(float(window[1]))}"})
-    return path
+    return rows, {"fit_amplitude": prof.fit_amplitude, "fit_rate": prof.fit_rate,
+                  "r_squared": prof.r_squared, "n": prof.n,
+                  "window": f"{_fmt(lo)} {_fmt(hi)}"}
 
 
-def _run_ids(config: ExperimentConfig, out: Path) -> Path:
-    model = _model(config)
-    cfg = _ensemble(config, model)
-    lo, hi, count = config.scan.get("energy_grid", (-4.0, 4.0, 17))
-    rows = ids_estimate(cfg, np.linspace(lo, hi, int(count)))
-    path = out / "ids.csv"
-    _write_csv(path, config, ["energy", "value", "stderr", "n"],
-               [(r.E, r.value, r.stderr, r.n) for r in rows])
-    return path
+def _run_ids(config: ExperimentConfig):
+    lo, hi, count = _read_grid(config, "energy_grid", [-4.0, 4.0, 17])
+    rows = ids_estimate(_ensemble(config), np.linspace(lo, hi, count))
+    return [(r.E, r.value, r.stderr, r.n) for r in rows], {}
 
 
-def _run_moments(config: ExperimentConfig, out: Path) -> Path:
-    model = _model(config)
-    cfg = _ensemble(config, model)
+def _run_moments(config: ExperimentConfig):
     p = float(config.scan.get("p", 2.0))
-    window = config.scan.get("window", (2.0, 0.5))
-    lo, hi, count = config.scan.get("t_grid", (1.0, 100.0, 9))
-    if lo <= 0:
-        raise ValueError("t_grid must start above 0 (0 is prepended automatically)")
-    Ts = [0.0] + list(np.geomspace(lo, hi, int(count)))
-    rows = time_averaged_moment(cfg, p, (float(window[0]), float(window[1])), Ts)
+    center, width = _read_window(config, [2.0, 0.5])
+    lo, hi, count = _read_grid(config, "t_grid", [1.0, 100.0, 9])
+    if lo <= 0 or count < 2:
+        raise ValueError("t_grid needs lo > 0 and count >= 2 (T = 0 is prepended)")
+    Ts = [0.0] + list(np.geomspace(lo, hi, count))
+    rows = time_averaged_moment(_ensemble(config), p, (center, width), Ts)
     M = [r.mean for r in rows]
     meta = {"p": p,
-            "window": f"{_fmt(float(window[0]))} {_fmt(float(window[1]))}",
+            "window": f"{_fmt(center)} {_fmt(width)}",
             "transport_slope": transport_slope(Ts, M)}
     positive = [(T, m) for T, m in zip(Ts[1:], M[1:]) if m > 0]
     if len(positive) >= 2:
         meta["raw_slope"] = loglog_slope([T for T, _ in positive],
                                          [m for _, m in positive])
-    path = out / "moments.csv"
-    _write_csv(path, config, ["T", "mean", "stderr", "n"],
-               [(r.T, r.mean, r.stderr, r.n) for r in rows], meta)
-    return path
+    return [(r.T, r.mean, r.stderr, r.n) for r in rows], meta
 
 
-def _run_phase_diagram(config: ExperimentConfig, out: Path) -> Path:
+def _run_phase_diagram(config: ExperimentConfig):
     base = config.model
     if base.get("type") != "haldane":
         raise ValueError("phase-diagram sweeps haldane parameters; model type must be haldane")
-    rows_n, cols_n = config.scan.get("grid", (41, 41))
-    if int(rows_n) < 1 or int(cols_n) < 1:
-        raise ValueError(f"grid {rows_n}x{cols_n} needs at least one row and one column")
+    rows_n, cols_n = _read_numbers(config, "grid", [41, 41], 2)
+    if not (_is_count(rows_n) and _is_count(cols_n)):
+        raise ValueError(f"grid {rows_n}x{cols_n} needs a whole number >= 1 of rows "
+                         "and of columns")
     t1 = float(base.get("t1", 1.0))
     t2 = float(base.get("t2", _DEFAULT_MODEL["t2"]))
     phis = np.linspace(-math.pi, math.pi, int(rows_n))
@@ -422,34 +417,73 @@ def _run_phase_diagram(config: ExperimentConfig, out: Path) -> Path:
             except ValueError:
                 c = 0  # on the critical curve: gapless, classify as trivial
             rows.append((float(phi), float(m_over_t2), c))
-    path = out / "phase_diagram.csv"
-    _write_csv(path, config, ["phi", "m_over_t2", "chern_number"], rows,
-               {"t1": t1, "t2": t2})
-    return path
+    return rows, {"t1": t1, "t2": t2}
 
 
-_RUNNERS = {
-    "bloch": _run_bloch,
-    "chern": _run_chern,
-    "marker": _run_marker,
-    "spectrum": _run_spectrum,
-    "thresholds": _run_thresholds,
-    "wegner": _run_wegner,
-    "msa-probe": _run_msa_probe,
-    "decay": _run_decay,
-    "ids": _run_ids,
-    "moments": _run_moments,
-    "phase-diagram": _run_phase_diagram,
+class _Command(NamedTuple):
+    output: str
+    header: tuple[str, ...] | None  # None: a JSON report, not a CSV
+    flags: tuple[tuple[str, Callable[[str], object], str], ...]  # (flag, parser, scan key)
+    runner: Callable[[ExperimentConfig], object]
+
+
+_COMMANDS = {
+    "bloch": _Command("bloch.csv", ("band", "lower", "upper"),
+                      (("--grid", int, "grid"),), _run_bloch),
+    "chern": _Command("chern.csv", ("gap_index", "chern_number", "curvature_sum", "grid"),
+                      (("--grid", int, "grid"), ("--gap-index", int, "gap_index")),
+                      _run_chern),
+    "marker": _Command("marker.csv", ("energy", "lam", "mean", "stderr", "n"),
+                       (("--energy", float, "energy"), ("--window-l", int, "window_L")),
+                       _run_marker),
+    "spectrum": _Command("spectrum.csv", ("lam", "band", "lower", "upper"),
+                         (("--lambda-grid", _parse_range, "lambda_grid"),
+                          ("--grid", int, "grid")),
+                         _run_spectrum),
+    "thresholds": _Command("thresholds.json", None,
+                           (("--s", float, "s"), ("--t", float, "t"),
+                            ("--q", float, "q"), ("--grid", int, "grid")),
+                           _run_thresholds),
+    "wegner": _Command("wegner.csv", ("eps", "empirical", "upper_99", "bound", "n"),
+                       (("--energy", float, "energy"),
+                        ("--eps-grid", _parse_floats, "eps_grid")),
+                       _run_wegner),
+    "msa-probe": _Command("msa_probe.csv",
+                          ("box_L", "theta", "probability", "ci_low", "ci_high", "n"),
+                          (("--energy", float, "energy"), ("--theta", float, "theta"),
+                           ("--range", int, "range"),
+                           ("--box-grid", _parse_ints, "box_grid")),
+                          _run_msa_probe),
+    "decay": _Command("decay.csv", ("distance", "mean", "stderr"),
+                      (("--window", _parse_window, "window"),
+                       ("--grid-points", int, "grid_points")),
+                      _run_decay),
+    "ids": _Command("ids.csv", ("energy", "value", "stderr", "n"),
+                    (("--energy-grid", _parse_range, "energy_grid"),), _run_ids),
+    "moments": _Command("moments.csv", ("T", "mean", "stderr", "n"),
+                        (("--p", float, "p"), ("--window", _parse_window, "window"),
+                         ("--t-grid", _parse_range, "t_grid")),
+                        _run_moments),
+    "phase-diagram": _Command("phase_diagram.csv", ("phi", "m_over_t2", "chern_number"),
+                              (("--grid", _parse_dims, "grid"),), _run_phase_diagram),
 }
 
 
 def run(config: ExperimentConfig) -> Path:
     """Execute one resolved configuration; returns the primary output path."""
+    command = _COMMANDS[config.command]
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    path = _RUNNERS[config.command](config, out)
-    if path.suffix == ".csv":
-        _write_sidecar(path.with_suffix(".json"), config)
+    result = command.runner(config)
+    path = out / command.output
+    doc = {"schema_version": SCHEMA_VERSION, "config": config.to_dict()}
+    if command.header is None:
+        doc["results"], sidecar = result, path
+    else:
+        rows, meta = result
+        _write_csv(path, config, command.header, rows, meta)
+        sidecar = path.with_suffix(".json")
+    sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -462,8 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Disordered Chern-insulator laboratory: spectra, invariants, "
                     "analytic thresholds, and Monte-Carlo probes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config; flags override it")
         p.add_argument("--model", help="model JSON file")
         p.add_argument("--dist", help="distribution JSON file")
@@ -478,50 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disorder strength")
         p.add_argument("--box-l", type=int, default=None, help="box side length")
         p.add_argument("--bc", choices=["simple", "periodic"], default=None)
-
-    specs: dict[str, list[tuple]] = {
-        "bloch": [("--grid", int, "grid")],
-        "chern": [("--grid", int, "grid"), ("--gap-index", int, "gap_index")],
-        "marker": [("--energy", float, "energy"), ("--window-l", int, "window_L")],
-        "spectrum": [("--lambda-grid", str, "lambda_grid"), ("--grid", int, "grid")],
-        "thresholds": [("--s", float, "s"), ("--t", float, "t"),
-                       ("--q", float, "q"), ("--grid", int, "grid")],
-        "wegner": [("--energy", float, "energy"), ("--eps-grid", str, "eps_grid")],
-        "msa-probe": [("--energy", float, "energy"), ("--theta", float, "theta"),
-                      ("--range", int, "range"), ("--box-grid", str, "box_grid")],
-        "decay": [("--window", str, "window"), ("--grid-points", int, "grid_points")],
-        "ids": [("--energy-grid", str, "energy_grid")],
-        "moments": [("--p", float, "p"), ("--window", str, "window"),
-                    ("--t-grid", str, "t_grid")],
-        "phase-diagram": [("--grid", str, "grid")],
-    }
-    for name, flags in specs.items():
-        p = sub.add_parser(name)
-        common(p)
-        for flag, typ, dest in flags:
-            p.add_argument(flag, type=typ, default=None, dest=f"scan_{dest}")
+        for flag, _, key in command.flags:
+            p.add_argument(flag, default=None, dest=f"scan_{key}")
     return parser
-
-
-def _scan_value(command: str, key: str, raw):
-    """Parse a flag string into the canonical JSON-native scan value."""
-    if key in ("lambda_grid", "energy_grid", "t_grid"):
-        return list(_parse_range(raw, key))
-    if key == "eps_grid":
-        return _parse_floats(raw)
-    if key == "box_grid":
-        return _parse_ints(raw)
-    if key == "window":
-        parts = _parse_floats(raw.replace(":", ","))
-        if len(parts) != 2:
-            raise ValueError(f"window must be two numbers, got {raw!r}")
-        return parts
-    if key == "grid" and command == "phase-diagram":
-        m = re.fullmatch(r"(\d+)x(\d+)", raw)
-        if not m:
-            raise ValueError(f"grid must look like 41x41, got {raw!r}")
-        return [int(m.group(1)), int(m.group(2))]
-    return raw
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
@@ -551,11 +544,13 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     doc["ensemble"] = ens
 
     scan = dict(doc.get("scan", {}))
-    for name, value in vars(args).items():
-        if name.startswith("scan_") and value is not None:
-            key = name[len("scan_"):]
-            scan[key] = _scan_value(args.command, key, value) \
-                if isinstance(value, str) else value
+    for flag, parse, key in _COMMANDS[args.command].flags:
+        text = getattr(args, f"scan_{key}")
+        if text is not None:
+            try:
+                scan[key] = parse(text)
+            except ValueError as e:
+                raise ValueError(f"{flag}: {e}") from None
     doc["scan"] = scan
 
     try:

@@ -50,7 +50,6 @@ class FiniteOperator:
     box: Box
     n: int
     bc: str
-    lam: float
     sample_ref: str
 
     def __post_init__(self) -> None:
@@ -146,7 +145,7 @@ def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
             raise ValueError(f"sample has {vals.shape[0]} values, operator needs {H.shape[0]}")
         H = H.copy()
         H[np.diag_indices_from(H)] += lam * vals
-    return FiniteOperator(matrix=H, box=clean.box, n=clean.n, bc=clean.bc, lam=lam,
+    return FiniteOperator(matrix=H, box=clean.box, n=clean.n, bc=clean.bc,
                           sample_ref=_sample_ref(sample))
 
 
@@ -154,7 +153,7 @@ def restrict_simple(model: HoppingModel, sample: DisorderSample | None,
                     lam: float, box: Box) -> FiniteOperator:
     """Compression chi_Box (H0 + lam V) chi_Box, open boundaries."""
     clean = FiniteOperator(matrix=build_dense(model, box, periodic=False), box=box,
-                           n=model.n, bc="simple", lam=0.0, sample_ref="clean")
+                           n=model.n, bc="simple", sample_ref="clean")
     return add_potential(clean, sample, lam)
 
 
@@ -180,7 +179,7 @@ def restrict_periodic(model: HoppingModel, sample: DisorderSample | None,
     if 2 * model.r >= box.L:
         raise ValueError(f"hopping range {model.r} needs box side > {2 * model.r}")
     clean = FiniteOperator(matrix=build_dense(model, box, periodic=True), box=box,
-                           n=model.n, bc="periodic", lam=0.0, sample_ref="clean")
+                           n=model.n, bc="periodic", sample_ref="clean")
     return add_potential(clean, sample, lam)
 
 

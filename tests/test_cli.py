@@ -331,7 +331,9 @@ def test_command_mismatch_and_runtime_errors(tmp_path, model_file, capsys):
 
 
 def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsys):
-    # an empty grid is an error, not a header-only CSV
+    # an empty grid is an error, not a header-only CSV; a config file's
+    # scan values pass the same checks as flags, and flag text that does
+    # not parse names its flag
     out = tmp_path / "run"
     cases = [
         (["wegner", "--dist", uniform_file, "--lambda", "2", "--box-l", "4",
@@ -344,6 +346,22 @@ def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsy
     cfg.write_text(json.dumps({"command": "phase-diagram", "scan": {"grid": [0, 5]}}))
     cases.append((["phase-diagram", "--config", str(cfg)], "grid 0x5",
                   "phase_diagram.csv"))
+    for command, scan, key in [("ids", {"energy_grid": [-4, 4, 0]}, "energy_grid"),
+                               ("spectrum", {"lambda_grid": [0, 3, 0]}, "lambda_grid"),
+                               ("moments", {"t_grid": [1, 10, 0]}, "t_grid"),
+                               ("ids", {"energy_grid": 5}, "energy_grid"),
+                               ("decay", {"window": 0.3}, "window"),
+                               ("decay", {"window": [1, 2, 3]}, "window")]:
+        cfg = tmp_path / f"{command}-{len(cases)}.json"
+        cfg.write_text(json.dumps({
+            "command": command, "distribution": {"kind": "uniform", "a": 1.0},
+            "ensemble": {"lam": 1.0, "box_L": 4}, "scan": scan}))
+        cases.append(([command, "--config", str(cfg)], key, f"{command}.csv"))
+    cases += [
+        (["ids", "--energy-grid=1:2"], "--energy-grid:", "ids.csv"),
+        (["decay", "--window=1,2,3"], "--window:", "decay.csv"),
+        (["phase-diagram", "--grid", "5by5"], "--grid:", "phase_diagram.csv"),
+    ]
     for args, message, name in cases:
         assert main(args + ["--model", model_file, "--out", str(out)]) == 1, args
         assert message in capsys.readouterr().err, args
@@ -358,6 +376,7 @@ def test_console_script_entry_point(tmp_path, model_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "bloch.csv").exists()
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

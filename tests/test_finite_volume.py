@@ -143,7 +143,7 @@ def test_add_potential_equals_dense_diagonal_sum():
     expected = build_dense(m, box, periodic=True) + np.diag(1.7 * sample.values)
     assert op.matrix.tobytes() == expected.tobytes()
     assert np.array_equal(clean.matrix, before)
-    assert op.sample_ref == "seed=4,realization=7" and op.lam == 1.7
+    assert op.sample_ref == "seed=4,realization=7"
     assert add_potential(clean, sample, 0.0).matrix is clean.matrix
     assert add_potential(clean, None, 0.0) is clean
     with pytest.raises(ValueError, match="sample"):
@@ -240,20 +240,19 @@ def test_operator_validation():
     bad = np.zeros((18, 18), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        FiniteOperator(matrix=bad, box=box, n=2, bc="simple", lam=0.0, sample_ref="clean")
+        FiniteOperator(matrix=bad, box=box, n=2, bc="simple", sample_ref="clean")
     # complex-symmetric off-diagonal pair and an imaginary diagonal
     for entries in (((0, 1, 1j), (1, 0, 1j)), ((2, 2, 1j),)):
         bad = np.zeros((18, 18), dtype=complex)
         for i, j, x in entries:
             bad[i, j] = x
         with pytest.raises(ValueError, match="Hermitian"):
-            FiniteOperator(matrix=bad, box=box, n=2, bc="simple", lam=0.0,
-                           sample_ref="clean")
+            FiniteOperator(matrix=bad, box=box, n=2, bc="simple", sample_ref="clean")
     good = np.zeros((18, 18), dtype=complex)
     good[0, 1], good[1, 0] = 1j, -1j
-    FiniteOperator(matrix=good, box=box, n=2, bc="simple", lam=0.0, sample_ref="clean")
+    FiniteOperator(matrix=good, box=box, n=2, bc="simple", sample_ref="clean")
     with pytest.raises(ValueError):
         FiniteOperator(matrix=np.eye(18, dtype=complex), box=box, n=2, bc="weird",
-                       lam=0.0, sample_ref="clean")
+                       sample_ref="clean")
     with pytest.raises(ValueError):
         restrict_simple(haldane_model(TOPO), None, -1.0, box)
