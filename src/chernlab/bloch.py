@@ -28,9 +28,19 @@ __all__ = [
 # Chern number -1 for the lower-band Fermi projection.
 _ORIENTATION = 1.0
 
-# Both doubling ladders of chern_number stop at this grid side: the gap
-# check gives up past it, and the curvature loop accepts it as final.
+# chern_number's doubling ladder grid * 2^k climbs while its rung is
+# below this side: the gap check calls the point gapless after the first
+# rung at or above it, and the curvature loop accepts that rung as final.
+# 768 = 24 * 2^5 is a multiple of 3, so the default ladder ends exactly
+# here, on a grid that holds the Dirac points, where a small gap is seen
+# at its true size.
 _MAX_GRID = 768
+
+# Absolute floor of every gap's open tolerance (times a band scale >= 1),
+# which guards the exactly-gapless case, where both grids hit the
+# touching point and the correction vanishes. A chern_number rung whose
+# raw fine-grid width is at or below it ends the gap check as gapless.
+_GAP_FLOOR = 1e-10
 
 
 def bloch_matrix(model: HoppingModel, k) -> np.ndarray:
@@ -69,35 +79,44 @@ def _band_extrema(model: HoppingModel, N: int) -> tuple[np.ndarray, np.ndarray]:
     return w.min(axis=(0, 1)), w.max(axis=(0, 1))
 
 
-def band_structure(model: HoppingModel, grid: int = 64) -> BandStructure:
-    """Per-band energy intervals over the torus with one Richardson step.
+def _even_grid(grid: int) -> int:
+    N = max(int(grid), 8)
+    return N + N % 2
+
+
+def _richardson(fine, coarse):
+    """Band edges (lo, hi), gap widths and open tolerances of one grid pair.
 
     Grid extrema of a smooth band converge at second order, so the
     fine/coarse pair (N, N/2) gives the refinement fine + (fine-coarse)/3;
-    a gap is declared open only when it clears 3x the applied correction.
+    a gap is open only when its width clears 3x the applied correction.
     """
-    N = max(int(grid), 8)
-    if N % 2:
-        N += 1
-    lo_f, hi_f = _band_extrema(model, N)
-    lo_c, hi_c = _band_extrema(model, N // 2)
+    (lo_f, hi_f), (lo_c, hi_c) = fine, coarse
     lo = lo_f + (lo_f - lo_c) / 3.0
     hi = hi_f + (hi_f - hi_c) / 3.0
     corr_lo = np.abs(lo_f - lo_c) / 3.0
     corr_hi = np.abs(hi_f - hi_c) / 3.0
-
-    bands = [(float(lo[j]), float(hi[j])) for j in range(model.n)]
     scale = max(1.0, float(np.max(np.abs(hi))), float(np.max(np.abs(lo))))
-    gaps, sizes, opens = [], [], []
-    for j in range(model.n - 1):
-        width = lo[j + 1] - hi[j]
-        # absolute floor guards the exactly-gapless case, where both grids
-        # hit the touching point and the correction vanishes
-        tol = 3.0 * (corr_hi[j] + corr_lo[j + 1]) + 1e-10 * scale
-        gaps.append((float(hi[j]), float(lo[j + 1])))
-        sizes.append(float(max(width, 0.0)))
-        opens.append(bool(width > tol))
-    return BandStructure(bands=bands, gaps=gaps, gap_sizes=sizes, gap_open=opens, grid=N)
+    width = lo[1:] - hi[:-1]
+    tol = 3.0 * (corr_hi[:-1] + corr_lo[1:]) + _GAP_FLOOR * scale
+    return lo, hi, width, tol
+
+
+def band_structure(model: HoppingModel, grid: int = 64) -> BandStructure:
+    """Per-band energy intervals over the torus with one Richardson step.
+
+    The grid is rounded up to an even side N >= 8, and the pair (N, N/2)
+    gives the edges; see ``_richardson``.
+    """
+    N = _even_grid(grid)
+    lo, hi, width, tol = _richardson(_band_extrema(model, N), _band_extrema(model, N // 2))
+    return BandStructure(
+        bands=[(float(lo[j]), float(hi[j])) for j in range(model.n)],
+        gaps=[(float(hi[j]), float(lo[j + 1])) for j in range(model.n - 1)],
+        gap_sizes=[float(max(w, 0.0)) for w in width],
+        gap_open=[bool(w > t) for w, t in zip(width, tol)],
+        grid=N,
+    )
 
 
 @dataclass(frozen=True)
@@ -133,24 +152,37 @@ def chern_number(
 ) -> ChernResult:
     """Chern number of the Fermi projection below the ``gap_index``-th gap.
 
-    Plaquette link-variable discretization on the torus grid; the grid is
-    doubled while any plaquette field strength exceeds 1 radian, which
-    keeps the rounded sum an exact integer on gapped models. Raises
-    ValueError when the gap is not open on any grid of the ladder.
+    The gap is certified first, on one doubling ladder: rungs grid * 2^k
+    (grid rounded up to an even side >= 8) up to the first one at or
+    above ``_MAX_GRID``, each judged like ``band_structure`` at that
+    side. The fine grid of a rung is the coarse grid of the next, so
+    every grid is solved once. The check raises ValueError ("gapless")
+    when no rung opens the gap, and at once when a rung's raw fine width
+    lo_f[j+1] - hi_f[j] is at most ``_GAP_FLOOR``. That early exit cannot
+    change a verdict: grid 2N holds grid N bit for bit, so the fine
+    extrema only spread as the ladder climbs; the Richardson edges lie
+    outside the fine ones (lo <= lo_f, hi >= hi_f); and every open
+    tolerance is at least ``_GAP_FLOOR``. No later width can then exceed
+    its tolerance.
+
+    The plaquette link-variable discretization then runs on the grids
+    grid * 2^k, doubling while any plaquette field strength exceeds
+    1 radian and stopping at the first rung at or above ``_MAX_GRID``,
+    which keeps the rounded sum an exact integer on gapped models.
     """
     if not (1 <= gap_index <= model.n - 1):
         raise ValueError(f"gap index must be in 1..{model.n - 1}")
-    # small open gaps certify only on fine grids, so walk the same
-    # doubling ladder as the curvature loop before declaring failure
-    N_bs = max(int(grid), 32)
+    j = gap_index - 1
+    N = _even_grid(grid)
+    coarse = _band_extrema(model, N // 2)
     while True:
-        bs = band_structure(model, grid=N_bs)
-        if bs.gap_open[gap_index - 1]:
+        fine = _band_extrema(model, N)
+        _, _, width, tol = _richardson(fine, coarse)
+        if width[j] > tol[j]:
             break
-        if N_bs >= _MAX_GRID:
-            raise ValueError(
-                f"gapless: gap {gap_index} is not open on a {bs.grid}x{bs.grid} grid")
-        N_bs *= 2
+        if fine[0][j + 1] - fine[1][j] <= _GAP_FLOOR or N >= _MAX_GRID:
+            raise ValueError(f"gapless: gap {gap_index} is not open on a {N}x{N} grid")
+        coarse, N = fine, 2 * N
     N = max(int(grid), 4)
     while True:
         F = _fhs_curvatures(bloch_grid(model, N), gap_index)

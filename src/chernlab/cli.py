@@ -58,7 +58,7 @@ from .probes import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _DEFAULT_MODEL = {"type": "haldane", "t1": 1.0, "t2": 1.0 / (3.0 * math.sqrt(3.0)),
                   "phi": math.pi / 2.0, "M": 0.0, "dimerization": "d3"}
@@ -194,31 +194,42 @@ def _parse_dims(text: str) -> list[int]:
 # Shape and range checks of scan values, from a flag or a config file.
 
 
-def _read_numbers(config: ExperimentConfig, key: str, default: list, size: int) -> list:
-    """The scan value of key as a list of size finite numbers."""
-    value = config.scan.get(key, default)
-    if not (isinstance(value, list) and len(value) == size and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-            for x in value)):
-        raise ValueError(f"{key} must be a list of {size} finite numbers, got {value!r}")
-    return value
+def _is_number(x, whole: bool = False) -> bool:
+    """A finite JSON number, not a bool; whole asks for an integral value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    if isinstance(x, int):
+        return whole or abs(x) <= sys.float_info.max
+    return math.isfinite(x) and (not whole or x.is_integer())
 
 
-def _is_count(x) -> bool:
-    return x >= 1 and x == int(x)
+def _read_number(source: dict, key: str, default, whole: bool = False):
+    """source[key] (a scan or ensemble value) as a finite float, or a whole int."""
+    value = source.get(key, default)
+    if not _is_number(value, whole):
+        kind = "a whole number" if whole else "a finite number"
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
+def _read_numbers(source: dict, key: str, default: list, size: int | None = None,
+                  whole: bool = False) -> list:
+    """source[key] as a list of finite floats, or of whole ints, of size entries if given."""
+    value = source.get(key, default)
+    if not (isinstance(value, list) and (size is None or len(value) == size)
+            and all(_is_number(x, whole) for x in value)):
+        count = "" if size is None else f"{size} "
+        kind = "whole numbers" if whole else "finite numbers"
+        raise ValueError(f"{key} must be a list of {count}{kind}, got {value!r}")
+    return [int(x) if whole else float(x) for x in value]
 
 
 def _read_grid(config: ExperimentConfig, key: str, default: list) -> tuple[float, float, int]:
     """A [lo, hi, count] grid with hi >= lo and a whole count >= 1."""
-    lo, hi, count = _read_numbers(config, key, default, 3)
-    if hi < lo or not _is_count(count):
+    lo, hi, count = _read_numbers(config.scan, key, default, 3)
+    if hi < lo or count < 1 or not count.is_integer():
         raise ValueError(f"{key} needs hi >= lo and a whole count >= 1, got {[lo, hi, count]}")
-    return float(lo), float(hi), int(count)
-
-
-def _read_window(config: ExperimentConfig, default: list) -> tuple[float, float]:
-    lo, hi = _read_numbers(config, "window", default, 2)
-    return float(lo), float(hi)
+    return lo, hi, int(count)
 
 
 # ------------------------------------------------------------- runners
@@ -237,16 +248,17 @@ def _ensemble(config: ExperimentConfig) -> EnsembleConfig:
     return EnsembleConfig(
         model=model_from_json(config.model),
         spec=_spec(config),
-        lam=float(ens.get("lam", 0.0)),
-        box_L=int(ens.get("box_L", 12)),
+        lam=_read_number(ens, "lam", 0.0),
+        box_L=_read_number(ens, "box_L", 12, whole=True),
         bc=str(ens.get("bc", "periodic")),
-        n_realizations=int(ens.get("n_realizations", 1)),
-        master_seed=int(ens.get("master_seed", 0)),
+        n_realizations=_read_number(ens, "n_realizations", 1, whole=True),
+        master_seed=_read_number(ens, "master_seed", 0, whole=True),
     )
 
 
 def _run_bloch(config: ExperimentConfig):
-    bs = band_structure(model_from_json(config.model), int(config.scan.get("grid", 201)))
+    bs = band_structure(model_from_json(config.model),
+                        _read_number(config.scan, "grid", 201, whole=True))
     rows = [(i, lo, hi) for i, (lo, hi) in enumerate(bs.bands)]
     meta = {"grid": bs.grid}
     for i, ((lo, hi), size, is_open) in enumerate(
@@ -256,17 +268,18 @@ def _run_bloch(config: ExperimentConfig):
 
 
 def _run_chern(config: ExperimentConfig):
-    gap_index = int(config.scan.get("gap_index", 1))
+    gap_index = _read_number(config.scan, "gap_index", 1, whole=True)
     res = chern_number(model_from_json(config.model), gap_index=gap_index,
-                       grid=int(config.scan.get("grid", 24)))
+                       grid=_read_number(config.scan, "grid", 24, whole=True))
     return [(gap_index, res.value, res.curvature_sum, res.grid)], {}
 
 
 def _run_marker(config: ExperimentConfig):
     cfg = _ensemble(config)
-    E = float(config.scan.get("energy", 0.0))
+    E = _read_number(config.scan, "energy", 0.0)
     window = config.scan.get("window_L")
-    window = int(window) if window is not None else None
+    if window is not None:
+        window = _read_number(config.scan, "window_L", None, whole=True)
     rows = averaged_marker_scan(cfg, [E], [cfg.lam], window_L=window)
     return [(r.E, r.lam, r.mean, r.stderr, r.n) for r in rows], {}
 
@@ -276,7 +289,8 @@ def _run_spectrum(config: ExperimentConfig):
     if spec is None:
         raise ValueError("spectrum needs a distribution (for the support [-a, b])")
     lo, hi, count = _read_grid(config, "lambda_grid", [0.0, 3.0, 31])
-    bs = band_structure(model_from_json(config.model), int(config.scan.get("grid", 201)))
+    bs = band_structure(model_from_json(config.model),
+                        _read_number(config.scan, "grid", 201, whole=True))
     rows = []
     for lam in np.linspace(lo, hi, count):
         for i, (blo, bhi) in enumerate(bs.bands):
@@ -289,10 +303,10 @@ def _run_thresholds(config: ExperimentConfig):
     spec = _spec(config)
     if spec is None:
         raise ValueError("thresholds needs a distribution")
-    s = float(config.scan.get("s", 0.25))
-    t = float(config.scan.get("t", 1.0))
-    q = float(config.scan.get("q", 2.0))
-    bs = band_structure(model, int(config.scan.get("grid", 201)))
+    s = _read_number(config.scan, "s", 0.25)
+    t = _read_number(config.scan, "t", 1.0)
+    q = _read_number(config.scan, "q", 2.0)
+    bs = band_structure(model, _read_number(config.scan, "grid", 201, whole=True))
     open_gaps = [i for i, o in enumerate(bs.gap_open) if o]
     if not open_gaps:
         raise ValueError("model has no open gap")
@@ -336,32 +350,36 @@ def _run_thresholds(config: ExperimentConfig):
 
 def _run_wegner(config: ExperimentConfig):
     cfg = _ensemble(config)
-    E = float(config.scan.get("energy", 0.0))
-    rows = wegner_empirical(cfg, E, config.scan.get("eps_grid", [1e-2, 1e-3, 1e-4]))
+    E = _read_number(config.scan, "energy", 0.0)
+    rows = wegner_empirical(
+        cfg, E, _read_numbers(config.scan, "eps_grid", [1e-2, 1e-3, 1e-4]))
     return ([(r.eps, r.empirical, r.upper_99, r.bound, r.n) for r in rows],
             {"energy": E})
 
 
 def _run_msa_probe(config: ExperimentConfig):
     cfg = _ensemble(config)
-    E = float(config.scan.get("energy", 0.0))
-    theta = float(config.scan.get("theta", 1.0))
-    rng = int(config.scan.get("range", 1))
-    boxes = config.scan.get("box_grid", [int(config.ensemble.get("box_L", 13))])
+    E = _read_number(config.scan, "energy", 0.0)
+    theta = _read_number(config.scan, "theta", 1.0)
+    rng = _read_number(config.scan, "range", 1, whole=True)
+    boxes = _read_numbers(config.scan, "box_grid",
+                          [_read_number(config.ensemble, "box_L", 13, whole=True)],
+                          whole=True)
     if not boxes:
         raise ValueError("box_grid is empty")
     rows = []
     for L in boxes:
-        r = suitable_box_probability(replace(cfg, box_L=int(L)), E, theta, r=rng)
-        rows.append((int(L), theta, r.probability, r.ci_low, r.ci_high, r.n))
+        r = suitable_box_probability(replace(cfg, box_L=L), E, theta, r=rng)
+        rows.append((L, theta, r.probability, r.ci_low, r.ci_high, r.n))
     return rows, {"energy": E, "range": rng}
 
 
 def _run_decay(config: ExperimentConfig):
     cfg = _ensemble(config)
-    lo, hi = _read_window(config, [-0.2, 0.2])
+    lo, hi = _read_numbers(config.scan, "window", [-0.2, 0.2], 2)
     prof = projection_decay(cfg, (lo, hi),
-                            grid_points=int(config.scan.get("grid_points", 16)))
+                            grid_points=_read_number(config.scan, "grid_points", 16,
+                                                     whole=True))
     rows = list(zip(prof.distances, prof.means, prof.stderrs))
     return rows, {"fit_amplitude": prof.fit_amplitude, "fit_rate": prof.fit_rate,
                   "r_squared": prof.r_squared, "n": prof.n,
@@ -375,8 +393,8 @@ def _run_ids(config: ExperimentConfig):
 
 
 def _run_moments(config: ExperimentConfig):
-    p = float(config.scan.get("p", 2.0))
-    center, width = _read_window(config, [2.0, 0.5])
+    p = _read_number(config.scan, "p", 2.0)
+    center, width = _read_numbers(config.scan, "window", [2.0, 0.5], 2)
     lo, hi, count = _read_grid(config, "t_grid", [1.0, 100.0, 9])
     if lo <= 0 or count < 2:
         raise ValueError("t_grid needs lo > 0 and count >= 2 (T = 0 is prepended)")
@@ -397,14 +415,13 @@ def _run_phase_diagram(config: ExperimentConfig):
     base = config.model
     if base.get("type") != "haldane":
         raise ValueError("phase-diagram sweeps haldane parameters; model type must be haldane")
-    rows_n, cols_n = _read_numbers(config, "grid", [41, 41], 2)
-    if not (_is_count(rows_n) and _is_count(cols_n)):
-        raise ValueError(f"grid {rows_n}x{cols_n} needs a whole number >= 1 of rows "
-                         "and of columns")
+    rows_n, cols_n = _read_numbers(config.scan, "grid", [41, 41], 2, whole=True)
+    if rows_n < 1 or cols_n < 1:
+        raise ValueError(f"grid {rows_n}x{cols_n} needs at least one row and one column")
     t1 = float(base.get("t1", 1.0))
     t2 = float(base.get("t2", _DEFAULT_MODEL["t2"]))
-    phis = np.linspace(-math.pi, math.pi, int(rows_n))
-    ms = np.linspace(-6.0, 6.0, int(cols_n))
+    phis = np.linspace(-math.pi, math.pi, rows_n)
+    ms = np.linspace(-6.0, 6.0, cols_n)
     rows = []
     for phi in phis:
         for m_over_t2 in ms:
@@ -413,10 +430,10 @@ def _run_phase_diagram(config: ExperimentConfig):
                                    dimerization=str(base.get("dimerization", "d3")))
             model = haldane_model(params)
             try:
-                c = chern_number(model).value
+                c, status = chern_number(model).value, "gapped"
             except ValueError:
-                c = 0  # on the critical curve: gapless, classify as trivial
-            rows.append((float(phi), float(m_over_t2), c))
+                c, status = 0, "gapless"  # on the critical curve
+            rows.append((float(phi), float(m_over_t2), c, status))
     return rows, {"t1": t1, "t2": t2}
 
 
@@ -464,7 +481,8 @@ _COMMANDS = {
                         (("--p", float, "p"), ("--window", _parse_window, "window"),
                          ("--t-grid", _parse_range, "t_grid")),
                         _run_moments),
-    "phase-diagram": _Command("phase_diagram.csv", ("phi", "m_over_t2", "chern_number"),
+    "phase-diagram": _Command("phase_diagram.csv",
+                              ("phi", "m_over_t2", "chern_number", "status"),
                               (("--grid", _parse_dims, "grid"),), _run_phase_diagram),
 }
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chernlab import bloch
 from chernlab.model import HaldaneParams, HoppingModel, haldane_model
 from chernlab.bloch import (
     band_structure,
@@ -97,6 +98,66 @@ def test_chern_raises_on_gapless():
     m = haldane_model(HaldaneParams(t1=1.0, t2=1.0, phi=np.pi / 2, M=3.0 * np.sqrt(3.0)))
     with pytest.raises(ValueError, match="gapless"):
         chern_number(m, 1, 24)
+
+
+def spy_extrema(monkeypatch):
+    """Grid sides passed to bloch._band_extrema, in call order."""
+    seen = []
+    solve = bloch._band_extrema
+
+    def spy(model, N):
+        seen.append(N)
+        return solve(model, N)
+
+    monkeypatch.setattr(bloch, "_band_extrema", spy)
+    return seen
+
+
+# a truly gapped point 0.0038 from the critical curve, on the criterion-01
+# sweep; its gap opens only on a ladder grid that holds the Dirac points
+NEAR_CURVE_PHI = float(np.linspace(-np.pi, np.pi, 41)[26])
+NEAR_CURVE_M = 4.2
+
+
+def test_chern_ladder_solves_each_grid_once_up_to_max(monkeypatch):
+    seen = spy_extrema(monkeypatch)
+    for phi, m in ((np.pi / 2, 0.0), (NEAR_CURVE_PHI, NEAR_CURVE_M)):
+        seen.clear()
+        chern_number(std_model(phi=phi, M=m * T2))
+        assert max(seen) <= bloch._MAX_GRID
+        assert len(seen) == len(set(seen)), seen
+    # a gap 0.05 t2 from the curve, on a ladder that misses the Dirac
+    # points, opens only a few rungs up; each rung reuses the one below
+    seen.clear()
+    chern_number(std_model(M=(3.0 * np.sqrt(3.0) - 0.05) * T2), 1, 20)
+    assert seen == [10, 20, 40, 80, 160, 320]
+
+
+@pytest.mark.parametrize("model", [
+    std_model(phi=-np.pi, M=0.0),
+    haldane_model(HaldaneParams(t1=1.0, t2=1.0, phi=np.pi / 2, M=3.0 * np.sqrt(3.0))),
+])
+def test_chern_gapless_exits_after_first_rung(monkeypatch, model):
+    seen = spy_extrema(monkeypatch)
+    with pytest.raises(ValueError, match="gapless: gap 1 is not open on a 24x24 grid"):
+        chern_number(model, 1, 24)
+    assert sorted(seen) == [12, 24]
+
+
+@pytest.mark.parametrize("N", [12, 24, 48, 96])
+def test_doubled_grid_holds_grid_bit_for_bit(N):
+    m = std_model(phi=1.1, M=0.3)
+    fine, coarse = bloch_grid(m, 2 * N), bloch_grid(m, N)
+    assert np.array_equal(fine[::2, ::2], coarse)
+    assert np.array_equal(np.linalg.eigvalsh(fine)[::2, ::2], np.linalg.eigvalsh(coarse))
+
+
+@pytest.mark.parametrize("m", [-NEAR_CURVE_M, NEAR_CURVE_M])
+def test_chern_certifies_gap_near_curve(m):
+    # |M|/t2 = 4.2 against the curve at 3 sqrt(3) sin(0.3 pi) = 4.2038
+    res = chern_number(std_model(phi=NEAR_CURVE_PHI, M=m * T2))
+    assert res.value == -1
+    assert res.grid == bloch._MAX_GRID
 
 
 def test_chern_gauge_invariance():

@@ -65,7 +65,7 @@ def test_thresholds_pipeline_json(tmp_path, model_file, tg_file):
     assert r["gap_over_2a0"] == pytest.approx(4.3501854733946225e-31, rel=1e-9)
     assert r["lambda_rho_coefficient"] == pytest.approx(39.97427732805992, rel=1e-9)
     assert r["lambda_rho_coefficient"] <= 39.98
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["config"]["command"] == "thresholds"
 
 
@@ -119,7 +119,7 @@ def test_csv_format_and_lossless_floats(tmp_path, model_file):
     out = tmp_path / "run"
     assert main(["bloch", "--model", model_file, "--out", str(out)]) == 0
     text = (out / "bloch.csv").read_text()
-    assert text.startswith("# schema-version: 1\n")
+    assert text.startswith("# schema-version: 2\n")
     meta, header, rows = read_csv(out / "bloch.csv")
     assert header == ["band", "lower", "upper"]
     assert meta["command"] == "bloch"
@@ -142,7 +142,7 @@ def test_rerun_is_byte_identical_across_threads(tmp_path, model_file, uniform_fi
 
 
 WEGNER_PINNED = """\
-# schema-version: 1
+# schema-version: 2
 # command: wegner
 # energy: 0
 eps,empirical,upper_99,bound,n
@@ -152,7 +152,7 @@ eps,empirical,upper_99,bound,n
 """
 
 IDS_PINNED = """\
-# schema-version: 1
+# schema-version: 2
 # command: ids
 energy,value,stderr,n
 -4,0.00062500000000000001,0.00062500000000000001,25
@@ -255,6 +255,57 @@ def test_phase_diagram_classifies_regions(tmp_path, model_file):
     assert table[(-math.pi / 2.0, 0.0)] == 1
     assert table[(math.pi / 2.0, -6.0)] == 0
     assert table[(math.pi / 2.0, 6.0)] == 0
+
+
+def test_phase_diagram_reports_gapless_points(tmp_path, model_file):
+    # phi = -pi holds the exactly gapless point M = 0; it keeps an integer
+    # Chern column (0) and is marked in the status column
+    out = tmp_path / "run"
+    assert main(["phase-diagram", "--model", model_file, "--grid", "1x5",
+                 "--out", str(out)]) == 0
+    meta, header, rows = read_csv(out / "phase_diagram.csv")
+    assert meta["schema-version"] == "2"
+    assert header == ["phi", "m_over_t2", "chern_number", "status"]
+    assert [(float(r[1]), int(r[2]), r[3]) for r in rows] == [
+        (-6.0, 0, "gapped"), (-3.0, 0, "gapped"), (0.0, 0, "gapless"),
+        (3.0, 0, "gapped"), (6.0, 0, "gapped")]
+
+
+@pytest.mark.parametrize("command, section, values, key", [
+    (command, "scan", {"grid": 24.5}, "grid")
+    for command in ("chern", "bloch", "spectrum", "thresholds")
+] + [
+    ("chern", "scan", {"gap_index": "1"}, "gap_index"),
+    ("wegner", "scan", {"energy": [0]}, "energy"),
+    ("wegner", "scan", {"eps_grid": 5}, "eps_grid"),
+    ("wegner", "scan", {"eps_grid": [1e-2, None]}, "eps_grid"),
+    ("msa-probe", "scan", {"box_grid": 7}, "box_grid"),
+    ("msa-probe", "scan", {"box_grid": [7.5]}, "box_grid"),
+    ("msa-probe", "scan", {"range": 1.5}, "range"),
+    ("marker", "scan", {"window_L": 2.5}, "window_L"),
+    ("decay", "scan", {"grid_points": "16"}, "grid_points"),
+    ("moments", "scan", {"p": True}, "p"),
+    ("ids", "ensemble", {"box_L": [4]}, "box_L"),
+    ("ids", "ensemble", {"box_L": 4.7}, "box_L"),
+    ("ids", "ensemble", {"n_realizations": 2.5}, "n_realizations"),
+    ("ids", "ensemble", {"master_seed": "0"}, "master_seed"),
+    ("ids", "ensemble", {"lam": [1.0]}, "lam"),
+])
+def test_config_scalar_and_list_values_are_checked(tmp_path, model_file, capsys,
+                                                   command, section, values, key):
+    # a scalar or list value from a config file that is not a number of the
+    # right kind stops the run naming its key: no truncation, no TypeError
+    doc = {"command": command, "distribution": {"kind": "uniform", "a": 1.0},
+           "ensemble": {"lam": 1.0, "box_L": 4}, "scan": {}}
+    doc[section].update(values)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--model", model_file,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be "), err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_msa_probe_and_marker_outputs(tmp_path, model_file, uniform_file):
