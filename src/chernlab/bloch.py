@@ -4,10 +4,17 @@ Momenta live in dual-basis coordinates: k = (k1, k2) with each component
 2pi-periodic, so a hop by coefficient displacement delta picks up
 exp(i (k1 delta1 + k2 delta2)). The Cartesian embedding of the basis
 never enters.
+
+Every grid is the uniform N x N torus grid, and grid N/2 is the even
+sublattice [::2, ::2] of grid N bit for bit. So each analysis solves a
+grid side at most once: the coarse (N/2) band extrema of a Richardson
+pair are read off the fine (N) eigenvalues, and ``chern_number`` shares
+one ``eigh`` per side between its gap check and its curvature loop.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +40,8 @@ _ORIENTATION = 1.0
 # rung at or above it, and the curvature loop accepts that rung as final.
 # 768 = 24 * 2^5 is a multiple of 3, so the default ladder ends exactly
 # here, on a grid that holds the Dirac points, where a small gap is seen
-# at its true size.
+# at its true size. Each side is solved once per call, shared by both
+# ladders, so the gap check's climb costs the curvature loop nothing.
 _MAX_GRID = 768
 
 # Absolute floor of every gap's open tolerance (times a band scale >= 1),
@@ -74,12 +82,14 @@ class BandStructure:
     grid: int
 
 
-def _band_extrema(model: HoppingModel, N: int) -> tuple[np.ndarray, np.ndarray]:
-    w = np.linalg.eigvalsh(bloch_grid(model, N))
+def _extrema(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-band (min, max) of grid eigenvalues w, shape (N, N, n)."""
     return w.min(axis=(0, 1)), w.max(axis=(0, 1))
 
 
 def _even_grid(grid: int) -> int:
+    if grid < 1:
+        raise ValueError(f"grid side {grid} must be at least 1")
     N = max(int(grid), 8)
     return N + N % 2
 
@@ -106,10 +116,13 @@ def band_structure(model: HoppingModel, grid: int = 64) -> BandStructure:
     """Per-band energy intervals over the torus with one Richardson step.
 
     The grid is rounded up to an even side N >= 8, and the pair (N, N/2)
-    gives the edges; see ``_richardson``.
+    gives the edges; see ``_richardson``. Only grid N is solved: the N/2
+    extrema come from its even sublattice. Raises ValueError for a grid
+    below 1.
     """
     N = _even_grid(grid)
-    lo, hi, width, tol = _richardson(_band_extrema(model, N), _band_extrema(model, N // 2))
+    w = np.linalg.eigvalsh(bloch_grid(model, N))
+    lo, hi, width, tol = _richardson(_extrema(w), _extrema(w[::2, ::2]))
     return BandStructure(
         bands=[(float(lo[j]), float(hi[j])) for j in range(model.n)],
         gaps=[(float(hi[j]), float(lo[j + 1])) for j in range(model.n - 1)],
@@ -140,11 +153,6 @@ def plaquette_field(psi: np.ndarray) -> np.ndarray:
     return np.angle(loop)
 
 
-def _fhs_curvatures(H: np.ndarray, m: int) -> np.ndarray:
-    _, v = np.linalg.eigh(H)
-    return plaquette_field(v[..., :m])
-
-
 def chern_number(
     model: HoppingModel,
     gap_index: int = 1,
@@ -155,28 +163,36 @@ def chern_number(
     The gap is certified first, on one doubling ladder: rungs grid * 2^k
     (grid rounded up to an even side >= 8) up to the first one at or
     above ``_MAX_GRID``, each judged like ``band_structure`` at that
-    side. The fine grid of a rung is the coarse grid of the next, so
-    every grid is solved once. The check raises ValueError ("gapless")
-    when no rung opens the gap, and at once when a rung's raw fine width
-    lo_f[j+1] - hi_f[j] is at most ``_GAP_FLOOR``. That early exit cannot
-    change a verdict: grid 2N holds grid N bit for bit, so the fine
-    extrema only spread as the ladder climbs; the Richardson edges lie
-    outside the fine ones (lo <= lo_f, hi >= hi_f); and every open
-    tolerance is at least ``_GAP_FLOOR``. No later width can then exceed
-    its tolerance.
+    side. The first rung's coarse extrema are its fine grid's even
+    sublattice, and each later rung's are the rung below. The check
+    raises ValueError ("gapless") when no rung opens the gap, and at
+    once when a rung's raw fine width lo_f[j+1] - hi_f[j] is at most
+    ``_GAP_FLOOR``. That early exit cannot change a verdict: grid 2N
+    holds grid N bit for bit, so the fine extrema only spread as the
+    ladder climbs; the Richardson edges lie outside the fine ones
+    (lo <= lo_f, hi >= hi_f); and every open tolerance is at least
+    ``_GAP_FLOOR``. No later width can then exceed its tolerance.
 
     The plaquette link-variable discretization then runs on the grids
-    grid * 2^k, doubling while any plaquette field strength exceeds
-    1 radian and stopping at the first rung at or above ``_MAX_GRID``,
-    which keeps the rounded sum an exact integer on gapped models.
+    grid * 2^k (grid raised to at least 4), doubling while any plaquette
+    field strength exceeds 1 radian and stopping at the first rung at or
+    above ``_MAX_GRID``, which keeps the rounded sum an exact integer on
+    gapped models.
+
+    Both ladders read one ``eigh`` per grid side, made at most once per
+    call: its eigenvalues give the gap check's extrema, its vectors the
+    plaquette field. For an even grid >= 8 both ladders walk the same
+    sides, so a point that certifies on the first rung and needs no
+    doubling costs one solve. Raises ValueError for a grid below 1.
     """
     if not (1 <= gap_index <= model.n - 1):
         raise ValueError(f"gap index must be in 1..{model.n - 1}")
     j = gap_index - 1
     N = _even_grid(grid)
-    coarse = _band_extrema(model, N // 2)
+    solve = functools.cache(lambda side: np.linalg.eigh(bloch_grid(model, side)))
+    coarse = _extrema(solve(N)[0][::2, ::2])
     while True:
-        fine = _band_extrema(model, N)
+        fine = _extrema(solve(N)[0])
         _, _, width, tol = _richardson(fine, coarse)
         if width[j] > tol[j]:
             break
@@ -185,7 +201,7 @@ def chern_number(
         coarse, N = fine, 2 * N
     N = max(int(grid), 4)
     while True:
-        F = _fhs_curvatures(bloch_grid(model, N), gap_index)
+        F = plaquette_field(solve(N)[1][..., :gap_index])
         if np.max(np.abs(F)) <= 1.0 or N >= _MAX_GRID:
             break
         N *= 2

@@ -100,16 +100,16 @@ def test_chern_raises_on_gapless():
         chern_number(m, 1, 24)
 
 
-def spy_extrema(monkeypatch):
-    """Grid sides passed to bloch._band_extrema, in call order."""
+def spy_grids(monkeypatch):
+    """Grid sides passed to bloch.bloch_grid, in call order."""
     seen = []
-    solve = bloch._band_extrema
+    build = bloch.bloch_grid
 
     def spy(model, N):
         seen.append(N)
-        return solve(model, N)
+        return build(model, N)
 
-    monkeypatch.setattr(bloch, "_band_extrema", spy)
+    monkeypatch.setattr(bloch, "bloch_grid", spy)
     return seen
 
 
@@ -120,17 +120,22 @@ NEAR_CURVE_M = 4.2
 
 
 def test_chern_ladder_solves_each_grid_once_up_to_max(monkeypatch):
-    seen = spy_extrema(monkeypatch)
-    for phi, m in ((np.pi / 2, 0.0), (NEAR_CURVE_PHI, NEAR_CURVE_M)):
+    seen = spy_grids(monkeypatch)
+    # a deep point certifies and integrates on grid 24 alone; the near-curve
+    # point certifies on 24 too, and its curvature loop doubles up to 768
+    for phi, m, sides in ((np.pi / 2, 0.0, [24]),
+                          (NEAR_CURVE_PHI, NEAR_CURVE_M, [24, 48, 96, 192, 384, 768])):
         seen.clear()
         chern_number(std_model(phi=phi, M=m * T2))
         assert max(seen) <= bloch._MAX_GRID
         assert len(seen) == len(set(seen)), seen
+        assert seen == sides
     # a gap 0.05 t2 from the curve, on a ladder that misses the Dirac
-    # points, opens only a few rungs up; each rung reuses the one below
+    # points, opens only a few rungs up; the coarse grid 10 is read off
+    # grid 20, and each rung reuses the one below
     seen.clear()
     chern_number(std_model(M=(3.0 * np.sqrt(3.0) - 0.05) * T2), 1, 20)
-    assert seen == [10, 20, 40, 80, 160, 320]
+    assert seen == [20, 40, 80, 160, 320]
 
 
 @pytest.mark.parametrize("model", [
@@ -138,10 +143,10 @@ def test_chern_ladder_solves_each_grid_once_up_to_max(monkeypatch):
     haldane_model(HaldaneParams(t1=1.0, t2=1.0, phi=np.pi / 2, M=3.0 * np.sqrt(3.0))),
 ])
 def test_chern_gapless_exits_after_first_rung(monkeypatch, model):
-    seen = spy_extrema(monkeypatch)
+    seen = spy_grids(monkeypatch)
     with pytest.raises(ValueError, match="gapless: gap 1 is not open on a 24x24 grid"):
         chern_number(model, 1, 24)
-    assert sorted(seen) == [12, 24]
+    assert seen == [24]
 
 
 @pytest.mark.parametrize("N", [12, 24, 48, 96])
@@ -158,6 +163,115 @@ def test_chern_certifies_gap_near_curve(m):
     res = chern_number(std_model(phi=NEAR_CURVE_PHI, M=m * T2))
     assert res.value == -1
     assert res.grid == bloch._MAX_GRID
+
+
+# (value, curvature_sum, grid) per (model, grid), captured before the gap
+# check and the curvature loop shared their solves. Grids 1, 4 and 5 start
+# the gap ladder (8) and the curvature loop (4 or 5) on different sides,
+# and 25 starts them on 26 and 25.
+PINNED_MODELS = {
+    "deep": std_model(),
+    "near": std_model(M=(3.0 * np.sqrt(3.0) - 0.5) * T2),
+    "trivial": std_model(phi=-0.8, M=5.0 * T2),
+    "generic": std_model(phi=1.1, M=0.3),
+}
+CHERN_PINNED = {
+    ("deep", 1): (-1, -1.0, 8),
+    ("deep", 4): (-1, -1.0, 8),
+    ("deep", 5): (-1, -1.0000000000000002, 10),
+    ("deep", 20): (-1, -1.0, 20),
+    ("deep", 24): (-1, -1.0000000000000002, 24),
+    ("deep", 25): (-1, -1.0, 25),
+    ("deep", 32): (-1, -1.0, 32),
+    ("near", 1): (-1, -1.0, 32),
+    ("near", 4): (-1, -1.0, 32),
+    ("near", 5): (-1, -0.9999999999999997, 40),
+    ("near", 20): (-1, -0.9999999999999997, 40),
+    ("near", 24): (-1, -1.0, 24),
+    ("near", 25): (-1, -1.0, 50),
+    ("near", 32): (-1, -1.0, 32),
+    ("trivial", 1): (0, 3.533949646070574e-17, 8),
+    ("trivial", 4): (0, 3.533949646070574e-17, 8),
+    ("trivial", 5): (0, 6.6261555863823264e-18, 5),
+    ("trivial", 20): (0, 5.300924469105861e-17, 20),
+    ("trivial", 24): (0, -1.766974823035287e-17, 24),
+    ("trivial", 25): (0, 3.533949646070574e-17, 25),
+    ("trivial", 32): (0, -3.533949646070574e-17, 32),
+}
+# (bands, gaps, gap_sizes, gap_open, grid) per (model, grid), captured
+# while band_structure still solved the coarse grid on its own
+BANDS_PINNED = {
+    ("generic", 8): (
+        [(-2.491195000719413, -0.8179282420137947),
+         (0.2759038481223195, 3.538730371953121)],
+        [(-0.8179282420137947, 0.2759038481223195)],
+        [1.093832090136114], [True], 8),
+    ("generic", 64): (
+        [(-2.491195000719413, -0.8533060368187425),
+         (0.32958130849955736, 3.538730371953121)],
+        [(-0.8533060368187425, 0.32958130849955736)],
+        [1.1828873453182998], [True], 64),
+    ("generic", 101): (
+        [(-2.491195000719413, -0.8530912028698626),
+         (0.3293235172530081, 3.538730371953121)],
+        [(-0.8530912028698626, 0.3293235172530081)],
+        [1.1824147201228707], [True], 102),
+    ("generic", 201): (
+        [(-2.491195000719413, -0.8530979076705064),
+         (0.32933157621451, 3.538730371953121)],
+        [(-0.8530979076705064, 0.32933157621451)],
+        [1.1824294838850165], [True], 202),
+    ("near", 8): (
+        [(-3.1331787643748297, -0.21701518205544543),
+         (0.21701518205544543, 3.1331787643748297)],
+        [(-0.21701518205544543, 0.21701518205544543)],
+        [0.43403036411089085], [False], 8),
+    ("near", 64): (
+        [(-3.1331787643748297, -0.09997362715571162),
+         (0.09997362715571162, 3.1331787643748297)],
+        [(-0.09997362715571162, 0.09997362715571162)],
+        [0.19994725431142324], [True], 64),
+    ("near", 101): (
+        [(-3.1331787643748297, -0.0962250448649376),
+         (0.0962250448649376, 3.1331787643748297)],
+        [(-0.0962250448649376, 0.0962250448649376)],
+        [0.1924500897298752], [True], 102),
+    ("near", 201): (
+        [(-3.1331787643748297, -0.09631140470593946),
+         (0.09631140470593948, 3.1331787643748297)],
+        [(-0.09631140470593946, 0.09631140470593948)],
+        [0.19262280941187893], [True], 202),
+}
+
+
+def test_chern_number_matches_pinned_values():
+    for (name, grid), want in CHERN_PINNED.items():
+        res = chern_number(PINNED_MODELS[name], 1, grid)
+        assert (res.value, res.curvature_sum, res.grid) == want, (name, grid)
+
+
+def test_chern_number_pinned_near_curve_and_gapless():
+    res = chern_number(std_model(phi=NEAR_CURVE_PHI, M=NEAR_CURVE_M * T2))
+    assert (res.value, res.curvature_sum, res.grid) == (-1, -1.0, 768)
+    for model in (std_model(phi=-np.pi, M=0.0),
+                  haldane_model(HaldaneParams(t1=1.0, t2=1.0, phi=np.pi / 2,
+                                              M=3.0 * np.sqrt(3.0)))):
+        with pytest.raises(ValueError) as err:
+            chern_number(model, 1, 24)
+        assert str(err.value) == "gapless: gap 1 is not open on a 24x24 grid"
+
+
+def test_band_structure_matches_pinned_values():
+    for (name, grid), want in BANDS_PINNED.items():
+        bs = band_structure(PINNED_MODELS[name], grid)
+        assert (bs.bands, bs.gaps, bs.gap_sizes, bs.gap_open, bs.grid) == want, (name, grid)
+
+
+@pytest.mark.parametrize("grid", [0, -5])
+def test_nonpositive_grid_side_is_rejected(grid):
+    for analysis in (band_structure, chern_number):
+        with pytest.raises(ValueError, match=f"grid side {grid} must be at least 1"):
+            analysis(std_model(), grid=grid)
 
 
 def test_chern_gauge_invariance():

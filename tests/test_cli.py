@@ -352,7 +352,7 @@ def test_invalid_config_exits_nonzero_with_line(tmp_path, model_file, capsys):
     assert f"{baddist}:2:" in capsys.readouterr().err
 
 
-def test_command_mismatch_and_runtime_errors(tmp_path, model_file, capsys):
+def test_command_mismatch_and_runtime_errors(tmp_path, model_file, uniform_file, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "bloch"}))
     assert main(["wegner", "--config", str(cfg), "--model", model_file]) == 2
@@ -379,6 +379,15 @@ def test_command_mismatch_and_runtime_errors(tmp_path, model_file, capsys):
                      f"--grid-points={points}", "--out", str(out)]) == 1
         assert f"grid_points {points} must be at least 1" in capsys.readouterr().err
     assert not (out / "decay.csv").exists()
+
+    # and so is a Bloch grid side below 1, where it used to become grid 8
+    for command in ("bloch", "chern", "spectrum", "thresholds"):
+        for side in ("0", "-5"):
+            assert main([command, "--model", model_file, "--dist", uniform_file,
+                         f"--grid={side}", "--out", str(out)]) == 1
+            assert f"grid side {side} must be at least 1" in capsys.readouterr().err
+    # no failed run above wrote an output or a sidecar
+    assert list(out.iterdir()) == []
 
 
 def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsys):
