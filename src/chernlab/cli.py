@@ -17,6 +17,7 @@ selects nothing, so no value of it can change an output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -508,7 +509,13 @@ def run(config: ExperimentConfig) -> Path:
 # ------------------------------------------------------------- arg parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command, built once per process.
+
+    It holds no per-call state: ``parse_args`` only reads it, so every
+    ``main`` call reuses the same tree.
+    """
     parser = argparse.ArgumentParser(
         prog="chernlab",
         description="Disordered Chern-insulator laboratory: spectra, invariants, "

@@ -24,6 +24,7 @@ from .bounds import wegner_bound
 from .disorder import DisorderSample, DistributionSpec, sample_potential
 from .finite_volume import (
     FiniteOperator,
+    _dot,
     add_potential,
     fermi_matrix,
     restrict_periodic,
@@ -219,7 +220,7 @@ def suitable_box_probability(cfg: EnsembleConfig, E: float, theta: float,
         w, v = _realization(cfg, clean, k).eigensystem
         if np.min(np.abs(w - E)) <= 1e-12:
             return 0
-        G = (v[rows_core] / (w - E)) @ v[rows_shell].conj().T
+        G = _dot(v[rows_core] / (w - E), v[rows_shell], adjoint_b=True)
         blocks = G.reshape(len(core.sites), n, len(shell), n).transpose(0, 2, 1, 3)
         norms = np.linalg.svd(blocks, compute_uv=False)[..., 0]
         return int(np.all(norms <= thresh))
@@ -609,9 +610,9 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
         if idx.size == 0:
             return np.zeros(len(times))
         vs = v[:, idx]
-        D = vs.conj().T @ (weight[:, None] * vs)
+        D = _dot(vs, weight[:, None] * vs, adjoint_a=True)
         C = vs[rows0, :]
-        B = C.conj().T @ C
+        B = _dot(C, C, adjoint_a=True)
         F = np.outer(gv[idx], gv[idx]) * D * B.T
         dE = w[idx, None] - w[None, idx]
         out = np.empty(len(times))

@@ -23,7 +23,7 @@ from math import pi
 
 import numpy as np
 
-from .finite_volume import ProjectionMatrix
+from .finite_volume import ProjectionMatrix, _dot
 from .lattice import Box
 
 __all__ = [
@@ -94,16 +94,18 @@ def chern_marker(P: ProjectionMatrix, box: Box, window_L: int,
     should sit well inside the box (margin of about box.L/4) to keep
     boundary artifacts out of the average. With P_r = V_r V^* the window
     rows of P and L_i = (P_r X_i) V, the window trace is
-    tr(L1 L2^*) - tr(L2 L1^*).
+    tr(L1 L2^*) - tr(L2 L1^*), each trace one product of the flattened
+    L_i. Every product runs through scipy's BLAS, as the eigensolve
+    does (see ``finite_volume``).
     """
     v = P.vectors
     n = v.shape[0] // box.size
     rows, nsites = _window_rows(box, n, window_L, center)
     x1, x2 = _positions(box, n)
-    Pr = v[rows] @ v.conj().T
-    L1 = (Pr * x1) @ v
-    L2 = (Pr * x2) @ v
-    raw = 2j * pi * (np.vdot(L2, L1) - np.vdot(L1, L2)) / nsites
+    Pr = _dot(v[rows], v, adjoint_b=True)
+    L1 = _dot(Pr * x1, v).reshape(-1, 1, order="F")
+    L2 = _dot(Pr * x2, v).reshape(-1, 1, order="F")
+    raw = 2j * pi * (_dot(L2, L1, adjoint_a=True) - _dot(L1, L2, adjoint_a=True))[0, 0] / nsites
     return MarkerResult(value=float(raw.real), window_L=window_L,
                         imag_residual=float(abs(raw.imag)))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from chernlab.bloch import band_structure
-from chernlab.cli import ExperimentConfig, main
+from chernlab.cli import ExperimentConfig, _build_parser, main
 from chernlab.model import haldane_model, model_from_json
 
 T2 = 1.0 / (3.0 * math.sqrt(3.0))
@@ -426,6 +426,21 @@ def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsy
         assert main(args + ["--model", model_file, "--out", str(out)]) == 1, args
         assert message in capsys.readouterr().err, args
         assert not (out / name).exists(), args
+
+
+def test_cached_parser_parses_an_argv_alike_after_another_command():
+    # main reuses one argparse tree per process, so a parse must leave
+    # nothing behind that changes the next one
+    argv = ["marker", "--model", "m.json", "--lambda", "0.5", "--box-l", "12",
+            "--energy", "0.25", "--window-l", "4"]
+    first = _build_parser().parse_args(argv)
+    other = _build_parser().parse_args(["wegner", "--seed", "3", "--bc", "simple",
+                                        "--energy", "1.5", "--eps-grid", "0.1,0.2"])
+    again = _build_parser().parse_args(argv)
+    assert _build_parser() is _build_parser()
+    assert other.command == "wegner" and other.scan_energy == "1.5"
+    assert again == first
+    assert first.command == "marker" and first.scan_window_L == "4" and first.seed is None
 
 
 def test_console_script_entry_point(tmp_path, model_file):

@@ -131,6 +131,22 @@ def test_eigvalsh_matches_eigensystem():
     assert np.max(np.abs(op.matrix @ v - v * w)) < 1e-11
 
 
+@pytest.mark.parametrize("model, L", [(haldane_model(TOPO), 6), (haldane_model(TOPO), 12),
+                                     (haldane_model(TOPO), 18), (_onsite_model(1.0), 6)],
+                         ids=["haldane6", "haldane12", "haldane18", "onsite6"])
+def test_eigensystem_on_degenerate_spectra(model, L):
+    # clean periodic boxes hold the widest eigenvalue clusters (momentum
+    # images up to 12-fold; the on-site model is two 36-fold levels),
+    # where the MRRR driver must still return orthonormal eigenvectors
+    op = restrict_periodic(model, None, 0.0, box_sites(L))
+    w, v = op.eigensystem
+    assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-11
+    assert np.max(np.abs(op.matrix @ v - v * w)) <= 1e-12
+    if L == 18:
+        rank = int(np.searchsorted(np.linalg.eigvalsh(op.matrix), 0.0, side="right"))
+        assert spectral_projection(op, 0.0).rank == rank == 324
+
+
 def test_add_potential_equals_dense_diagonal_sum():
     # a realization is the clean matrix plus diag(lam v), bit for bit,
     # and leaves the shared clean operator untouched
