@@ -62,15 +62,6 @@ class GapGeometry:
     def gap_size(self, i: int) -> float:
         return self.bands.gap_sizes[i]
 
-    def gap_interval(self, i: int, lam: float = 0.0) -> tuple[float, float] | None:
-        """Gap i of the disordered operator, or None once it has closed."""
-        lo, hi = self.bands.gaps[i]
-        lo, hi = lo + self.b * lam, hi - self.a * lam
-        return (lo, hi) if lo < hi else None
-
-    def gap_nonempty(self, i: int, lam: float) -> bool:
-        return lam < self.gap_size(i) / (self.a + self.b)
-
     def locate_gap(self, E: float) -> int:
         """Index of the open internal gap holding E at lam=0."""
         for i, (lo, hi) in enumerate(self.bands.gaps):

@@ -290,6 +290,9 @@ def _run_spectrum(config: ExperimentConfig):
     if spec is None:
         raise ValueError("spectrum needs a distribution (for the support [-a, b])")
     lo, hi, count = _read_grid(config, "lambda_grid", [0.0, 3.0, 31])
+    if lo < 0:
+        raise ValueError(f"lambda_grid must start at a disorder strength >= 0, "
+                         f"got {[lo, hi, count]}")
     bs = band_structure(model_from_json(config.model),
                         _read_number(config.scan, "grid", 201, whole=True))
     rows = []

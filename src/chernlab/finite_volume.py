@@ -1,12 +1,14 @@
 """Finite-volume restrictions, spectra, projections, Green functions.
 
-A disordered realization is the clean restriction with lam V added to
-its diagonal (``add_potential``). An ensemble builds and validates the
-clean operator of its box once and pays one matrix copy per
-realization. Each operator solves lazily with one call of LAPACK's
-MRRR driver ``zheevr`` through ``scipy.linalg.eigh(driver="evr")``
-(``eigensystem``; ``eigenvalues`` is its first part), so an energy read
-from ``eigenvalues`` sits exactly on the state a projection counts.
+The restrictions build the clean operator H0 of a box only. A
+disordered realization is that clean operator with lam V added to its
+diagonal (``add_potential``), the one way to form H0 + lam V. An
+ensemble builds and validates the clean operator of its box once and
+pays one matrix copy per realization. Each operator solves lazily with
+one call of LAPACK's MRRR driver ``zheevr`` through
+``scipy.linalg.eigh(driver="evr")`` (``eigensystem``; ``eigenvalues``
+is its first part), so an energy read from ``eigenvalues`` sits exactly
+on the state a projection counts.
 Statistics that only count or locate eigenvalues call numpy's
 ``eigvalsh`` on the matrix instead and form no eigenvectors; its values
 may differ from the ``eigensystem`` ones in the last bits. A spectral
@@ -59,7 +61,6 @@ class FiniteOperator:
     matrix: np.ndarray
     box: Box
     n: int
-    bc: str
     sample_ref: str
 
     def __post_init__(self) -> None:
@@ -74,8 +75,6 @@ class FiniteOperator:
         np.add(m.imag, m.imag.T, out=d.imag)
         if np.max(np.abs(d)) > _HERM_TOL:
             raise ValueError("matrix is not Hermitian")
-        if self.bc not in ("simple", "periodic"):
-            raise ValueError(f"unknown boundary condition {self.bc!r}")
         self.matrix.flags.writeable = False
 
     @cached_property
@@ -174,16 +173,14 @@ def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
             raise ValueError(f"sample has {vals.shape[0]} values, operator needs {H.shape[0]}")
         H = H.copy()
         H[np.diag_indices_from(H)] += lam * vals
-    return FiniteOperator(matrix=H, box=clean.box, n=clean.n, bc=clean.bc,
+    return FiniteOperator(matrix=H, box=clean.box, n=clean.n,
                           sample_ref=_sample_ref(sample))
 
 
-def restrict_simple(model: HoppingModel, sample: DisorderSample | None,
-                    lam: float, box: Box) -> FiniteOperator:
-    """Compression chi_Box (H0 + lam V) chi_Box, open boundaries."""
-    clean = FiniteOperator(matrix=build_dense(model, box, periodic=False), box=box,
-                           n=model.n, bc="simple", sample_ref="clean")
-    return add_potential(clean, sample, lam)
+def restrict_simple(model: HoppingModel, box: Box) -> FiniteOperator:
+    """Compression chi_Box H0 chi_Box of the clean operator, open boundaries."""
+    return FiniteOperator(matrix=build_dense(model, box, periodic=False), box=box,
+                          n=model.n, sample_ref="clean")
 
 
 def _flux_denominator(flux: float, L: int) -> int:
@@ -194,9 +191,9 @@ def _flux_denominator(flux: float, L: int) -> int:
     return frac.denominator
 
 
-def restrict_periodic(model: HoppingModel, sample: DisorderSample | None,
-                      lam: float, box: Box) -> FiniteOperator:
-    """Wrapped-kernel restriction: rows sum the plane kernel over L-translates.
+def restrict_periodic(model: HoppingModel, box: Box) -> FiniteOperator:
+    """Wrapped-kernel restriction of the clean operator: rows sum the plane
+    kernel over L-translates.
 
     Requires the clean kernel to be q-periodic with q dividing L, and
     hopping range below L/2 so each wrap direction contributes at most
@@ -207,9 +204,8 @@ def restrict_periodic(model: HoppingModel, sample: DisorderSample | None,
         raise ValueError(f"box side {box.L} is not a multiple of the flux period {q}")
     if 2 * model.r >= box.L:
         raise ValueError(f"hopping range {model.r} needs box side > {2 * model.r}")
-    clean = FiniteOperator(matrix=build_dense(model, box, periodic=True), box=box,
-                           n=model.n, bc="periodic", sample_ref="clean")
-    return add_potential(clean, sample, lam)
+    return FiniteOperator(matrix=build_dense(model, box, periodic=True), box=box,
+                          n=model.n, sample_ref="clean")
 
 
 def _occupied(op: FiniteOperator, E: float) -> np.ndarray:

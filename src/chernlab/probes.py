@@ -97,7 +97,7 @@ def _clean_restriction(cfg: EnsembleConfig, box: Box) -> FiniteOperator:
     outlives the call: a process that runs many calls holds no matrix.
     """
     build = restrict_periodic if cfg.bc == "periodic" else restrict_simple
-    return build(cfg.model, None, 0.0, box)
+    return build(cfg.model, box)
 
 
 def _draw(cfg: EnsembleConfig, box: Box, k: int, lams) -> DisorderSample | None:
@@ -112,6 +112,12 @@ def _draw(cfg: EnsembleConfig, box: Box, k: int, lams) -> DisorderSample | None:
 
 def _realization(cfg: EnsembleConfig, clean: FiniteOperator, k: int) -> FiniteOperator:
     return add_potential(clean, _draw(cfg, clean.box, k, (cfg.lam,)), cfg.lam)
+
+
+def _eigenvalues(cfg: EnsembleConfig, clean: FiniteOperator, k: int) -> np.ndarray:
+    """Ascending eigenvalues of realization k from numpy's ``eigvalsh``,
+    for the statistics that only count or locate them."""
+    return np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -172,8 +178,7 @@ def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid) -> list[WegnerRow]
     clean = _clean_restriction(cfg, box_sites(cfg.box_L))
 
     def dist(k: int) -> float:
-        w = np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
-        return float(np.min(np.abs(w - E)))
+        return float(np.min(np.abs(_eigenvalues(cfg, clean, k) - E)))
 
     dists = np.array([dist(k) for k in range(cfg.n_realizations)])
     rows = []
@@ -367,7 +372,7 @@ def ids_estimate(cfg: EnsembleConfig, E_grid) -> list[IdsRow]:
     energies = [float(E) for E in E_grid]
 
     def counts(k: int) -> np.ndarray:
-        w = np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
+        w = _eigenvalues(cfg, clean, k)
         return np.searchsorted(w, energies, side="right") / box.size
 
     per_real = np.array([counts(k) for k in range(cfg.n_realizations)])
@@ -422,7 +427,7 @@ def ids_continuity_check(cfg: EnsembleConfig, E1: float, E2: float,
         lhs, stderr = _mean_stderr(per_real[:, j])
     else:
         def stat(k: int) -> float:
-            w = np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
+            w = _eigenvalues(cfg, clean, k)
             k2 = int(np.searchsorted(w, E2, side="right"))
             k1 = int(np.searchsorted(w, E1, side="right"))
             return (k2 - k1) / box.size
@@ -446,6 +451,27 @@ class DisorderContinuityResult:
     n: int
 
 
+def _coupled_profiles(cfg: EnsembleConfig, E: float, base_lam: float, lams) -> np.ndarray:
+    """Realization means of the class profile of P(lam) - P(base_lam) at E,
+    one row per lam in lams.
+
+    Coupled sampling: every strength of a realization sees the same
+    potential draw, so a row vanishes exactly where lam = base_lam.
+    """
+    box = box_sites(cfg.box_L)
+    classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
+    clean = _clean_restriction(cfg, box)
+
+    def stat(k: int) -> list[np.ndarray]:
+        sample = _draw(cfg, box, k, (base_lam, *lams))
+        base = fermi_matrix(add_potential(clean, sample, base_lam), E)
+        return [classes.profile(fermi_matrix(add_potential(clean, sample, lam), E) - base)
+                for lam in lams]
+
+    per_real = np.array([stat(k) for k in range(cfg.n_realizations)])
+    return per_real.mean(axis=0)
+
+
 def disorder_continuity_lhs(cfg: EnsembleConfig, lam_a: float, lam_b: float,
                             E: float) -> float:
     """sup over displacements of E[block nuclear norm of P(lam_a)-P(lam_b)].
@@ -453,18 +479,7 @@ def disorder_continuity_lhs(cfg: EnsembleConfig, lam_a: float, lam_b: float,
     Coupled sampling: both strengths see the identical potential draw,
     so the statistic vanishes exactly at lam_a = lam_b.
     """
-    box = box_sites(cfg.box_L)
-    classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
-    clean = _clean_restriction(cfg, box)
-
-    def stat(k: int) -> np.ndarray:
-        sample = _draw(cfg, box, k, (lam_a, lam_b))
-        P_a = fermi_matrix(add_potential(clean, sample, lam_a), E)
-        P_b = fermi_matrix(add_potential(clean, sample, lam_b), E)
-        return classes.profile(P_a - P_b)
-
-    per_real = np.array([stat(k) for k in range(cfg.n_realizations)])
-    return float(np.max(per_real.mean(axis=0)))
+    return float(np.max(_coupled_profiles(cfg, E, lam_b, (lam_a,))))
 
 
 def disorder_continuity_check(cfg: EnsembleConfig, lam1: float, lam2: float,
@@ -479,22 +494,8 @@ def disorder_continuity_check(cfg: EnsembleConfig, lam1: float, lam2: float,
         raise ValueError("need 0 < lam1 < lam2")
     if rungs < 2:
         raise ValueError("need at least two ladder rungs")
-    box = box_sites(cfg.box_L)
-    classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
-    clean = _clean_restriction(cfg, box)
     dlams = (lam2 - lam1) * 0.5 ** np.arange(rungs)
-
-    def stat(k: int) -> np.ndarray:
-        sample = _draw(cfg, box, k, (lam1, lam2))
-        base = fermi_matrix(add_potential(clean, sample, lam1), E)
-        out = np.empty((len(dlams), len(classes.distances)))
-        for j, dl in enumerate(dlams):
-            op = add_potential(clean, sample, lam1 + dl)
-            out[j] = classes.profile(fermi_matrix(op, E) - base)
-        return out
-
-    per_real = np.array([stat(k) for k in range(cfg.n_realizations)])
-    lhs = per_real.mean(axis=0).max(axis=1)
+    lhs = _coupled_profiles(cfg, E, lam1, lam1 + dlams).max(axis=1)
     ok = lhs > 0
     if np.sum(ok) < 2:
         raise ValueError("projection difference vanished on the ladder; nothing to fit")
@@ -539,7 +540,7 @@ def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
             op = add_potential(clean, sample, lam)
             for j, E in enumerate(energies):
                 P = spectral_projection(op, E)
-                out[i, j] = chern_marker(P, box, window_L).value
+                out[i, j] = chern_marker(P, box, window_L)
         return out
 
     per_real = np.array([markers(k) for k in range(cfg.n_realizations)])

@@ -14,11 +14,11 @@ its trace vanishes, so the raw eigenvalue count at the edges cancels
 identically. Restricting the difference to a concentric window first
 breaks that cancellation and recovers the charge transported around the
 flux point, which is the quantity the infinite-volume index measures.
+The flux unitary U is diagonal; ``flux_unitary`` returns its phases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -27,39 +27,11 @@ from .finite_volume import ProjectionMatrix, _dot
 from .lattice import Box
 
 __all__ = [
-    "MarkerResult",
-    "FluxUnitary",
     "chern_marker",
     "chern_marker_triple",
     "flux_unitary",
     "index_pair",
 ]
-
-
-@dataclass(frozen=True)
-class MarkerResult:
-    """Windowed marker per site.
-
-    ``imag_residual`` is |Im| of 2*pi*i times the evaluated window trace
-    per site. The row form tr(L1 L2^*) - tr(L2 L1^*) is imaginary for any
-    vectors, so the value is real up to rounding and the residual only
-    measures that rounding.
-    """
-
-    value: float
-    window_L: int
-    imag_residual: float
-
-
-@dataclass(frozen=True)
-class FluxUnitary:
-    phases: np.ndarray
-    p: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if np.max(np.abs(np.abs(self.phases) - 1.0)) > 1e-12:
-            raise ValueError("flux unitary must have unimodular diagonal")
-        self.phases.flags.writeable = False
 
 
 def _positions(box: Box, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +59,7 @@ def _window_rows(box: Box, n: int, window_L: int,
 
 
 def chern_marker(P: ProjectionMatrix, box: Box, window_L: int,
-                 center: tuple[int, int] = (0, 0)) -> MarkerResult:
+                 center: tuple[int, int] = (0, 0)) -> float:
     """Windowed trace of 2*pi*i P[[X1,P],[X2,P]]P per site.
 
     Position operators are diagonal in lattice coefficients. The window
@@ -96,7 +68,8 @@ def chern_marker(P: ProjectionMatrix, box: Box, window_L: int,
     rows of P and L_i = (P_r X_i) V, the window trace is
     tr(L1 L2^*) - tr(L2 L1^*), each trace one product of the flattened
     L_i. Every product runs through scipy's BLAS, as the eigensolve
-    does (see ``finite_volume``).
+    does (see ``finite_volume``). That difference is imaginary for any
+    vectors, so the marker is real and its real part is returned.
     """
     v = P.vectors
     n = v.shape[0] // box.size
@@ -106,8 +79,7 @@ def chern_marker(P: ProjectionMatrix, box: Box, window_L: int,
     L1 = _dot(Pr * x1, v).reshape(-1, 1, order="F")
     L2 = _dot(Pr * x2, v).reshape(-1, 1, order="F")
     raw = 2j * pi * (_dot(L2, L1, adjoint_a=True) - _dot(L1, L2, adjoint_a=True))[0, 0] / nsites
-    return MarkerResult(value=float(raw.real), window_L=window_L,
-                        imag_residual=float(abs(raw.imag)))
+    return float(raw.real)
 
 
 def chern_marker_triple(P: ProjectionMatrix, box: Box, center_window: int) -> float:
@@ -138,31 +110,29 @@ def chern_marker_triple(P: ProjectionMatrix, box: Box, center_window: int) -> fl
     return total / len(centers)
 
 
-def flux_unitary(p: tuple[float, float], box: Box, n: int) -> FluxUnitary:
+def flux_unitary(p: tuple[float, float], box: Box, n: int) -> np.ndarray:
     """Diagonal phases e^{-i Arg(g - p)} per (site, orbital)."""
     if abs(p[0] - round(p[0])) < 1e-12 and abs(p[1] - round(p[1])) < 1e-12:
         raise ValueError(f"flux point {p} sits on a lattice point")
     x1, x2 = _positions(box, n)
     theta = np.arctan2(x2 - p[1], x1 - p[0])
-    return FluxUnitary(phases=np.exp(-1j * theta), p=(float(p[0]), float(p[1])))
+    return np.exp(-1j * theta)
 
 
 def index_pair(P: ProjectionMatrix, box: Box, p: tuple[float, float],
-               tol_window: float = 0.1, window_L: int | None = None) -> int:
+               tol_window: float = 0.1) -> int:
     """Eigenvalue count of the pair difference near +1 minus near -1.
 
-    The difference U P U* - P is restricted to a concentric window
-    (default side box.L/2) before counting; see the module docstring for
-    why the unrestricted count is identically zero. An eigenvalue within
+    The difference U P U* - P is restricted to a concentric window of
+    side box.L/2 (at least 2) before counting; see the module docstring
+    for why the unrestricted count is identically zero. An eigenvalue within
     1e-6 of a tolerance edge makes the count ill-defined and is an error.
     """
     m = P.matrix
     n = m.shape[0] // box.size
-    u = flux_unitary(p, box, n).phases
+    u = flux_unitary(p, box, n)
     D = (u[:, None] * m) * np.conj(u)[None, :] - m
-    if window_L is None:
-        window_L = max(2, box.L // 2)
-    rows, _ = _window_rows(box, n, window_L)
+    rows, _ = _window_rows(box, n, max(2, box.L // 2))
     ev = np.linalg.eigvalsh(D[np.ix_(rows, rows)])
     hi, lo = 1.0 - tol_window, -1.0 + tol_window
     if np.any(np.abs(ev - hi) < 1e-6) or np.any(np.abs(ev - lo) < 1e-6):

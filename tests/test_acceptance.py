@@ -115,8 +115,8 @@ def test_criterion_04_marker_tracks_chern_number_and_sign():
     for phi, expect in ((math.pi / 2.0, -1), (-math.pi / 2.0, +1)):
         m = haldane_model(HaldaneParams(phi=phi))
         assert chern_number(m).value == expect
-        P = spectral_projection(restrict_periodic(m, None, 0.0, box), 0.0)
-        markers[expect] = chern_marker(P, box, 8).value
+        P = spectral_projection(restrict_periodic(m, box), 0.0)
+        markers[expect] = chern_marker(P, box, 8)
         assert abs(markers[expect] - expect) <= 0.15
     assert markers[-1] < 0.0 < markers[+1]
 
@@ -124,16 +124,16 @@ def test_criterion_04_marker_tracks_chern_number_and_sign():
 def test_criterion_05_exact_identities(model):
     # (a) windowed trace formula == triple-commutator form on the full box
     box = box_sites(10)
-    P = spectral_projection(restrict_simple(model, None, 0.0, box), 0.0)
-    a = chern_marker(P, box, 10).value
+    P = spectral_projection(restrict_simple(model, box), 0.0)
+    a = chern_marker(P, box, 10)
     b = chern_marker_triple(P, box, 10)
     assert abs(a - b) <= 1e-6
 
     # (b) periodic and simple assemblies agree entry-for-entry away from
     # the wrap-around shell, with zero rounding slack
     box = box_sites(12)
-    Hs = restrict_simple(model, None, 0.0, box).matrix
-    Hp = restrict_periodic(model, None, 0.0, box).matrix
+    Hs = restrict_simple(model, box).matrix
+    Hp = restrict_periodic(model, box).matrix
     shell = {(int(a), int(b)) for a, b in inner_boundary(box, model.r)}
     idx = np.array([model.n * i + o for i, (a, b) in enumerate(box.sites)
                     if (int(a), int(b)) not in shell for o in range(model.n)])
@@ -143,7 +143,7 @@ def test_criterion_05_exact_identities(model):
     # (c) clean periodic eigenvalues sit inside the torus bands; 240 is a
     # multiple of the box side, so the box momenta are sampled exactly
     bs = band_structure(model, 240)
-    w = restrict_periodic(model, None, 0.0, box).eigenvalues
+    w = restrict_periodic(model, box).eigenvalues
     for E in w:
         assert any(lo - 1e-9 <= E <= hi + 1e-9 for lo, hi in bs.bands)
 

@@ -52,23 +52,6 @@ def test_gap_geometry_validation(reference_bands):
         bounds.GapGeometry(reference_bands, a=-1.0, b=2.0)
 
 
-def test_gap_interval_shrinks_linearly(reference_geometry):
-    g = reference_geometry
-    lo0, hi0 = g.bands.gaps[0]
-    lo, hi = g.gap_interval(0, 0.25)
-    assert lo == lo0 + 0.25 and hi == hi0 - 0.25
-    assert g.gap_interval(0, 0.0) == (lo0, hi0)
-
-
-def test_gap_closes_at_size_over_support(reference_geometry):
-    g = reference_geometry
-    lam_star = g.gap_size(0) / 2.0  # a + b = 2
-    assert g.gap_nonempty(0, lam_star - 1e-9)
-    assert not g.gap_nonempty(0, lam_star)
-    assert g.gap_interval(0, lam_star) is None
-    assert g.gap_interval(0, lam_star + 0.1) is None
-
-
 def test_locate_gap_and_distance(reference_geometry):
     g = reference_geometry
     assert g.locate_gap(0.0) == 0
@@ -174,7 +157,7 @@ def test_resolvent_obeys_combes_thomas_bound():
     alpha = bounds.alpha_for_gap(m, gap)
     S = bounds.combes_thomas_salpha(m, alpha)
     box = box_sites(14)
-    op = restrict_simple(m, None, 0.0, box)
+    op = restrict_simple(m, box)
     delta = float(np.min(np.abs(op.eigenvalues)))
     G = np.abs(green_function(op, 0.0))
     pos = np.repeat(box.sites.astype(float), m.n, axis=0)

@@ -408,6 +408,7 @@ def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsy
                   "phase_diagram.csv"))
     for command, scan, key in [("ids", {"energy_grid": [-4, 4, 0]}, "energy_grid"),
                                ("spectrum", {"lambda_grid": [0, 3, 0]}, "lambda_grid"),
+                               ("spectrum", {"lambda_grid": [-1, 3, 5]}, "lambda_grid"),
                                ("moments", {"t_grid": [1, 10, 0]}, "t_grid"),
                                ("ids", {"energy_grid": 5}, "energy_grid"),
                                ("decay", {"window": 0.3}, "window"),
@@ -421,6 +422,9 @@ def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsy
         (["ids", "--energy-grid=1:2"], "--energy-grid:", "ids.csv"),
         (["decay", "--window=1,2,3"], "--window:", "decay.csv"),
         (["phase-diagram", "--grid", "5by5"], "--grid:", "phase_diagram.csv"),
+        # a negative disorder strength would write inverted bands
+        (["spectrum", "--dist", uniform_file, "--lambda-grid=-1:1:3"],
+         "lambda_grid must start at a disorder strength >= 0", "spectrum.csv"),
     ]
     for args, message, name in cases:
         assert main(args + ["--model", model_file, "--out", str(out)]) == 1, args

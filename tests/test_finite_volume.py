@@ -35,9 +35,9 @@ def _onsite_model(M: float) -> HoppingModel:
 
 
 def test_simple_restriction_is_hermitian():
-    op = restrict_simple(haldane_model(TOPO), None, 0.0, box_sites(6))
+    op = restrict_simple(haldane_model(TOPO), box_sites(6))
     assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12
-    assert op.bc == "simple" and op.sample_ref == "clean"
+    assert op.sample_ref == "clean"
 
 
 def test_simple_clean_spectrum_massive_point():
@@ -45,7 +45,7 @@ def test_simple_clean_spectrum_massive_point():
     # at L=5 the open box has no in-gap states at all, so the gap
     # shrunk by 0.3 per side is empty and nothing escapes the bands
     m = haldane_model(HaldaneParams(t1=1.0, t2=0.0, phi=0.0, M=1.0))
-    w = restrict_simple(m, None, 0.0, box_sites(5)).eigenvalues
+    w = restrict_simple(m, box_sites(5)).eigenvalues
     assert w[0] >= -math.sqrt(10.0) - 1e-9
     assert w[-1] <= math.sqrt(10.0) + 1e-9
     assert not np.any(np.abs(w) < 1.0 - 1e-9)
@@ -56,7 +56,7 @@ def test_simple_clean_spectrum_topological_point_edge_modes():
     # same box at the half-flux point: chiral edge modes do intrude
     # into the bulk gap (calibrated depth |E| ~ 0.151 at L=5), which is
     # why gap-membership arguments use the periodic restriction
-    w = restrict_simple(haldane_model(TOPO), None, 0.0, box_sites(5)).eigenvalues
+    w = restrict_simple(haldane_model(TOPO), box_sites(5)).eigenvalues
     assert w[0] >= -3.0 - 1e-9 and w[-1] <= 3.0 + 1e-9
     in_gap = w[np.abs(w) < 1.0 - 1e-9]
     assert len(in_gap) == 8
@@ -64,7 +64,7 @@ def test_simple_clean_spectrum_topological_point_edge_modes():
 
 
 def test_simple_onsite_only_is_diagonal():
-    op = restrict_simple(_onsite_model(1.0), None, 0.0, box_sites(4))
+    op = restrict_simple(_onsite_model(1.0), box_sites(4))
     assert np.array_equal(op.matrix, np.diag(np.tile([1.0, -1.0], 16)))
 
 
@@ -73,7 +73,7 @@ def test_periodic_matches_bloch_grid():
     # L x L momentum grid, eigenvalue by eigenvalue
     m = haldane_model(TOPO)
     L = 12
-    w = np.sort(restrict_periodic(m, None, 0.0, box_sites(L)).eigenvalues)
+    w = np.sort(restrict_periodic(m, box_sites(L)).eigenvalues)
     ks = 2 * math.pi * np.arange(L) / L
     grid = [np.linalg.eigvalsh(bloch_matrix(m, (k1, k2))) for k1 in ks for k2 in ks]
     assert np.max(np.abs(w - np.sort(np.concatenate(grid)))) < 1e-9
@@ -82,8 +82,8 @@ def test_periodic_matches_bloch_grid():
 def test_periodic_simple_agree_off_boundary_exactly():
     m = haldane_model(TOPO)
     box = box_sites(12)
-    Hs = restrict_simple(m, None, 0.0, box).matrix
-    Hp = restrict_periodic(m, None, 0.0, box).matrix
+    Hs = restrict_simple(m, box).matrix
+    Hp = restrict_periodic(m, box).matrix
     shell = {(int(a), int(b)) for a, b in inner_boundary(box, m.r)}
     idx = np.array([m.n * i + o for i, (a, b) in enumerate(box.sites)
                     if (int(a), int(b)) not in shell for o in range(m.n)])
@@ -100,8 +100,8 @@ def test_periodic_spectrum_shift_inclusion():
     spec = uniform(1.0)
     sample = sample_potential(spec, box, 2, seed=5, realization_index=0)
     lam = 0.8
-    w0 = restrict_periodic(m, None, 0.0, box).eigenvalues
-    w = restrict_periodic(m, sample, lam, box).eigenvalues
+    w0 = restrict_periodic(m, box).eigenvalues
+    w = add_potential(restrict_periodic(m, box), sample, lam).eigenvalues
     delta = spec.b - np.max(sample.values)
     assert delta > 0
     assert np.all(w >= w0 - lam * spec.a - 1e-9)
@@ -114,7 +114,7 @@ def test_simple_spectrum_in_convex_hull():
     spec = uniform(1.0)
     sample = sample_potential(spec, box, 2, seed=9, realization_index=2)
     lam = 1.3
-    w = restrict_simple(m, sample, lam, box).eigenvalues
+    w = add_potential(restrict_simple(m, box), sample, lam).eigenvalues
     assert np.all(w >= -3.0 - lam * spec.a - 1e-9)
     assert np.all(w <= 3.0 + lam * spec.b + 1e-9)
 
@@ -124,7 +124,7 @@ def test_eigvalsh_matches_eigensystem():
     m = haldane_model(TOPO)
     box = box_sites(8)
     sample = sample_potential(uniform(1.0), box, 2, seed=3, realization_index=1)
-    op = restrict_periodic(m, sample, 2.0, box)
+    op = add_potential(restrict_periodic(m, box), sample, 2.0)
     w, v = op.eigensystem
     assert op.eigenvalues is w
     assert np.max(np.abs(np.linalg.eigvalsh(op.matrix) - w)) < 1e-12
@@ -138,7 +138,7 @@ def test_eigensystem_on_degenerate_spectra(model, L):
     # clean periodic boxes hold the widest eigenvalue clusters (momentum
     # images up to 12-fold; the on-site model is two 36-fold levels),
     # where the MRRR driver must still return orthonormal eigenvectors
-    op = restrict_periodic(model, None, 0.0, box_sites(L))
+    op = restrict_periodic(model, box_sites(L))
     w, v = op.eigensystem
     assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-11
     assert np.max(np.abs(op.matrix @ v - v * w)) <= 1e-12
@@ -152,7 +152,7 @@ def test_add_potential_equals_dense_diagonal_sum():
     # and leaves the shared clean operator untouched
     m = haldane_model(TOPO)
     box = box_sites(6)
-    clean = restrict_periodic(m, None, 0.0, box)
+    clean = restrict_periodic(m, box)
     before = clean.matrix.copy()
     sample = sample_potential(uniform(1.0), box, 2, seed=4, realization_index=7)
     op = add_potential(clean, sample, 1.7)
@@ -175,8 +175,8 @@ def test_periodic_flux_divisibility():
     flux_model = HoppingModel(basis=m.basis, n=2, r=1, hoppings=dict(m.hoppings),
                               flux=2 * math.pi / 3)
     with pytest.raises(ValueError):
-        restrict_periodic(flux_model, None, 0.0, box_sites(8))
-    op = restrict_periodic(flux_model, None, 0.0, box_sites(9))
+        restrict_periodic(flux_model, box_sites(8))
+    op = restrict_periodic(flux_model, box_sites(9))
     assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12
 
 
@@ -185,11 +185,11 @@ def test_periodic_rejects_irrational_flux():
     flux_model = HoppingModel(basis=m.basis, n=2, r=1, hoppings=dict(m.hoppings),
                               flux=0.37)
     with pytest.raises(ValueError):
-        restrict_periodic(flux_model, None, 0.0, box_sites(8))
+        restrict_periodic(flux_model, box_sites(8))
 
 
 def test_projection_extremes():
-    op = restrict_periodic(haldane_model(TOPO), None, 0.0, box_sites(6))
+    op = restrict_periodic(haldane_model(TOPO), box_sites(6))
     empty = spectral_projection(op, -10.0)
     full = spectral_projection(op, 10.0)
     assert empty.rank == 0 and not np.any(empty.matrix)
@@ -198,7 +198,7 @@ def test_projection_extremes():
 
 def test_projection_half_filling():
     # symmetric spectrum at M=0, so E=0 fills exactly half the states
-    op = restrict_periodic(haldane_model(TOPO), None, 0.0, box_sites(11))
+    op = restrict_periodic(haldane_model(TOPO), box_sites(11))
     P = spectral_projection(op, 0.0)
     assert P.rank == 121
     F = fermi_matrix(op, 0.0)
@@ -208,7 +208,7 @@ def test_projection_half_filling():
 
 
 def test_projection_rank_right_continuous():
-    op = restrict_simple(haldane_model(TOPO), None, 0.0, box_sites(4))
+    op = restrict_simple(haldane_model(TOPO), box_sites(4))
     w = op.eigenvalues
     ranks = [spectral_projection(op, E).rank for E in w]
     assert ranks == [int(np.searchsorted(w, E, side="right")) for E in w]
@@ -218,7 +218,7 @@ def test_projection_rank_right_continuous():
 
 
 def test_projection_kernel_block_symmetry():
-    op = restrict_simple(haldane_model(TOPO), None, 0.0, box_sites(5))
+    op = restrict_simple(haldane_model(TOPO), box_sites(5))
     P = spectral_projection(op, 0.3).matrix
     n = 2
     for i in (0, 7, 13):
@@ -228,7 +228,7 @@ def test_projection_kernel_block_symmetry():
 
 
 def test_green_function_eta_bound_and_residual():
-    op = restrict_periodic(haldane_model(TOPO), None, 0.0, box_sites(11))
+    op = restrict_periodic(haldane_model(TOPO), box_sites(11))
     z = 0.5 + 1.0j
     G = green_function(op, z)
     assert np.linalg.norm(G, 2) <= 1.0 + 1e-12
@@ -237,13 +237,13 @@ def test_green_function_eta_bound_and_residual():
 
 
 def test_green_function_resonant_error():
-    op = restrict_periodic(haldane_model(TOPO), None, 0.0, box_sites(6))
+    op = restrict_periodic(haldane_model(TOPO), box_sites(6))
     with pytest.raises(ValueError, match="resonant"):
         green_function(op, complex(op.eigenvalues[3]))
 
 
 def test_green_function_diagonal_model():
-    op = restrict_simple(_onsite_model(1.0), None, 0.0, box_sites(3))
+    op = restrict_simple(_onsite_model(1.0), box_sites(3))
     G = green_function(op, 1.0j)
     assert np.max(np.abs(G - np.diag(np.diag(G)))) == 0.0
     d = np.diag(G)
@@ -256,19 +256,16 @@ def test_operator_validation():
     bad = np.zeros((18, 18), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        FiniteOperator(matrix=bad, box=box, n=2, bc="simple", sample_ref="clean")
+        FiniteOperator(matrix=bad, box=box, n=2, sample_ref="clean")
     # complex-symmetric off-diagonal pair and an imaginary diagonal
     for entries in (((0, 1, 1j), (1, 0, 1j)), ((2, 2, 1j),)):
         bad = np.zeros((18, 18), dtype=complex)
         for i, j, x in entries:
             bad[i, j] = x
         with pytest.raises(ValueError, match="Hermitian"):
-            FiniteOperator(matrix=bad, box=box, n=2, bc="simple", sample_ref="clean")
+            FiniteOperator(matrix=bad, box=box, n=2, sample_ref="clean")
     good = np.zeros((18, 18), dtype=complex)
     good[0, 1], good[1, 0] = 1j, -1j
-    FiniteOperator(matrix=good, box=box, n=2, bc="simple", sample_ref="clean")
+    FiniteOperator(matrix=good, box=box, n=2, sample_ref="clean")
     with pytest.raises(ValueError):
-        FiniteOperator(matrix=np.eye(18, dtype=complex), box=box, n=2, bc="weird",
-                       sample_ref="clean")
-    with pytest.raises(ValueError):
-        restrict_simple(haldane_model(TOPO), None, -1.0, box)
+        add_potential(restrict_simple(haldane_model(TOPO), box), None, -1.0)

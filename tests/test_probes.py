@@ -302,6 +302,20 @@ def test_disorder_continuity_validation(model):
         disorder_continuity_check(cfg, 1.0, 2.0, 0.0, rungs=1)
 
 
+@pytest.mark.parametrize("probe", [
+    lambda cfg: disorder_continuity_lhs(cfg, 0.5, 0.0, 0.0),
+    lambda cfg: disorder_continuity_check(cfg, 0.5, 1.0, 0.0),
+    lambda cfg: averaged_marker_scan(cfg, [0.0], [0.0, 0.5], window_L=2),
+], ids=["disorder_continuity_lhs", "disorder_continuity_check", "averaged_marker_scan"])
+def test_coupled_strength_without_distribution_is_rejected(model, probe):
+    # a clean ensemble passes EnsembleConfig's check; a positive coupled
+    # strength must still stop before any potential is drawn
+    cfg = EnsembleConfig(model=model, spec=None, lam=0.0, box_L=4,
+                         bc="periodic", n_realizations=2)
+    with pytest.raises(ValueError, match="nonzero disorder strength needs a distribution"):
+        probe(cfg)
+
+
 # ---------------------------------------------------------------- marker scan
 
 
@@ -320,9 +334,9 @@ def test_marker_scan_topological_vs_strong_disorder(model):
 
 def test_marker_scan_clean_column_equals_marker(model):
     box = box_sites(10)
-    op = restrict_periodic(model, None, 0.0, box)
+    op = restrict_periodic(model, box)
     P = spectral_projection(op, 0.0)
-    direct = chern_marker(P, box, 3).value
+    direct = chern_marker(P, box, 3)
     row, = averaged_marker_scan(clean_cfg(model, 10), [0.0], [0.0], window_L=3)
     assert row.mean == pytest.approx(direct, abs=1e-12)
     assert row.stderr == 0.0
@@ -353,7 +367,7 @@ def test_moment_t_zero_matches_static_envelope(model):
     # windowed unit-cell state under the position weight
     L, p, window = 8, 2.0, (2.0, 0.5)
     box = box_sites(L)
-    op = restrict_periodic(model, None, 0.0, box)
+    op = restrict_periodic(model, box)
     w, v = np.linalg.eigh(op.matrix)
     g = bump_window(*window)(w)
     origin = box.index_of(0, 0)
