@@ -9,7 +9,12 @@ Every grid is the uniform N x N torus grid, and grid N/2 is the even
 sublattice [::2, ::2] of grid N bit for bit. So each analysis solves a
 grid side at most once: the coarse (N/2) band extrema of a Richardson
 pair are read off the fine (N) eigenvalues, and ``chern_number`` shares
-one ``eigh`` per side between its gap check and its curvature loop.
+one solve per side between its gap check and its curvature loop.
+
+Two-orbital models, the Haldane model among them, are solved in closed
+form by ``_eigh``, elementwise over the grid and with no LAPACK call, so
+the sublattice identity holds for the eigenvalues and eigenvectors too.
+Models with another orbital count go to numpy's ``eigh``/``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -73,6 +78,53 @@ def bloch_grid(model: HoppingModel, N: int) -> np.ndarray:
     return H
 
 
+def _eigh(H: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues w, and with ``vectors`` the pair (w, v), of a
+    stack of Hermitian matrices H, shape (..., n, n).
+
+    For n = 2 the solve is closed-form and elementwise. With a, d the real
+    diagonal and b = H[0, 1], let m = (a + d)/2, h = (a - d)/2 and
+    r = hypot(h, |b|); the eigenvalues are m - r and m + r. The lower
+    eigenvector comes from the better-conditioned row of H - (m - r):
+    (b, -(h + r)) where h > 0, else (-(r - h), conj b), normalized. The
+    upper one is (-conj y, conj x). An exactly degenerate matrix (b = 0,
+    h = 0) gets the standard basis. Any other n goes to numpy.
+    """
+    if H.shape[-1] != 2:
+        return np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
+    a, d, b = H[..., 0, 0].real, H[..., 1, 1].real, H[..., 0, 1]
+    w = np.empty(H.shape[:-1])
+    lower, upper = w[..., 0], w[..., 1]
+    np.add(a, d, out=lower)
+    lower *= 0.5
+    h = a - d
+    h *= 0.5
+    babs = np.abs(b)
+    r = np.hypot(h, babs)
+    np.add(lower, r, out=upper)
+    lower -= r
+    if not vectors:
+        return w
+    first_row = h > 0.0
+    q = np.abs(h, out=h)
+    q += r  # |h| + r, zero only at exact degeneracy
+    q[q == 0.0] = -1.0  # then x = 1 and y = conj b = 0
+    norm = np.hypot(babs, q, out=babs)
+    np.negative(q, out=q)  # -(h + r) where h > 0, else -(r - h)
+    v = np.empty(H.shape, dtype=complex)
+    x, y = v[..., 0, 0], v[..., 1, 0]
+    np.copyto(x, q)
+    np.copyto(x, b, where=first_row)
+    np.conjugate(b, out=y)
+    np.copyto(y, q, where=first_row)
+    v.real[..., 0] /= norm[..., None]
+    v.imag[..., 0] /= norm[..., None]
+    np.conjugate(y, out=v[..., 0, 1])
+    np.negative(v[..., 0, 1], out=v[..., 0, 1])
+    np.conjugate(x, out=v[..., 1, 1])
+    return w, v
+
+
 @dataclass(frozen=True)
 class BandStructure:
     bands: list[tuple[float, float]]
@@ -121,7 +173,7 @@ def band_structure(model: HoppingModel, grid: int = 64) -> BandStructure:
     below 1.
     """
     N = _even_grid(grid)
-    w = np.linalg.eigvalsh(bloch_grid(model, N))
+    w = _eigh(bloch_grid(model, N), vectors=False)
     lo, hi, width, tol = _richardson(_extrema(w), _extrema(w[::2, ::2]))
     return BandStructure(
         bands=[(float(lo[j]), float(hi[j])) for j in range(model.n)],
@@ -179,8 +231,9 @@ def chern_number(
     above ``_MAX_GRID``, which keeps the rounded sum an exact integer on
     gapped models.
 
-    Both ladders read one ``eigh`` per grid side, made at most once per
-    call: its eigenvalues give the gap check's extrema, its vectors the
+    Both ladders read one solve per grid side (``_eigh``: closed form for
+    two orbitals, numpy ``eigh`` otherwise), made at most once per call:
+    its eigenvalues give the gap check's extrema, its vectors the
     plaquette field. For an even grid >= 8 both ladders walk the same
     sides, so a point that certifies on the first rung and needs no
     doubling costs one solve. Raises ValueError for a grid below 1.
@@ -189,7 +242,7 @@ def chern_number(
         raise ValueError(f"gap index must be in 1..{model.n - 1}")
     j = gap_index - 1
     N = _even_grid(grid)
-    solve = functools.cache(lambda side: np.linalg.eigh(bloch_grid(model, side)))
+    solve = functools.cache(lambda side: _eigh(bloch_grid(model, side)))
     coarse = _extrema(solve(N)[0][::2, ::2])
     while True:
         fine = _extrema(solve(N)[0])

@@ -151,24 +151,18 @@ def _row_moment_sums(model: HoppingModel, s: float) -> float:
     return float(np.max(totals))
 
 
-def strong_disorder_threshold(model: HoppingModel, spec: DistributionSpec,
-                              s_grid: np.ndarray | None = None) -> ThresholdReport:
+def strong_disorder_threshold(model: HoppingModel, spec: DistributionSpec) -> ThresholdReport:
     """Grid infimum of [C_{s,tau} * sup-row-sum(s, mu)]^{1/s} over s and mu.
 
     C_{s,tau} = tau (2^tau C_tau)^{s/tau} / (tau - s), the 2^tau being
     the one-sided-to-two-sided window conversion. The row sum weighs
     each hopping block by e^{mu |delta|} >= 1, so for every s the
-    infimum over mu >= 0 sits at mu = 0, and only s is scanned. The
-    best s cell gets one golden-section refinement.
+    infimum over mu >= 0 sits at mu = 0, and only s is scanned, on 64
+    geometric points of [0.01 tau, 0.99 tau]. The best s cell gets one
+    golden-section refinement.
     """
     tau, C2 = spec.tau, 2.0 ** spec.tau * spec.C_tau
-    if s_grid is None:
-        s_grid = np.geomspace(0.01 * tau, 0.99 * tau, 64)
-    s_grid = np.asarray(s_grid, dtype=float)
-    if len(s_grid) == 0:
-        raise ValueError("empty search grid")
-    if np.any(s_grid <= 0) or np.any(s_grid >= tau):
-        raise ValueError("s grid must lie inside (0, tau)")
+    s_grid = np.geomspace(0.01 * tau, 0.99 * tau, 64)
 
     def objective(s: float) -> float:
         row = _row_moment_sums(model, s)

@@ -44,7 +44,7 @@ from .disorder import (
     trunc_gauss_abs_moment_bound,
     trunc_gauss_power_moment_bound,
 )
-from .model import HaldaneParams, haldane_model, model_from_json
+from .model import HaldaneParams, _is_number, _read_number, haldane_model, model_from_json
 from .probes import (
     EnsembleConfig,
     averaged_marker_scan,
@@ -193,24 +193,6 @@ def _parse_dims(text: str) -> list[int]:
 
 # ------------------------------------------------------------- scan readers
 # Shape and range checks of scan values, from a flag or a config file.
-
-
-def _is_number(x, whole: bool = False) -> bool:
-    """A finite JSON number, not a bool; whole asks for an integral value."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    if isinstance(x, int):
-        return whole or abs(x) <= sys.float_info.max
-    return math.isfinite(x) and (not whole or x.is_integer())
-
-
-def _read_number(source: dict, key: str, default, whole: bool = False):
-    """source[key] (a scan or ensemble value) as a finite float, or a whole int."""
-    value = source.get(key, default)
-    if not _is_number(value, whole):
-        kind = "a whole number" if whole else "a finite number"
-        raise ValueError(f"{key} must be {kind}, got {value!r}")
-    return int(value) if whole else float(value)
 
 
 def _read_numbers(source: dict, key: str, default: list, size: int | None = None,
@@ -422,8 +404,8 @@ def _run_phase_diagram(config: ExperimentConfig):
     rows_n, cols_n = _read_numbers(config.scan, "grid", [41, 41], 2, whole=True)
     if rows_n < 1 or cols_n < 1:
         raise ValueError(f"grid {rows_n}x{cols_n} needs at least one row and one column")
-    t1 = float(base.get("t1", 1.0))
-    t2 = float(base.get("t2", _DEFAULT_MODEL["t2"]))
+    t1 = _read_number(base, "t1", 1.0)
+    t2 = _read_number(base, "t2", _DEFAULT_MODEL["t2"])
     phis = np.linspace(-math.pi, math.pi, rows_n)
     ms = np.linspace(-6.0, 6.0, cols_n)
     rows = []

@@ -10,6 +10,8 @@ translations T_gamma: (T_gamma psi)(xi) = exp(-iB (gamma ^ xi)) psi(xi - gamma).
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -241,16 +243,37 @@ def hopping_norm_sum(model: HoppingModel, weight=None) -> float:
     return total
 
 
+def _is_number(x, whole: bool = False) -> bool:
+    """A finite JSON number, not a bool; whole asks for an integral value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    if isinstance(x, int):
+        return whole or abs(x) <= sys.float_info.max
+    return math.isfinite(x) and (not whole or x.is_integer())
+
+
+def _read_number(source: dict, key: str, default, whole: bool = False):
+    """source[key] (a JSON value) as a finite float, or a whole int."""
+    value = source.get(key, default)
+    if not _is_number(value, whole):
+        kind = "a whole number" if whole else "a finite number"
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def _parse_complex_matrix(rows, n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    if len(rows) != n:
+    if not (isinstance(rows, list) and len(rows) == n):
         raise ValueError(f"matrix must have {n} rows")
+    m = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
-        if len(row) != n:
+        if not (isinstance(row, list) and len(row) == n):
             raise ValueError(f"matrix row {i} must have {n} entries")
         for j, entry in enumerate(row):
-            re, im = entry
-            m[i, j] = complex(re, im)
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(_is_number(x) for x in entry)):
+                raise ValueError(f"matrix entry ({i}, {j}) must be a pair [re, im] "
+                                 f"of finite numbers, got {entry!r}")
+            m[i, j] = complex(entry[0], entry[1])
     return m
 
 
@@ -261,27 +284,35 @@ def model_from_json(doc) -> HoppingModel:
     "dimerization": "d3"} or {"type": "custom", "n": .., "r": .., "B": ..,
     "hoppings": [{"dg1": .., "dg2": .., "matrix": [[[re, im], ..], ..]}, ..]}.
     Custom hoppings may omit the reversed displacement; it is filled in
-    as the Hermitian transpose.
+    as the Hermitian transpose. Every number must be a finite JSON number,
+    and n, r, dg1 and dg2 whole ones; a bad value raises ValueError
+    naming its key.
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model must be a JSON object, got {doc!r}")
     kind = doc.get("type")
     if kind == "haldane":
         p = HaldaneParams(
-            t1=float(doc.get("t1", 1.0)),
-            t2=float(doc.get("t2", 1.0 / (3.0 * np.sqrt(3.0)))),
-            phi=float(doc.get("phi", np.pi / 2.0)),
-            M=float(doc.get("M", 0.0)),
+            **{key: _read_number(doc, key, getattr(HaldaneParams, key))
+               for key in ("t1", "t2", "phi", "M")},
             dimerization=str(doc.get("dimerization", "d3")),
         )
         return haldane_model(p)
     if kind == "custom":
-        n = int(doc["n"])
-        r = int(doc["r"])
-        flux = float(doc.get("B", 0.0))
+        n = _read_number(doc, "n", None, whole=True)
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        r = _read_number(doc, "r", None, whole=True)
+        flux = _read_number(doc, "B", 0.0)
+        items = doc["hoppings"]
+        if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+            raise ValueError(f"hoppings must be a list of objects, got {items!r}")
         hop: dict[tuple[int, int], np.ndarray] = {}
-        for item in doc["hoppings"]:
-            delta = (int(item["dg1"]), int(item["dg2"]))
+        for item in items:
+            delta = (_read_number(item, "dg1", None, whole=True),
+                     _read_number(item, "dg2", None, whole=True))
             hop[delta] = _parse_complex_matrix(item["matrix"], n)
         for delta in list(hop.keys()):
             neg = (-delta[0], -delta[1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,73 @@ def test_doubled_grid_holds_grid_bit_for_bit(N):
     fine, coarse = bloch_grid(m, 2 * N), bloch_grid(m, N)
     assert np.array_equal(fine[::2, ::2], coarse)
     assert np.array_equal(np.linalg.eigvalsh(fine)[::2, ::2], np.linalg.eigvalsh(coarse))
+    # and so do the closed-form solves that chern_number and band_structure read
+    (w_fine, v_fine), (w_coarse, v_coarse) = bloch._eigh(fine), bloch._eigh(coarse)
+    assert np.array_equal(w_fine[::2, ::2], w_coarse)
+    assert np.array_equal(v_fine[::2, ::2], v_coarse)
+
+
+def closed_form_cases():
+    """Stacked 2x2 Hermitian matrices covering every branch of bloch._eigh."""
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(400, 2, 2)) + 1j * rng.normal(size=(400, 2, 2))
+    H = A + A.conj().swapaxes(-1, -2)
+    h = (H[:, 0, 0].real - H[:, 1, 1].real) / 2.0
+    assert (h > 0).any() and (h < 0).any()
+    H[:40, 0, 1] = H[:40, 1, 0] = 0.0  # b = 0, either sign of h
+    H[40:80, 0, 1] *= 1e-9  # |b| << |h|
+    H[40:80, 1, 0] *= 1e-9
+    H[80:100] = 2.5 * np.eye(2)  # exact degeneracy
+    H[100:110] = 0.0
+    H[110:120, 0, 0] = H[110:120, 1, 1]  # h = 0 with b != 0
+    return H
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_closed_form_eigh_matches_numpy(scale):
+    H = scale * closed_form_cases()
+    eps = np.finfo(float).eps
+    norm = np.linalg.norm(H, 2, axis=(-2, -1))[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = bloch._eigh(H)
+        w_only = bloch._eigh(H, vectors=False)
+    assert np.array_equal(w_only, w)
+    assert np.all(w[:, 0] <= w[:, 1])
+    assert np.all(np.abs(w - np.linalg.eigvalsh(H)) <= 8.0 * eps * norm)
+    residual = np.linalg.norm(H @ v - v * w[:, None, :], axis=-2)
+    assert np.all(residual <= 8.0 * eps * norm)
+    gram = v.conj().swapaxes(-1, -2) @ v
+    assert np.max(np.abs(gram - np.eye(2))) <= 8.0 * eps
+    # a degenerate matrix gets the standard basis
+    assert np.array_equal(v[80:110], np.broadcast_to(np.eye(2), (30, 2, 2)))
+
+
+def three_orbital_model():
+    """The reference Haldane blocks plus a decoupled flat orbital at 10."""
+    ref = std_model()
+    hop = {}
+    for delta, mat in ref.hoppings.items():
+        hop[delta] = np.zeros((3, 3), dtype=complex)
+        hop[delta][:2, :2] = mat
+    hop[(0, 0)][2, 2] = 10.0
+    return HoppingModel(basis=ref.basis, n=3, r=1, hoppings=hop)
+
+
+def test_three_orbital_model_keeps_numpy_path():
+    # captured before the closed-form 2x2 solve; n = 3 still goes to numpy
+    m = three_orbital_model()
+    for grid, gap_index, want in ((24, 1, (-1, -1.0000000000000002, 24)),
+                                  (24, 2, (0, -3.267303900297472e-17, 24)),
+                                  (25, 1, (-1, -1.0, 25)),
+                                  (25, 2, (0, -6.899320320584136e-17, 25))):
+        res = chern_number(m, gap_index, grid)
+        assert (res.value, res.curvature_sum, res.grid) == want, (grid, gap_index)
+    bs = band_structure(m, 25)
+    edge = 0.9968508023501681
+    assert (bs.bands, bs.gaps, bs.gap_sizes, bs.gap_open, bs.grid) == (
+        [(-3.0, -edge), (edge, 3.0), (10.0, 10.0)], [(-edge, edge), (3.0, 10.0)],
+        [1.9937016047003362, 7.0], [True, True], 26)
 
 
 @pytest.mark.parametrize("m", [-NEAR_CURVE_M, NEAR_CURVE_M])
@@ -165,10 +234,12 @@ def test_chern_certifies_gap_near_curve(m):
     assert res.grid == bloch._MAX_GRID
 
 
-# (value, curvature_sum, grid) per (model, grid), captured before the gap
-# check and the curvature loop shared their solves. Grids 1, 4 and 5 start
-# the gap ladder (8) and the curvature loop (4 or 5) on different sides,
-# and 25 starts them on 26 and 25.
+# (value, curvature_sum, grid) per (model, grid). Values and grids date
+# from before the gap check and the curvature loop shared their solves;
+# the curvature sums were re-captured with the closed-form 2x2 solve,
+# which moved 15 of them in the last bits. Grids 1, 4 and 5 start the gap
+# ladder (8) and the curvature loop (4 or 5) on different sides, and 25
+# starts them on 26 and 25.
 PINNED_MODELS = {
     "deep": std_model(),
     "near": std_model(M=(3.0 * np.sqrt(3.0) - 0.5) * T2),
@@ -176,61 +247,62 @@ PINNED_MODELS = {
     "generic": std_model(phi=1.1, M=0.3),
 }
 CHERN_PINNED = {
-    ("deep", 1): (-1, -1.0, 8),
-    ("deep", 4): (-1, -1.0, 8),
+    ("deep", 1): (-1, -1.0000000000000002, 8),
+    ("deep", 4): (-1, -1.0000000000000002, 8),
     ("deep", 5): (-1, -1.0000000000000002, 10),
     ("deep", 20): (-1, -1.0, 20),
     ("deep", 24): (-1, -1.0000000000000002, 24),
     ("deep", 25): (-1, -1.0, 25),
-    ("deep", 32): (-1, -1.0, 32),
-    ("near", 1): (-1, -1.0, 32),
-    ("near", 4): (-1, -1.0, 32),
-    ("near", 5): (-1, -0.9999999999999997, 40),
-    ("near", 20): (-1, -0.9999999999999997, 40),
+    ("deep", 32): (-1, -1.0000000000000002, 32),
+    ("near", 1): (-1, -1.0000000000000002, 32),
+    ("near", 4): (-1, -1.0000000000000002, 32),
+    ("near", 5): (-1, -1.0000000000000002, 40),
+    ("near", 20): (-1, -1.0000000000000002, 40),
     ("near", 24): (-1, -1.0, 24),
     ("near", 25): (-1, -1.0, 50),
-    ("near", 32): (-1, -1.0, 32),
-    ("trivial", 1): (0, 3.533949646070574e-17, 8),
-    ("trivial", 4): (0, 3.533949646070574e-17, 8),
-    ("trivial", 5): (0, 6.6261555863823264e-18, 5),
-    ("trivial", 20): (0, 5.300924469105861e-17, 20),
-    ("trivial", 24): (0, -1.766974823035287e-17, 24),
-    ("trivial", 25): (0, 3.533949646070574e-17, 25),
-    ("trivial", 32): (0, -3.533949646070574e-17, 32),
+    ("near", 32): (-1, -1.0000000000000002, 32),
+    ("trivial", 1): (0, 1.766974823035287e-17, 8),
+    ("trivial", 4): (0, 1.766974823035287e-17, 8),
+    ("trivial", 5): (0, 4.417437057588218e-18, 5),
+    ("trivial", 20): (0, -3.533949646070574e-17, 20),
+    ("trivial", 24): (0, -3.533949646070574e-17, 24),
+    ("trivial", 25): (0, 1.766974823035287e-17, 25),
+    ("trivial", 32): (0, 0.0, 32),
 }
-# (bands, gaps, gap_sizes, gap_open, grid) per (model, grid), captured
-# while band_structure still solved the coarse grid on its own
+# (bands, gaps, gap_sizes, gap_open, grid) per (model, grid). gap_open and
+# grid date from when band_structure still solved the coarse grid on its
+# own; the floats were re-captured with the closed-form 2x2 solve
 BANDS_PINNED = {
     ("generic", 8): (
-        [(-2.491195000719413, -0.8179282420137947),
-         (0.2759038481223195, 3.538730371953121)],
+        [(-2.4911950007194124, -0.8179282420137947),
+         (0.2759038481223195, 3.538730371953122)],
         [(-0.8179282420137947, 0.2759038481223195)],
         [1.093832090136114], [True], 8),
     ("generic", 64): (
-        [(-2.491195000719413, -0.8533060368187425),
-         (0.32958130849955736, 3.538730371953121)],
-        [(-0.8533060368187425, 0.32958130849955736)],
-        [1.1828873453182998], [True], 64),
+        [(-2.4911950007194124, -0.8533060368187425),
+         (0.3295813084995576, 3.538730371953122)],
+        [(-0.8533060368187425, 0.3295813084995576)],
+        [1.1828873453183002], [True], 64),
     ("generic", 101): (
-        [(-2.491195000719413, -0.8530912028698626),
-         (0.3293235172530081, 3.538730371953121)],
+        [(-2.4911950007194124, -0.8530912028698626),
+         (0.3293235172530081, 3.538730371953122)],
         [(-0.8530912028698626, 0.3293235172530081)],
         [1.1824147201228707], [True], 102),
     ("generic", 201): (
-        [(-2.491195000719413, -0.8530979076705064),
-         (0.32933157621451, 3.538730371953121)],
-        [(-0.8530979076705064, 0.32933157621451)],
-        [1.1824294838850165], [True], 202),
+        [(-2.4911950007194124, -0.8530979076705064),
+         (0.32933157621450987, 3.538730371953122)],
+        [(-0.8530979076705064, 0.32933157621450987)],
+        [1.1824294838850162], [True], 202),
     ("near", 8): (
         [(-3.1331787643748297, -0.21701518205544543),
          (0.21701518205544543, 3.1331787643748297)],
         [(-0.21701518205544543, 0.21701518205544543)],
         [0.43403036411089085], [False], 8),
     ("near", 64): (
-        [(-3.1331787643748297, -0.09997362715571162),
-         (0.09997362715571162, 3.1331787643748297)],
-        [(-0.09997362715571162, 0.09997362715571162)],
-        [0.19994725431142324], [True], 64),
+        [(-3.1331787643748297, -0.0999736271557116),
+         (0.0999736271557116, 3.1331787643748297)],
+        [(-0.0999736271557116, 0.0999736271557116)],
+        [0.1999472543114232], [True], 64),
     ("near", 101): (
         [(-3.1331787643748297, -0.0962250448649376),
          (0.0962250448649376, 3.1331787643748297)],
@@ -238,8 +310,8 @@ BANDS_PINNED = {
         [0.1924500897298752], [True], 102),
     ("near", 201): (
         [(-3.1331787643748297, -0.09631140470593946),
-         (0.09631140470593948, 3.1331787643748297)],
-        [(-0.09631140470593946, 0.09631140470593948)],
+         (0.09631140470593946, 3.1331787643748297)],
+        [(-0.09631140470593946, 0.09631140470593946)],
         [0.19262280941187893], [True], 202),
 }
 

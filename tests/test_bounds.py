@@ -323,16 +323,6 @@ def test_strong_threshold_degree_one_homogeneous(reference_model):
     assert double.value == pytest.approx(2.0 * base.value, rel=1e-9)
 
 
-def test_strong_threshold_grid_validation(reference_model):
-    spec = uniform(1.0)
-    with pytest.raises(ValueError):
-        bounds.strong_disorder_threshold(reference_model, spec,
-                                         s_grid=np.array([]))
-    with pytest.raises(ValueError):
-        bounds.strong_disorder_threshold(reference_model, spec,
-                                         s_grid=np.array([0.5, 1.0]))
-
-
 # ------------------------------------------------------------ plug-in bounds
 
 

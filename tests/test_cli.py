@@ -308,6 +308,49 @@ def test_config_scalar_and_list_values_are_checked(tmp_path, model_file, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+HALDANE = {"type": "haldane", "t1": 1.0, "t2": T2, "phi": 0.5, "M": 0.0}
+CUSTOM = {"type": "custom", "n": 2, "r": 1, "B": 0.0,
+          "hoppings": [{"dg1": 0, "dg2": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]}
+CUSTOM_HOP = CUSTOM["hoppings"][0]
+
+
+@pytest.mark.parametrize("command, model, key", [
+    # NaN bands and an all-gapless phase diagram, both exiting 0
+    ("bloch", {**HALDANE, "t1": "nan"}, "t1"),
+    ("phase-diagram", {**HALDANE, "t1": "nan"}, "t1"),
+    # ran as phi = 1.0
+    ("bloch", {**HALDANE, "phi": True}, "phi"),
+    # truncated to n = 2
+    ("bloch", {**CUSTOM, "n": 2.7}, "n"),
+    # escaped as a TypeError traceback
+    ("bloch", {**HALDANE, "t1": [1]}, "t1"),
+    ("bloch", {**HALDANE, "M": 1e400}, "M"),
+    ("bloch", {**CUSTOM, "n": 0}, "n"),
+    ("bloch", {**CUSTOM, "r": "1"}, "r"),
+    ("bloch", {**CUSTOM, "B": None}, "B"),
+    ("bloch", {**CUSTOM, "hoppings": [{**CUSTOM_HOP, "dg1": 0.5}]}, "dg1"),
+    ("bloch", {**CUSTOM, "hoppings": [{**CUSTOM_HOP, "dg2": False}]}, "dg2"),
+    ("bloch", {**CUSTOM, "hoppings": [{**CUSTOM_HOP, "matrix": [
+        [[1, 0], [0, "nan"]], [[0, 0], [-1, 0]]]}]}, "matrix entry (0, 1)"),
+    ("bloch", {**CUSTOM, "hoppings": [1]}, "hoppings"),
+    ("bloch", 5, "model"),
+])
+def test_model_numbers_are_checked(tmp_path, capsys, command, model, key):
+    # a model value that is not a finite number of the right kind stops
+    # the run naming its key: a ConfigError (exit 2) from a --model file,
+    # exit 1 from a --config file, and no output in either case
+    out = tmp_path / "run"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main([command, "--model", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:"), model
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, "model": model}))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: model: {key} must be "), model
+    assert not out.exists()
+
+
 def test_msa_probe_and_marker_outputs(tmp_path, model_file, uniform_file):
     out = tmp_path / "run"
     assert main(["msa-probe", "--model", model_file, "--dist", uniform_file,
