@@ -44,7 +44,7 @@ from .disorder import (
     trunc_gauss_abs_moment_bound,
     trunc_gauss_power_moment_bound,
 )
-from .model import HaldaneParams, _is_number, _read_number, haldane_model, model_from_json
+from .model import HaldaneParams, _read_number, _read_numbers, haldane_model, model_from_json
 from .probes import (
     EnsembleConfig,
     averaged_marker_scan,
@@ -193,18 +193,6 @@ def _parse_dims(text: str) -> list[int]:
 
 # ------------------------------------------------------------- scan readers
 # Shape and range checks of scan values, from a flag or a config file.
-
-
-def _read_numbers(source: dict, key: str, default: list, size: int | None = None,
-                  whole: bool = False) -> list:
-    """source[key] as a list of finite floats, or of whole ints, of size entries if given."""
-    value = source.get(key, default)
-    if not (isinstance(value, list) and (size is None or len(value) == size)
-            and all(_is_number(x, whole) for x in value)):
-        count = "" if size is None else f"{size} "
-        kind = "whole numbers" if whole else "finite numbers"
-        raise ValueError(f"{key} must be a list of {count}{kind}, got {value!r}")
-    return [int(x) if whole else float(x) for x in value]
 
 
 def _read_grid(config: ExperimentConfig, key: str, default: list) -> tuple[float, float, int]:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import erf, ndtr
 
 from .lattice import Box
+from .model import _read_number, _read_numbers
 
 __all__ = [
     "DistributionSpec",
@@ -238,17 +239,24 @@ def trunc_gauss_power_moment_bound(q: float) -> float:
 
 
 def spec_from_json(doc) -> DistributionSpec:
-    """{kind: "uniform"|"truncated_gaussian"|"custom_density", ...}."""
+    """{kind: "uniform"|"truncated_gaussian"|"custom_density", ...}.
+
+    a and b must be finite JSON numbers, points and density lists of
+    them; a missing or bad value raises ValueError naming its key.
+    """
     import json
 
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"distribution must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "uniform":
-        return uniform(float(doc["a"]), float(doc.get("b", doc["a"])))
+        a = _read_number(doc, "a", None)
+        return uniform(a, _read_number(doc, "b", a))
     if kind == "truncated_gaussian":
-        return truncated_gaussian(float(doc["a"]))
+        return truncated_gaussian(_read_number(doc, "a", None))
     if kind == "custom_density":
-        return custom_density(np.asarray(doc["points"], dtype=float),
-                              np.asarray(doc["density"], dtype=float))
+        return custom_density(np.asarray(_read_numbers(doc, "points", None)),
+                              np.asarray(_read_numbers(doc, "density", None)))
     raise ValueError(f"unknown distribution kind: {kind!r}")

@@ -95,10 +95,12 @@ class HaldaneParams:
     dimerization: str = "d3"
 
     def __post_init__(self) -> None:
-        if self.t1 <= 0.0:
-            raise ValueError("t1 must be positive")
-        if self.t2 < 0.0:
-            raise ValueError("t2 must be nonnegative")
+        if not (math.isfinite(self.t1) and self.t1 > 0.0):
+            raise ValueError("t1 must be finite and positive")
+        if not (math.isfinite(self.t2) and self.t2 >= 0.0):
+            raise ValueError("t2 must be finite and nonnegative")
+        if not math.isfinite(self.M):
+            raise ValueError("M must be finite")
         if not (-np.pi <= self.phi <= np.pi):
             raise ValueError("phi must lie in [-pi, pi]")
         if self.dimerization not in ("d1", "d2", "d3"):
@@ -259,6 +261,18 @@ def _read_number(source: dict, key: str, default, whole: bool = False):
         kind = "a whole number" if whole else "a finite number"
         raise ValueError(f"{key} must be {kind}, got {value!r}")
     return int(value) if whole else float(value)
+
+
+def _read_numbers(source: dict, key: str, default: list, size: int | None = None,
+                  whole: bool = False) -> list:
+    """source[key] as a list of finite floats, or of whole ints, of size entries if given."""
+    value = source.get(key, default)
+    if not (isinstance(value, list) and (size is None or len(value) == size)
+            and all(_is_number(x, whole) for x in value)):
+        count = "" if size is None else f"{size} "
+        kind = "whole numbers" if whole else "finite numbers"
+        raise ValueError(f"{key} must be a list of {count}{kind}, got {value!r}")
+    return [int(x) if whole else float(x) for x in value]
 
 
 def _parse_complex_matrix(rows, n: int) -> np.ndarray:

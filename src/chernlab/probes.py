@@ -1,11 +1,15 @@
 """Monte-Carlo probes pitting finite-volume samples against the bounds.
 
-Every probe is a pure function of an EnsembleConfig: realization k of
-the potential is drawn from (master_seed, k), and reductions run in
-realization order. Realizations run in index order on the calling
-thread; BLAS threads parallelize each solve. Probes that compare
-against an analytic bound report the bound next to the estimate instead
-of hiding the comparison in a boolean.
+Every probe is a pure function of an EnsembleConfig and runs one
+realization loop, ``_realizations``: it builds the clean restriction of
+the box once per call and, for k = 0, 1, ... in order on the calling
+thread, draws potential k from (master_seed, k) once and yields the
+realization as a function lam -> H0 + lam V_k. The coupled probes
+evaluate every strength of a realization on that one draw. BLAS threads
+parallelize each solve. Averages over realizations go through one
+reduction, ``_mean_stderr``. Probes that compare against an analytic
+bound report the bound next to the estimate instead of hiding the
+comparison in a boolean.
 
 Infinite-volume expectations are stood in for by the combination of
 realization averaging and translation averaging over box centers (the
@@ -17,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bounds import wegner_bound
-from .disorder import DisorderSample, DistributionSpec, sample_potential
+from .disorder import DistributionSpec, sample_potential
 from .finite_volume import (
-    FiniteOperator,
     _dot,
     add_potential,
     fermi_matrix,
@@ -80,8 +84,8 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.n_realizations < 1:
             raise ValueError("need at least one realization")
-        if self.lam < 0:
-            raise ValueError("disorder strength must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("disorder strength must be finite and nonnegative")
         if self.lam > 0 and self.spec is None:
             raise ValueError("nonzero disorder strength needs a distribution")
         if self.bc not in ("simple", "periodic"):
@@ -90,42 +94,44 @@ class EnsembleConfig:
             raise ValueError("box side must be >= 1")
 
 
-def _clean_restriction(cfg: EnsembleConfig, box: Box) -> FiniteOperator:
-    """The clean operator every realization of one probe call starts from.
+def _realizations(cfg: EnsembleConfig, box: Box, lams=None):
+    """Realization k = 0, 1, ... of the ensemble on box, in order, as a
+    function lam -> H0 + lam V_k.
 
-    Each probe call builds its own and drops it on return, so nothing
-    outlives the call: a process that runs many calls holds no matrix.
+    The clean restriction H0 is built once per call and dropped with the
+    generator, so nothing outlives the probe call. Draw k is made once
+    and shared by every strength of the realization (coupled sampling);
+    nothing is drawn when no strength in lams (default: cfg.lam) is
+    positive. Operators are built lazily, one strength at a time.
     """
-    build = restrict_periodic if cfg.bc == "periodic" else restrict_simple
-    return build(cfg.model, box)
-
-
-def _draw(cfg: EnsembleConfig, box: Box, k: int, lams) -> DisorderSample | None:
-    """Potential draw k, shared by every strength in lams; None when none
-    of them is positive."""
-    if not any(lam > 0 for lam in lams):
-        return None
-    if cfg.spec is None:  # coupled strengths bypass EnsembleConfig's check
+    lams = (cfg.lam,) if lams is None else lams
+    draws = any(lam > 0 for lam in lams)
+    if draws and cfg.spec is None:  # coupled strengths bypass EnsembleConfig's check
         raise ValueError("nonzero disorder strength needs a distribution")
-    return sample_potential(cfg.spec, box, cfg.model.n, cfg.master_seed, k)
+    build = restrict_periodic if cfg.bc == "periodic" else restrict_simple
+    clean = build(cfg.model, box)
+    for k in range(cfg.n_realizations):
+        sample = (sample_potential(cfg.spec, box, cfg.model.n, cfg.master_seed, k)
+                  if draws else None)
+        yield partial(add_potential, clean, sample)
 
 
-def _realization(cfg: EnsembleConfig, clean: FiniteOperator, k: int) -> FiniteOperator:
-    return add_potential(clean, _draw(cfg, clean.box, k, (cfg.lam,)), cfg.lam)
+def _mean_stderr(per_real) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over realizations (axis 0) of every entry.
 
-
-def _eigenvalues(cfg: EnsembleConfig, clean: FiniteOperator, k: int) -> np.ndarray:
-    """Ascending eigenvalues of realization k from numpy's ``eigvalsh``,
-    for the statistics that only count or locate them."""
-    return np.linalg.eigvalsh(_realization(cfg, clean, k).matrix)
-
-
-def _mean_stderr(values) -> tuple[float, float]:
-    v = np.asarray(values, dtype=float)
-    m = float(np.mean(v))
-    if v.size < 2:
-        return m, 0.0
-    return m, float(np.std(v, ddof=1) / math.sqrt(v.size))
+    Each entry's realizations are reduced as one contiguous vector, so a
+    value has the bits of np.mean and np.std(ddof=1) of that vector; a
+    single realization has standard error 0.
+    """
+    v = np.asarray(per_real, dtype=float)
+    n = v.shape[0]
+    cols = np.ascontiguousarray(v.reshape(n, -1).T)
+    means = cols.mean(axis=1)
+    if n < 2:
+        stderrs = np.zeros_like(means)
+    else:
+        stderrs = cols.std(axis=1, ddof=1) / math.sqrt(n)
+    return means.reshape(v.shape[1:]), stderrs.reshape(v.shape[1:])
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -175,12 +181,8 @@ def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid) -> list[WegnerRow]
     eps_values = sorted(float(e) for e in eps_grid)
     if not eps_values:
         raise ValueError("eps_grid is empty")
-    clean = _clean_restriction(cfg, box_sites(cfg.box_L))
-
-    def dist(k: int) -> float:
-        return float(np.min(np.abs(_eigenvalues(cfg, clean, k) - E)))
-
-    dists = np.array([dist(k) for k in range(cfg.n_realizations)])
+    dists = np.array([np.min(np.abs(np.linalg.eigvalsh(real(cfg.lam).matrix) - E))
+                      for real in _realizations(cfg, box_sites(cfg.box_L))])
     rows = []
     for eps in eps_values:
         hits = int(np.sum(dists < eps))
@@ -219,10 +221,9 @@ def suitable_box_probability(cfg: EnsembleConfig, E: float, theta: float,
     rows_core = _orbital_rows(box, core.sites, n)
     rows_shell = _orbital_rows(box, shell, n)
     thresh = float(cfg.box_L) ** (-theta)
-    clean = _clean_restriction(cfg, box)
 
-    def suitable(k: int) -> int:
-        w, v = _realization(cfg, clean, k).eigensystem
+    def suitable(op) -> int:
+        w, v = op.eigensystem
         if np.min(np.abs(w - E)) <= 1e-12:
             return 0
         G = _dot(v[rows_core] / (w - E), v[rows_shell], adjoint_b=True)
@@ -230,7 +231,7 @@ def suitable_box_probability(cfg: EnsembleConfig, E: float, theta: float,
         norms = np.linalg.svd(blocks, compute_uv=False)[..., 0]
         return int(np.all(norms <= thresh))
 
-    hits = sum(suitable(k) for k in range(cfg.n_realizations))
+    hits = sum(suitable(real(cfg.lam)) for real in _realizations(cfg, box))
     lo, hi = wilson_interval(hits, cfg.n_realizations)
     return SuitabilityResult(probability=hits / cfg.n_realizations,
                              ci_low=lo, ci_high=hi, n=cfg.n_realizations)
@@ -319,23 +320,17 @@ def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
         raise ValueError(f"grid_points {grid_points} must be at least 1")
     box = box_sites(cfg.box_L)
     classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
-    clean = _clean_restriction(cfg, box)
     energies = np.linspace(lo, hi, grid_points)
 
-    def class_means(k: int) -> np.ndarray:
-        op = _realization(cfg, clean, k)
+    def class_means(op) -> np.ndarray:
         sup = None
         for E in energies:
             norms = classes.block_norms(fermi_matrix(op, E))
             sup = norms if sup is None else np.maximum(sup, norms)
         return classes.means(sup)
 
-    per_real = np.array([class_means(k) for k in range(cfg.n_realizations)])
-    means = per_real.mean(axis=0)
-    if cfg.n_realizations > 1:
-        stderrs = per_real.std(axis=0, ddof=1) / math.sqrt(cfg.n_realizations)
-    else:
-        stderrs = np.zeros_like(means)
+    means, stderrs = _mean_stderr([class_means(real(cfg.lam))
+                                   for real in _realizations(cfg, box)])
 
     distances = classes.distances
     usable = (distances > 0) & (means > 1e-14)
@@ -368,19 +363,13 @@ class IdsRow:
 def ids_estimate(cfg: EnsembleConfig, E_grid) -> list[IdsRow]:
     """Per-site state count below E: mean of rank/|box| over the ensemble."""
     box = box_sites(cfg.box_L)
-    clean = _clean_restriction(cfg, box)
     energies = [float(E) for E in E_grid]
-
-    def counts(k: int) -> np.ndarray:
-        w = _eigenvalues(cfg, clean, k)
-        return np.searchsorted(w, energies, side="right") / box.size
-
-    per_real = np.array([counts(k) for k in range(cfg.n_realizations)])
-    rows = []
-    for j, E in enumerate(energies):
-        m, s = _mean_stderr(per_real[:, j])
-        rows.append(IdsRow(E=E, value=m, stderr=s, n=cfg.n_realizations))
-    return rows
+    means, stderrs = _mean_stderr([
+        np.searchsorted(np.linalg.eigvalsh(real(cfg.lam).matrix), energies,
+                        side="right") / box.size
+        for real in _realizations(cfg, box)])
+    return [IdsRow(E=E, value=float(m), stderr=float(s), n=cfg.n_realizations)
+            for E, m, s in zip(energies, means, stderrs)]
 
 
 @dataclass(frozen=True)
@@ -412,27 +401,20 @@ def ids_continuity_check(cfg: EnsembleConfig, E1: float, E2: float,
     n = cfg.model.n
     scale = (2.0 ** (2.0 - tau)) * math.pi * C * abs((E2 - E1) / cfg.lam) ** tau
     rhs = (n * n if off_diagonal else n) * scale
-    clean = _clean_restriction(cfg, box)
 
     if off_diagonal:
         classes = _DisplacementClasses(box, cfg.bc, n)
 
-        def stat(k: int) -> np.ndarray:
-            op = _realization(cfg, clean, k)
+        def stat(op) -> np.ndarray:
             return classes.profile(fermi_matrix(op, E2) - fermi_matrix(op, E1))
-
-        per_real = np.array([stat(k) for k in range(cfg.n_realizations)])
-        class_mean = per_real.mean(axis=0)
-        j = int(np.argmax(class_mean))
-        lhs, stderr = _mean_stderr(per_real[:, j])
     else:
-        def stat(k: int) -> float:
-            w = _eigenvalues(cfg, clean, k)
-            k2 = int(np.searchsorted(w, E2, side="right"))
-            k1 = int(np.searchsorted(w, E1, side="right"))
+        def stat(op) -> float:
+            k1, k2 = np.searchsorted(np.linalg.eigvalsh(op.matrix), (E1, E2), side="right")
             return (k2 - k1) / box.size
 
-        lhs, stderr = _mean_stderr([stat(k) for k in range(cfg.n_realizations)])
+    means, stderrs = _mean_stderr([stat(real(cfg.lam)) for real in _realizations(cfg, box)])
+    j = np.argmax(means)  # the worst displacement class; the only entry of the diagonal form
+    lhs, stderr = float(means.flat[j]), float(stderrs.flat[j])
     return EnergyContinuityResult(lhs=lhs, lhs_stderr=stderr, rhs=rhs,
                                   passed=lhs + _Z99 * stderr <= rhs,
                                   n=cfg.n_realizations)
@@ -460,16 +442,12 @@ def _coupled_profiles(cfg: EnsembleConfig, E: float, base_lam: float, lams) -> n
     """
     box = box_sites(cfg.box_L)
     classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
-    clean = _clean_restriction(cfg, box)
 
-    def stat(k: int) -> list[np.ndarray]:
-        sample = _draw(cfg, box, k, (base_lam, *lams))
-        base = fermi_matrix(add_potential(clean, sample, base_lam), E)
-        return [classes.profile(fermi_matrix(add_potential(clean, sample, lam), E) - base)
-                for lam in lams]
+    def stat(real) -> list[np.ndarray]:
+        base = fermi_matrix(real(base_lam), E)
+        return [classes.profile(fermi_matrix(real(lam), E) - base) for lam in lams]
 
-    per_real = np.array([stat(k) for k in range(cfg.n_realizations)])
-    return per_real.mean(axis=0)
+    return _mean_stderr([stat(real) for real in _realizations(cfg, box, (base_lam, *lams))])[0]
 
 
 def disorder_continuity_lhs(cfg: EnsembleConfig, lam_a: float, lam_b: float,
@@ -531,26 +509,17 @@ def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
         window_L = max(2, cfg.box_L // 3)
     energies = [float(E) for E in E_grid]
     lams = [float(x) for x in lam_grid]
-    clean = _clean_restriction(cfg, box)
 
-    def markers(k: int) -> np.ndarray:
-        sample = _draw(cfg, box, k, lams)
-        out = np.empty((len(lams), len(energies)))
-        for i, lam in enumerate(lams):
-            op = add_potential(clean, sample, lam)
-            for j, E in enumerate(energies):
-                P = spectral_projection(op, E)
-                out[i, j] = chern_marker(P, box, window_L)
-        return out
+    def markers(op) -> list[float]:
+        return [chern_marker(spectral_projection(op, E), box, window_L) for E in energies]
 
-    per_real = np.array([markers(k) for k in range(cfg.n_realizations)])
-    rows = []
-    for i, lam in enumerate(lams):
-        for j, E in enumerate(energies):
-            m, s = _mean_stderr(per_real[:, i, j])
-            rows.append(MarkerScanRow(E=E, lam=lam, mean=m, stderr=s,
-                                      n=cfg.n_realizations))
-    return rows
+    # one disordered operator alive at a time: each is dropped when its
+    # row of markers is done
+    means, stderrs = _mean_stderr([[markers(real(lam)) for lam in lams]
+                                   for real in _realizations(cfg, box, lams)])
+    return [MarkerScanRow(E=E, lam=lam, mean=float(means[i, j]), stderr=float(stderrs[i, j]),
+                          n=cfg.n_realizations)
+            for i, lam in enumerate(lams) for j, E in enumerate(energies)]
 
 
 # ------------------------------------------------------- transport moments
@@ -602,10 +571,9 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
     if origin < 0:
         raise ValueError("box does not contain the origin cell")
     rows0 = origin * cfg.model.n + np.arange(cfg.model.n)
-    clean = _clean_restriction(cfg, box)
 
-    def moments(k: int) -> np.ndarray:
-        w, v = _realization(cfg, clean, k).eigensystem
+    def moments(op) -> np.ndarray:
+        w, v = op.eigensystem
         gv = g(w)
         idx = np.flatnonzero(gv > 0)
         if idx.size == 0:
@@ -621,12 +589,9 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
             out[j] = float(np.real(np.sum(2.0 * F / (2.0 - 1j * T * dE))))
         return out
 
-    per_real = np.array([moments(k) for k in range(cfg.n_realizations)])
-    rows = []
-    for j, T in enumerate(times):
-        m, s = _mean_stderr(per_real[:, j])
-        rows.append(MomentRow(T=T, mean=m, stderr=s, n=cfg.n_realizations))
-    return rows
+    means, stderrs = _mean_stderr([moments(real(cfg.lam)) for real in _realizations(cfg, box)])
+    return [MomentRow(T=T, mean=float(m), stderr=float(s), n=cfg.n_realizations)
+            for T, m, s in zip(times, means, stderrs)]
 
 
 def loglog_slope(T, M) -> float:

@@ -290,6 +290,7 @@ def test_phase_diagram_reports_gapless_points(tmp_path, model_file):
     ("ids", "ensemble", {"n_realizations": 2.5}, "n_realizations"),
     ("ids", "ensemble", {"master_seed": "0"}, "master_seed"),
     ("ids", "ensemble", {"lam": [1.0]}, "lam"),
+    ("wegner", "distribution", {"a": "nan"}, "distribution: a"),
 ])
 def test_config_scalar_and_list_values_are_checked(tmp_path, model_file, capsys,
                                                    command, section, values, key):

@@ -151,6 +151,29 @@ def test_json_round_trip():
         spec_from_json({"kind": "bogus"})
 
 
+TABLE = {"kind": "custom_density", "points": [-1, 0, 1], "density": [0.0, 1.0, 0.0]}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"kind": "uniform", "a": "nan"}, "a"),  # a NaN support
+    ({"kind": "uniform", "a": True}, "a"),  # ran as a = 1
+    ({"kind": "uniform", "a": "1e400"}, "a"),  # an infinite support
+    ('{"kind": "uniform", "a": 1e400}', "a"),
+    ({"kind": "uniform", "a": 1.0, "b": None}, "b"),
+    ({"kind": "uniform"}, "a"),
+    ({"kind": "truncated_gaussian", "a": [1]}, "a"),  # escaped as a TypeError
+    ({**TABLE, "points": [-1, float("nan"), 1]}, "points"),  # C_tau = nan
+    ({**TABLE, "density": "0 1 0"}, "density"),
+    ({"kind": "custom_density", "points": [-1, 0, 1]}, "density"),
+    ([1], "distribution"),  # escaped as an AttributeError
+])
+def test_json_values_are_checked(doc, key):
+    # a missing value or one that is not a finite JSON number (or a list
+    # of them) raises ValueError naming its key
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        spec_from_json(doc)
+
+
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=50))
 @settings(max_examples=25, deadline=None)
 def test_sampling_pure_function_of_key(seed, idx):

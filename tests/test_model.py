@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,10 +58,10 @@ def test_haldane_t2_zero_keeps_only_t1():
 
 
 def test_haldane_params_validation():
-    with pytest.raises(ValueError):
-        HaldaneParams(t1=0.0)
-    with pytest.raises(ValueError):
-        HaldaneParams(t2=-0.1)
+    for bad in ({"t1": 0.0}, {"t2": -0.1}, {"t1": math.nan}, {"t1": math.inf},
+                {"t2": math.nan}, {"t2": math.inf}, {"M": math.nan}, {"M": -math.inf}):
+        with pytest.raises(ValueError):
+            HaldaneParams(**bad)
     with pytest.raises(ValueError):
         HaldaneParams(phi=4.0)
     with pytest.raises(ValueError):

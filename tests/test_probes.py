@@ -70,8 +70,9 @@ def test_config_validation(model):
         EnsembleConfig(model=model, spec=None, lam=0.0, box_L=8, n_realizations=0)
     with pytest.raises(ValueError):
         EnsembleConfig(model=model, spec=None, lam=0.0, box_L=8, bc="moebius")
-    with pytest.raises(ValueError):
-        EnsembleConfig(model=model, spec=None, lam=-0.5, box_L=8)
+    for lam in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            EnsembleConfig(model=model, spec=uniform(1.0), lam=lam, box_L=8)
 
 
 def test_wilson_interval_basics():
@@ -448,9 +449,35 @@ def test_slope_estimator_validation():
 # ---------------------------------------------------------------- determinism
 
 
-def test_finished_probe_call_keeps_no_reference(monkeypatch):
-    # the clean restriction is scoped to one probe call: once the call
-    # returns, neither it nor the model may stay reachable from chernlab
+# every probe that draws a potential, on one side-7 ensemble (the core
+# geometry of suitable_box_probability needs L = 3k + 4)
+DRAWING_PROBES = {
+    "wegner_empirical": lambda cfg: wegner_empirical(cfg, 0.0, [1e-2]),
+    "suitable_box_probability": lambda cfg: suitable_box_probability(cfg, 3.2, 1.0),
+    "projection_decay": lambda cfg: projection_decay(cfg, (-0.2, 0.2), grid_points=2),
+    "ids_estimate": lambda cfg: ids_estimate(cfg, [0.0]),
+    "ids_continuity_check": lambda cfg: ids_continuity_check(cfg, -0.1, 0.1),
+    "ids_continuity_check_off_diagonal":
+        lambda cfg: ids_continuity_check(cfg, -0.1, 0.1, off_diagonal=True),
+    "disorder_continuity_lhs": lambda cfg: disorder_continuity_lhs(cfg, 2.0, 1.0, 0.0),
+    "disorder_continuity_check":
+        lambda cfg: disorder_continuity_check(cfg, 1.0, 2.0, 0.0, rungs=3),
+    "averaged_marker_scan":
+        lambda cfg: averaged_marker_scan(cfg, [0.0], [0.0, 1.0, 2.0], window_L=2),
+    "time_averaged_moment": lambda cfg: time_averaged_moment(cfg, 2.0, (2.0, 0.5), [0.0, 1.0]),
+}
+
+
+def drawing_cfg(model):
+    return EnsembleConfig(model=model, spec=uniform(1.0), lam=2.0, box_L=7,
+                          bc="periodic", n_realizations=5, master_seed=3)
+
+
+@pytest.mark.parametrize("probe", DRAWING_PROBES.values(), ids=DRAWING_PROBES.keys())
+def test_finished_probe_call_keeps_no_reference(monkeypatch, probe):
+    # the clean restriction is built once per probe call and scoped to
+    # it: once the call returns, neither it nor the model may stay
+    # reachable from chernlab
     built = []
     restrict = probes.restrict_periodic
 
@@ -462,20 +489,19 @@ def test_finished_probe_call_keeps_no_reference(monkeypatch):
     monkeypatch.setattr(probes, "restrict_periodic", spy)
     fresh = haldane_model(HaldaneParams())
     model_ref = weakref.ref(fresh)
-    cfg = EnsembleConfig(model=fresh, spec=uniform(1.0), lam=2.0, box_L=6,
-                         bc="periodic", n_realizations=3, master_seed=1)
-    wegner_empirical(cfg, 0.0, [1e-2])
-    ids_estimate(cfg, [0.0])
-    averaged_marker_scan(cfg, [0.0], [0.0, 1.0], window_L=2)
+    cfg = drawing_cfg(fresh)
+    probe(cfg)
     del fresh, cfg
     gc.collect()
-    assert len(built) == 3
-    assert all(ref() is None for ref in built)
+    assert len(built) == 1
+    assert built[0]() is None
     assert model_ref() is None
 
 
-def test_realizations_run_in_order_on_the_calling_thread(monkeypatch, model):
-    # every draw happens on the caller's thread, realization 0 first
+@pytest.mark.parametrize("probe", DRAWING_PROBES.values(), ids=DRAWING_PROBES.keys())
+def test_realizations_run_in_order_on_the_calling_thread(monkeypatch, model, probe):
+    # every draw happens on the caller's thread, realization 0 first, and
+    # once per realization: coupled strengths share it
     calls = []
     sample = probes.sample_potential
 
@@ -484,11 +510,98 @@ def test_realizations_run_in_order_on_the_calling_thread(monkeypatch, model):
         return sample(spec, box, n, master_seed, k)
 
     monkeypatch.setattr(probes, "sample_potential", spy)
-    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=2.0, box_L=6,
-                         bc="periodic", n_realizations=5, master_seed=3)
-    me = threading.get_ident()
-    wegner_empirical(cfg, 0.0, [1e-2])
-    assert calls == [(me, k) for k in range(5)]
-    calls.clear()
-    averaged_marker_scan(cfg, [0.0], [0.0, 1.0], window_L=2)
-    assert calls == [(me, k) for k in range(5)]
+    probe(drawing_cfg(model))
+    assert calls == [(threading.get_ident(), k) for k in range(5)]
+
+
+def test_marker_scan_holds_one_disordered_operator_at_a_time(monkeypatch, model):
+    # operators are built one strength at a time, and each is dropped
+    # before the next is built
+    built, alive = [], []
+    add = probes.add_potential
+
+    def spy(clean, sample, lam):
+        alive.append(sum(ref() is not None for ref in built))
+        op = add(clean, sample, lam)
+        built.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(probes, "add_potential", spy)
+    averaged_marker_scan(drawing_cfg(model), [0.0, -1.0], [0.5, 1.0, 2.0], window_L=2)
+    assert alive == [0] * 15
+
+
+def test_mean_stderr_matches_numpy_per_entry():
+    per_real = np.random.default_rng(5).standard_normal((12, 3, 2)) * 10.0
+    means, stderrs = probes._mean_stderr(per_real)
+    assert means.shape == stderrs.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            col = per_real[:, i, j]
+            assert means[i, j] == np.mean(col)
+            assert stderrs[i, j] == np.std(col, ddof=1) / np.sqrt(12)
+    mean, stderr = probes._mean_stderr(per_real[:1])
+    assert np.array_equal(mean, per_real[0]) and not np.any(stderr)
+
+
+# ---------------------------------------------------------------- pins
+# Exact reruns at nine realizations. The decay profile reduces each
+# distance class as one contiguous vector (pairwise summation); summing
+# realizations in sequence instead puts entry 1 of the means one ulp
+# higher, at 0.3099127692758914.
+
+
+def pin_cfg(model, spec, lam, L, seed):
+    return EnsembleConfig(model=model, spec=spec, lam=lam, box_L=L, bc="periodic",
+                          n_realizations=9, master_seed=seed)
+
+
+PINNED = {
+    "ids_estimate": (
+        lambda m: [(r.value, r.stderr) for r in ids_estimate(
+            pin_cfg(m, uniform(1.0), 1.0, 6, 3), [-2.0, -0.5, 0.5, 2.0])],
+        [(0.37037037037037035, 0.013094570021973102),
+         (0.9969135802469135, 0.0030864197530864213),
+         (1.0, 0.0),
+         (1.6358024691358024, 0.009760116235087603)]),
+    "averaged_marker_scan": (
+        lambda m: [(r.lam, r.E, r.mean, r.stderr) for r in averaged_marker_scan(
+            pin_cfg(m, truncated_gaussian(2.0), 0.1, 8, 14), [0.0, -1.0], [0.5, 2.0],
+            window_L=3)],
+        [(0.5, 0.0, -0.9771933505038218, 0.0017063234741152118),
+         (0.5, -1.0, -0.4243873796295451, 0.040653937870100326),
+         (2.0, 0.0, -0.5138747416976087, 0.057186382499824884),
+         (2.0, -1.0, -0.21456643508946902, 0.045998005503990184)]),
+    "time_averaged_moment": (
+        lambda m: [(r.mean, r.stderr) for r in time_averaged_moment(
+            pin_cfg(m, uniform(1.0), 1.0, 8, 5), 2.0, (2.0, 0.5), [0.0, 1.0, 10.0])],
+        [(0.7432273357603036, 0.07694538363838785),
+         (0.7478433291081826, 0.0774543700753936),
+         (0.928125432837875, 0.10544460673259577)]),
+    "wegner_empirical": (
+        lambda m: [(r.empirical, r.upper_99, r.bound) for r in wegner_empirical(
+            pin_cfg(m, uniform(1.0), 2.0, 6, 1), 0.0, [0.002, 0.02, 0.1])],
+        [(0.0, 0.4243645973704646, 0.4523893421169302),
+         (0.1111111111111111, 0.5391012469032039, 1.0),
+         (0.5555555555555556, 0.8565366747729556, 1.0)]),
+    "suitable_box_probability": (
+        lambda m: [(r.probability, r.ci_low, r.ci_high) for r in (
+            suitable_box_probability(pin_cfg(m, uniform(1.0), 0.3, 7, 11), 3.2, theta)
+            for theta in (0.5, 1.0, 1.5))],
+        [(1.0, 0.5756354026295354, 1.0),
+         (0.3333333333333333, 0.08893283407381597, 0.7191886983830056),
+         (0.0, 0.0, 0.4243645973704646)]),
+    "projection_decay": (
+        lambda m: (lambda p: [p.fit_amplitude, p.fit_rate, p.r_squared, len(p.means),
+                              p.means[:4].tolist(), p.stderrs[:4].tolist()])(
+            projection_decay(pin_cfg(m, uniform(1.0), 1.0, 8, 3), (-0.2, 0.2))),
+        [0.28004477493020086, 0.9141713822761501, 0.8096887338917754, 15,
+         [1.0, 0.30991276927589134, 0.11956450501676315, 0.03915443127907156],
+         [6.798699777552592e-17, 0.0003503339780800673, 0.00018435085960085538,
+          0.00022781046555233315]]),
+}
+
+
+@pytest.mark.parametrize("probe, expected", PINNED.values(), ids=PINNED.keys())
+def test_probe_outputs_pinned(model, probe, expected):
+    assert probe(model) == expected
