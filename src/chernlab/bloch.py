@@ -5,11 +5,19 @@ Momenta live in dual-basis coordinates: k = (k1, k2) with each component
 exp(i (k1 delta1 + k2 delta2)). The Cartesian embedding of the basis
 never enters.
 
-Every grid is the uniform N x N torus grid, and grid N/2 is the even
-sublattice [::2, ::2] of grid N bit for bit. So each analysis solves a
-grid side at most once: the coarse (N/2) band extrema of a Richardson
-pair are read off the fine (N) eigenvalues, and ``chern_number`` shares
-one solve per side between its gap check and its curvature loop.
+Every grid is the uniform N x N torus grid, built as one matrix product
+over all displacements, and grid N/2 is the even sublattice [::2, ::2]
+of grid N bit for bit. So each analysis solves a grid side at most once:
+the coarse (N/2) band extrema of a Richardson pair are read off the fine
+(N) eigenvalues, and ``chern_number`` shares one solve per side between
+its gap check and its curvature loop.
+
+``chern_numbers`` runs those ladders over a list of models, such as one
+row of the phase diagram: each rung builds and solves the grids of every
+model still on it in one call, at most ``_MAX_GRID``^2 k-points at a
+time, and drops them once read. ``chern_number`` is the list of one. The
+plaquette field's links are overlap determinants, and for the one band
+below the first gap the overlap itself, with no determinant.
 
 Two-orbital models, the Haldane model among them, are solved in closed
 form by ``_eigh``, elementwise over the grid and with no LAPACK call, so
@@ -19,7 +27,6 @@ Models with another orbital count go to numpy's ``eigh``/``eigvalsh``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,7 @@ __all__ = [
     "band_structure",
     "plaquette_field",
     "chern_number",
+    "chern_numbers",
 ]
 
 # Fixed so that the half-flux honeycomb point phi=+pi/2, M=0 lands on
@@ -68,14 +76,32 @@ def bloch_matrix(model: HoppingModel, k) -> np.ndarray:
 
 def bloch_grid(model: HoppingModel, N: int) -> np.ndarray:
     """Stacked H(k) over the N x N uniform torus grid, shape (N, N, n, n)."""
-    if model.flux != 0.0:
+    return _bloch_grids([model], N)[:, :, 0]
+
+
+def _bloch_grids(models, N: int) -> np.ndarray:
+    """Stacked H(k) of models sharing one orbital count n over the N x N
+    uniform torus grid, shape (N, N, P, n, n) for P models.
+
+    One product: the (N, D) table exp(i k1 d1) times the (D, N P n^2)
+    stack of hopping blocks, each block already times exp(i k2 d2), over
+    the D displacements any of the models holds (a model without one
+    contributes a zero block). Unlike an (N^2, D) table of full phases,
+    no operand grows with N^2 (one would take 66 MB at side 768).
+    """
+    if any(m.flux != 0.0 for m in models):
         raise ValueError("Bloch analysis requires zero flux")
+    n, P = models[0].n, len(models)
+    deltas = sorted(set().union(*(m.hoppings for m in models)))
+    D = len(deltas)
+    zero = np.zeros((n, n), dtype=complex)
+    blocks = np.array([[m.hoppings.get(d, zero) for m in models] for d in deltas], dtype=complex)
     ks = 2.0 * np.pi * np.arange(N) / N
-    H = np.zeros((N, N, model.n, model.n), dtype=complex)
-    for delta, mat in model.hoppings.items():
-        phase = np.exp(1j * ks * delta[0])[:, None] * np.exp(1j * ks * delta[1])[None, :]
-        H += phase[:, :, None, None] * mat
-    return H
+    d1, d2 = np.array(deltas, dtype=int).reshape(D, 2).T
+    rows = np.exp(1j * np.multiply.outer(ks, d1))
+    cols = np.exp(1j * np.multiply.outer(d2, ks))[:, :, None] * blocks.reshape(D, 1, P * n * n)
+    H = rows @ cols.reshape(D, N * P * n * n)
+    return H.reshape(N, N, P, n, n)
 
 
 def _eigh(H: np.ndarray, vectors: bool = True):
@@ -135,7 +161,7 @@ class BandStructure:
 
 
 def _extrema(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-band (min, max) of grid eigenvalues w, shape (N, N, n)."""
+    """Per-band (min, max) of grid eigenvalues w, shape (N, N, ..., n)."""
     return w.min(axis=(0, 1)), w.max(axis=(0, 1))
 
 
@@ -147,7 +173,8 @@ def _even_grid(grid: int) -> int:
 
 
 def _richardson(fine, coarse):
-    """Band edges (lo, hi), gap widths and open tolerances of one grid pair.
+    """Band edges (lo, hi), gap widths and open tolerances of one grid pair,
+    per model along any leading axes of the (..., n) extrema.
 
     Grid extrema of a smooth band converge at second order, so the
     fine/coarse pair (N, N/2) gives the refinement fine + (fine-coarse)/3;
@@ -158,9 +185,9 @@ def _richardson(fine, coarse):
     hi = hi_f + (hi_f - hi_c) / 3.0
     corr_lo = np.abs(lo_f - lo_c) / 3.0
     corr_hi = np.abs(hi_f - hi_c) / 3.0
-    scale = max(1.0, float(np.max(np.abs(hi))), float(np.max(np.abs(lo))))
-    width = lo[1:] - hi[:-1]
-    tol = 3.0 * (corr_hi[:-1] + corr_lo[1:]) + _GAP_FLOOR * scale
+    scale = np.maximum(1.0, np.maximum(np.abs(hi).max(axis=-1), np.abs(lo).max(axis=-1)))
+    width = lo[..., 1:] - hi[..., :-1]
+    tol = 3.0 * (corr_hi[..., :-1] + corr_lo[..., 1:]) + _GAP_FLOOR * scale[..., None]
     return lo, hi, width, tol
 
 
@@ -192,17 +219,134 @@ class ChernResult:
 
 
 def plaquette_field(psi: np.ndarray) -> np.ndarray:
-    """Plaquette field strengths of the frame bundle psi, shape (N, N, n, m).
+    """Plaquette field strengths, shape (N, N, ...), of the frame bundle psi,
+    shape (N, N, ..., n, m).
 
-    Link variables are determinants of neighboring-frame overlaps; each
+    Link variables are determinants of neighboring-frame overlaps; for one
+    band (m = 1) the overlap is a number and is its own link. Each
     plaquette phase lies in (-pi, pi], so the sum over the torus is 2pi
     times an integer whenever every plaquette stays off the branch cut.
     The phases are manifestly invariant under per-k gauge rotations.
     """
-    u1 = np.linalg.det(np.einsum("xyam,xyan->xymn", psi.conj(), np.roll(psi, -1, axis=0)))
-    u2 = np.linalg.det(np.einsum("xyam,xyan->xymn", psi.conj(), np.roll(psi, -1, axis=1)))
-    loop = u1 * np.roll(u2, -1, axis=0) * np.conj(np.roll(u1, -1, axis=1)) * np.conj(u2)
+    one_band = psi.shape[-1] == 1
+    if one_band:
+        psi = psi[..., 0]
+    bra = psi.conj()
+
+    def link(axis):
+        ahead = np.roll(psi, -1, axis=axis)
+        if one_band:
+            return np.einsum("...a,...a->...", bra, ahead)
+        return np.linalg.det(np.einsum("...am,...an->...mn", bra, ahead))
+
+    u1, u2 = link(0), link(1)
+    del bra
+    # u1 * roll(u2) * conj(roll(u1)) * conj(u2), formed in place
+    loop = np.roll(u2, -1, axis=0)
+    loop *= u1
+    ahead = np.roll(u1, -1, axis=1)
+    loop *= np.conjugate(ahead, out=ahead)
+    loop *= np.conjugate(u2, out=u2)
     return np.angle(loop)
+
+
+def _on_ladder(side: int, start: int) -> bool:
+    """Whether side is start * 2^k for some k >= 0."""
+    ratio, rest = divmod(side, start)
+    return rest == 0 and ratio & (ratio - 1) == 0
+
+
+def _curvature_rung(fields: dict, side: int) -> tuple[int, bool]:
+    """First rung from ``side`` up whose plaquette field is unseen or final,
+    and whether it is final: at most 1 radian everywhere, or at or above
+    ``_MAX_GRID``. ``fields`` maps each seen side to (max |F|, sum F)."""
+    while side in fields:
+        if fields[side][0] <= 1.0 or side >= _MAX_GRID:
+            return side, True
+        side *= 2
+    return side, False
+
+
+def chern_numbers(models, gap_index: int = 1, grid: int = 24) -> list:
+    """``chern_number`` of each model: a list in the models' order holding
+    a ChernResult per gapped model and, per gapless one, the ValueError
+    that ``chern_number`` raises for it.
+
+    Each model walks the ladders of ``chern_number``, with the same rungs,
+    verdict, grid and message as alone, but each rung solves the grids of
+    every model still on it together, in batches of at most
+    ``_MAX_GRID``^2 k-points (one model a batch on a larger side). A batch
+    is dropped once its rung is read: its eigenvalues advance the gap
+    checks, and its frames give the plaquette field of each model whose
+    curvature loop meets that side, of which only max |F| and the sum are
+    kept. A curvature rung met while the gap check climbs is read then,
+    unless the gap check has just called the model gapless. The models
+    must share one orbital count.
+    """
+    models = list(models)
+    if len({m.n for m in models}) > 1:
+        raise ValueError("models must share one orbital count")
+    if models and not (1 <= gap_index <= models[0].n - 1):
+        raise ValueError(f"gap index must be in 1..{models[0].n - 1}")
+    j = gap_index - 1
+    first = _even_grid(grid)
+    start = max(int(grid), 4)
+    results: list = [None] * len(models)
+    gap_rung = dict.fromkeys(range(len(models)), first)  # open gap checks
+    coarse: dict = {}
+    fields: list[dict] = [{} for _ in models]  # side -> (max |F|, sum F)
+
+    def read(batch, N):
+        # one batch's solve lives only in this call
+        w, v = _eigh(_bloch_grids([models[p] for p in batch], N))
+        if any(p in gap_rung for p in batch):
+            lo_f, hi_f = _extrema(w)
+            lo_c, hi_c = _extrema(w[::2, ::2])  # the first rung's coarse extrema
+            for i, p in enumerate(batch):
+                if p in coarse:
+                    lo_c[i], hi_c[i] = coarse.pop(p)
+            _, _, width, tol = _richardson((lo_f, hi_f), (lo_c, hi_c))
+            opened = width[:, j] > tol[:, j]
+            touching = lo_f[:, j + 1] - hi_f[:, j] <= _GAP_FLOOR
+        del w  # before the plaquette field's temporaries
+        for i, p in enumerate(batch):
+            if p not in gap_rung:
+                continue
+            if opened[i]:
+                del gap_rung[p]
+            elif touching[i] or N >= _MAX_GRID:
+                del gap_rung[p]
+                results[p] = ValueError(f"gapless: gap {gap_index} is not open on a {N}x{N} grid")
+            else:
+                coarse[p], gap_rung[p] = (lo_f[i], hi_f[i]), 2 * N
+        keep = [i for i, p in enumerate(batch) if results[p] is None
+                and _on_ladder(N, start) and not _curvature_rung(fields[p], start)[1]]
+        if keep:
+            F = plaquette_field((v if len(keep) == len(batch) else v[:, :, keep])[..., :gap_index])
+            peaks = np.abs(F).max(axis=(0, 1))
+            sums = np.moveaxis(F, 2, 0).copy().sum(axis=(1, 2))  # each model's own contiguous sum
+            for i, peak, total in zip(keep, peaks, sums):
+                fields[batch[i]][N] = (peak, total)
+
+    while True:
+        rungs: dict[int, list[int]] = {}
+        for p, result in enumerate(results):
+            if result is None:
+                side = gap_rung[p] if p in gap_rung else _curvature_rung(fields[p], start)[0]
+                rungs.setdefault(side, []).append(p)
+        if not rungs:
+            return results
+        N = min(rungs)
+        step = max(1, _MAX_GRID**2 // N**2)
+        for at in range(0, len(rungs[N]), step):
+            read(rungs[N][at:at + step], N)
+        for p, result in enumerate(results):
+            if result is None and p not in gap_rung:
+                side, final = _curvature_rung(fields[p], start)
+                if final:
+                    total = _ORIENTATION * float(fields[p][side][1]) / (2.0 * np.pi)
+                    results[p] = ChernResult(value=int(np.rint(total)), curvature_sum=total,
+                                             grid=side)
 
 
 def chern_number(
@@ -229,34 +373,18 @@ def chern_number(
     grid * 2^k (grid raised to at least 4), doubling while any plaquette
     field strength exceeds 1 radian and stopping at the first rung at or
     above ``_MAX_GRID``, which keeps the rounded sum an exact integer on
-    gapped models.
+    gapped models. At the default gap index 1 each link is the one-band
+    overlap itself, with no determinant.
 
-    Both ladders read one solve per grid side (``_eigh``: closed form for
-    two orbitals, numpy ``eigh`` otherwise), made at most once per call:
-    its eigenvalues give the gap check's extrema, its vectors the
-    plaquette field. For an even grid >= 8 both ladders walk the same
-    sides, so a point that certifies on the first rung and needs no
-    doubling costs one solve. Raises ValueError for a grid below 1.
+    This is ``chern_numbers`` on one model: both ladders read one solve
+    per grid side (``_eigh``: closed form for two orbitals, numpy
+    ``eigh`` otherwise), made at most once per call: its eigenvalues give
+    the gap check's extrema, its vectors the plaquette field. For an even
+    grid >= 8 both ladders walk the same sides, so a point that certifies
+    on the first rung and needs no doubling costs one solve. Raises
+    ValueError for a grid below 1.
     """
-    if not (1 <= gap_index <= model.n - 1):
-        raise ValueError(f"gap index must be in 1..{model.n - 1}")
-    j = gap_index - 1
-    N = _even_grid(grid)
-    solve = functools.cache(lambda side: _eigh(bloch_grid(model, side)))
-    coarse = _extrema(solve(N)[0][::2, ::2])
-    while True:
-        fine = _extrema(solve(N)[0])
-        _, _, width, tol = _richardson(fine, coarse)
-        if width[j] > tol[j]:
-            break
-        if fine[0][j + 1] - fine[1][j] <= _GAP_FLOOR or N >= _MAX_GRID:
-            raise ValueError(f"gapless: gap {gap_index} is not open on a {N}x{N} grid")
-        coarse, N = fine, 2 * N
-    N = max(int(grid), 4)
-    while True:
-        F = plaquette_field(solve(N)[1][..., :gap_index])
-        if np.max(np.abs(F)) <= 1.0 or N >= _MAX_GRID:
-            break
-        N *= 2
-    total = _ORIENTATION * float(F.sum()) / (2.0 * np.pi)
-    return ChernResult(value=int(np.rint(total)), curvature_sum=total, grid=N)
+    result = chern_numbers([model], gap_index, grid)[0]
+    if isinstance(result, ValueError):
+        raise result
+    return result

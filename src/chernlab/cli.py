@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bloch import band_structure, chern_number
+from .bloch import band_structure, chern_number, chern_numbers
 from .bounds import (
     a_zero,
     alpha_for_gap,
@@ -398,15 +398,15 @@ def _run_phase_diagram(config: ExperimentConfig):
     ms = np.linspace(-6.0, 6.0, cols_n)
     rows = []
     for phi in phis:
-        for m_over_t2 in ms:
-            params = HaldaneParams(t1=t1, t2=t2, phi=float(phi),
-                                   M=float(m_over_t2) * t2,
-                                   dimerization=str(base.get("dimerization", "d3")))
-            model = haldane_model(params)
-            try:
-                c, status = chern_number(model).value, "gapped"
-            except ValueError:
+        models = [haldane_model(HaldaneParams(t1=t1, t2=t2, phi=float(phi),
+                                              M=float(m_over_t2) * t2,
+                                              dimerization=str(base.get("dimerization", "d3"))))
+                  for m_over_t2 in ms]
+        for m_over_t2, res in zip(ms, chern_numbers(models)):
+            if isinstance(res, ValueError):
                 c, status = 0, "gapless"  # on the critical curve
+            else:
+                c, status = res.value, "gapped"
             rows.append((float(phi), float(m_over_t2), c, status))
     return rows, {"t1": t1, "t2": t2}
 

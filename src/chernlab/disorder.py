@@ -81,6 +81,8 @@ class DistributionSpec:
     cdf: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in (self.a, self.b, self.tau, self.C_tau)):
+            raise ValueError("a, b, tau and C_tau must be finite")
         if self.a < 0 or self.b < 0 or self.a + self.b <= 0:
             raise ValueError("support [-a, b] needs a, b >= 0 and a+b > 0")
         if not (0 < self.tau <= 1):
@@ -144,6 +146,8 @@ def custom_density(points: np.ndarray, density: np.ndarray) -> DistributionSpec:
     den = np.asarray(density, dtype=float)
     if pts.ndim != 1 or pts.shape != den.shape or len(pts) < 2:
         raise ValueError("need matching 1-d tables with at least two points")
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(den))):
+        raise ValueError("points and density must be finite")
     if np.any(np.diff(pts) <= 0) or np.any(den < 0):
         raise ValueError("points must increase and density must be nonnegative")
     mass = np.trapezoid(den, pts)

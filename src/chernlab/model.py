@@ -70,15 +70,21 @@ class HoppingModel:
             m = m.copy()
             m.flags.writeable = False
             clean[delta] = m
-        for delta, m in clean.items():
+        zero = np.zeros((self.n, self.n), dtype=complex)
+        zero.flags.writeable = False
+        # every block against its partner's adjoint in one comparison; a
+        # missing partner stands in as zero and is reported first
+        blocks = np.array(list(clean.values())).reshape(-1, self.n, self.n)
+        partners = np.array([clean.get((-d[0], -d[1]), zero) for d in clean])
+        partners = partners.reshape(blocks.shape).conj().swapaxes(1, 2)
+        far = np.abs(blocks - partners).max(axis=(1, 2)) > _HERMITICITY_TOL
+        for delta, bad in zip(clean, far):
             neg = (-delta[0], -delta[1])
             if neg not in clean:
                 raise ValueError(f"missing reverse hopping for {delta}")
-            if np.max(np.abs(m - clean[neg].conj().T)) > _HERMITICITY_TOL:
+            if bad:
                 raise ValueError(f"hoppings for {delta} and {neg} are not Hermitian partners")
         object.__setattr__(self, "hoppings", clean)
-        zero = np.zeros((self.n, self.n), dtype=complex)
-        zero.flags.writeable = False
         object.__setattr__(self, "_zero", zero)
 
     @property

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab import bloch
+from chernlab.cli import main as cli_main
 from chernlab.model import HaldaneParams, HoppingModel, haldane_model
 from chernlab.bloch import (
     band_structure,
@@ -102,16 +103,19 @@ def test_chern_raises_on_gapless():
         chern_number(m, 1, 24)
 
 
-def spy_grids(monkeypatch):
-    """Grid sides passed to bloch.bloch_grid, in call order."""
+def spy_grids(monkeypatch, counts=None):
+    """Grid sides built by the ladders (bloch._bloch_grids), in call order;
+    the number of models of each call goes to ``counts`` if given."""
     seen = []
-    build = bloch.bloch_grid
+    build = bloch._bloch_grids
 
-    def spy(model, N):
+    def spy(models, N):
         seen.append(N)
-        return build(model, N)
+        if counts is not None:
+            counts.append(len(models))
+        return build(models, N)
 
-    monkeypatch.setattr(bloch, "bloch_grid", spy)
+    monkeypatch.setattr(bloch, "_bloch_grids", spy)
     return seen
 
 
@@ -138,6 +142,51 @@ def test_chern_ladder_solves_each_grid_once_up_to_max(monkeypatch):
     seen.clear()
     chern_number(std_model(M=(3.0 * np.sqrt(3.0) - 0.05) * T2), 1, 20)
     assert seen == [20, 40, 80, 160, 320]
+
+
+def phase_row(phi_index, rows, cols):
+    """Models of one phase-diagram row, as ``phase-diagram --grid rowsxcols`` builds them."""
+    phi = float(np.linspace(-np.pi, np.pi, rows)[phi_index])
+    return [std_model(phi=phi, M=float(m) * T2) for m in np.linspace(-6.0, 6.0, cols)]
+
+
+def one_at_a_time(model):
+    try:
+        return chern_number(model)
+    except ValueError as err:
+        return err
+
+
+# the 6x6 bench sweep, the 1x5 row at phi = -pi (gapless at M = 0), and the
+# 41-column row at phi index 26, where M = +-4.2 t2 climbs to grid 768
+@pytest.mark.parametrize("row", [(i, 6, 6) for i in range(6)] + [(0, 1, 5), (26, 41, 41)])
+def test_chern_numbers_match_one_at_a_time(row):
+    models = phase_row(*row)
+    batched = bloch.chern_numbers(models)
+    assert len(batched) == len(models)
+    for got, want in zip(batched, map(one_at_a_time, models)):
+        assert type(got) is type(want)
+        if isinstance(want, ValueError):
+            assert str(got) == str(want)
+        else:
+            assert (got.value, got.grid) == (want.value, want.grid)
+            assert abs(got.curvature_sum - want.curvature_sum) <= 1e-12
+
+
+def test_phase_diagram_builds_one_grid_per_rung_per_row(monkeypatch, tmp_path):
+    counts = []
+    seen = spy_grids(monkeypatch, counts)
+    assert cli_main(["phase-diagram", "--grid", "6x6", "--out", str(tmp_path)]) == 0
+    # every row certifies and integrates on grid 24: one call of six points
+    assert list(zip(seen, counts)) == [(24, 6)] * 6
+    # rungs hold at most _MAX_GRID^2 k-points: the two near-curve points of
+    # the 41-column row share each rung up to 384 and take 768 one at a time
+    seen.clear()
+    counts.clear()
+    bloch.chern_numbers(phase_row(26, 41, 41))
+    assert list(zip(seen, counts)) == [(24, 41), (48, 2), (96, 2), (192, 2), (384, 2),
+                                       (768, 1), (768, 1)]
+    assert all(N * N * P <= bloch._MAX_GRID**2 for N, P in zip(seen, counts))
 
 
 @pytest.mark.parametrize("model", [
@@ -211,18 +260,19 @@ def three_orbital_model():
 
 
 def test_three_orbital_model_keeps_numpy_path():
-    # captured before the closed-form 2x2 solve; n = 3 still goes to numpy
+    # captured before the closed-form 2x2 solve, with the float sums and
+    # edges re-captured for the one-product grid; n = 3 still goes to numpy
     m = three_orbital_model()
     for grid, gap_index, want in ((24, 1, (-1, -1.0000000000000002, 24)),
-                                  (24, 2, (0, -3.267303900297472e-17, 24)),
+                                  (24, 2, (0, -1.1085645875407238e-16, 24)),
                                   (25, 1, (-1, -1.0, 25)),
-                                  (25, 2, (0, -6.899320320584136e-17, 25))):
+                                  (25, 2, (0, -1.7195555451769061e-16, 25))):
         res = chern_number(m, gap_index, grid)
         assert (res.value, res.curvature_sum, res.grid) == want, (grid, gap_index)
     bs = band_structure(m, 25)
-    edge = 0.9968508023501681
+    top, bottom = -0.9968508023501682, 0.9968508023501681  # edges of the first gap
     assert (bs.bands, bs.gaps, bs.gap_sizes, bs.gap_open, bs.grid) == (
-        [(-3.0, -edge), (edge, 3.0), (10.0, 10.0)], [(-edge, edge), (3.0, 10.0)],
+        [(-3.0, top), (bottom, 3.0), (10.0, 10.0)], [(top, bottom), (3.0, 10.0)],
         [1.9937016047003362, 7.0], [True, True], 26)
 
 
@@ -237,7 +287,8 @@ def test_chern_certifies_gap_near_curve(m):
 # (value, curvature_sum, grid) per (model, grid). Values and grids date
 # from before the gap check and the curvature loop shared their solves;
 # the curvature sums were re-captured with the closed-form 2x2 solve,
-# which moved 15 of them in the last bits. Grids 1, 4 and 5 start the gap
+# which moved 15 of them in the last bits, and again with the one-product
+# grid and the one-band link, which moved 10. Grids 1, 4 and 5 start the gap
 # ladder (8) and the curvature loop (4 or 5) on different sides, and 25
 # starts them on 26 and 25.
 PINNED_MODELS = {
@@ -247,13 +298,13 @@ PINNED_MODELS = {
     "generic": std_model(phi=1.1, M=0.3),
 }
 CHERN_PINNED = {
-    ("deep", 1): (-1, -1.0000000000000002, 8),
-    ("deep", 4): (-1, -1.0000000000000002, 8),
+    ("deep", 1): (-1, -1.0, 8),
+    ("deep", 4): (-1, -1.0, 8),
     ("deep", 5): (-1, -1.0000000000000002, 10),
     ("deep", 20): (-1, -1.0, 20),
-    ("deep", 24): (-1, -1.0000000000000002, 24),
+    ("deep", 24): (-1, -1.0, 24),
     ("deep", 25): (-1, -1.0, 25),
-    ("deep", 32): (-1, -1.0000000000000002, 32),
+    ("deep", 32): (-1, -1.0, 32),
     ("near", 1): (-1, -1.0000000000000002, 32),
     ("near", 4): (-1, -1.0000000000000002, 32),
     ("near", 5): (-1, -1.0000000000000002, 40),
@@ -261,58 +312,59 @@ CHERN_PINNED = {
     ("near", 24): (-1, -1.0, 24),
     ("near", 25): (-1, -1.0, 50),
     ("near", 32): (-1, -1.0000000000000002, 32),
-    ("trivial", 1): (0, 1.766974823035287e-17, 8),
-    ("trivial", 4): (0, 1.766974823035287e-17, 8),
-    ("trivial", 5): (0, 4.417437057588218e-18, 5),
-    ("trivial", 20): (0, -3.533949646070574e-17, 20),
+    ("trivial", 1): (0, 3.533949646070574e-17, 8),
+    ("trivial", 4): (0, 3.533949646070574e-17, 8),
+    ("trivial", 5): (0, 4.417437057588218e-17, 5),
+    ("trivial", 20): (0, -5.300924469105861e-17, 20),
     ("trivial", 24): (0, -3.533949646070574e-17, 24),
-    ("trivial", 25): (0, 1.766974823035287e-17, 25),
-    ("trivial", 32): (0, 0.0, 32),
+    ("trivial", 25): (0, -7.067899292141149e-17, 25),
+    ("trivial", 32): (0, -5.300924469105861e-17, 32),
 }
 # (bands, gaps, gap_sizes, gap_open, grid) per (model, grid). gap_open and
 # grid date from when band_structure still solved the coarse grid on its
-# own; the floats were re-captured with the closed-form 2x2 solve
+# own; the floats were re-captured with the closed-form 2x2 solve and
+# again with the one-product grid
 BANDS_PINNED = {
     ("generic", 8): (
-        [(-2.4911950007194124, -0.8179282420137947),
-         (0.2759038481223195, 3.538730371953122)],
+        [(-2.491195000719413, -0.8179282420137947),
+         (0.2759038481223195, 3.5387303719531213)],
         [(-0.8179282420137947, 0.2759038481223195)],
         [1.093832090136114], [True], 8),
     ("generic", 64): (
-        [(-2.4911950007194124, -0.8533060368187425),
-         (0.3295813084995576, 3.538730371953122)],
-        [(-0.8533060368187425, 0.3295813084995576)],
-        [1.1828873453183002], [True], 64),
+        [(-2.491195000719413, -0.8533060368187425),
+         (0.32958130849955747, 3.5387303719531213)],
+        [(-0.8533060368187425, 0.32958130849955747)],
+        [1.1828873453183], [True], 64),
     ("generic", 101): (
-        [(-2.4911950007194124, -0.8530912028698626),
-         (0.3293235172530081, 3.538730371953122)],
-        [(-0.8530912028698626, 0.3293235172530081)],
-        [1.1824147201228707], [True], 102),
+        [(-2.491195000719413, -0.8530912028698627),
+         (0.32932351725300824, 3.5387303719531213)],
+        [(-0.8530912028698627, 0.32932351725300824)],
+        [1.182414720122871], [True], 102),
     ("generic", 201): (
-        [(-2.4911950007194124, -0.8530979076705064),
-         (0.32933157621450987, 3.538730371953122)],
-        [(-0.8530979076705064, 0.32933157621450987)],
-        [1.1824294838850162], [True], 202),
+        [(-2.491195000719413, -0.8530979076705065),
+         (0.32933157621451, 3.5387303719531213)],
+        [(-0.8530979076705065, 0.32933157621451)],
+        [1.1824294838850165], [True], 202),
     ("near", 8): (
         [(-3.1331787643748297, -0.21701518205544543),
-         (0.21701518205544543, 3.1331787643748297)],
-        [(-0.21701518205544543, 0.21701518205544543)],
-        [0.43403036411089085], [False], 8),
+         (0.21701518205544532, 3.1331787643748297)],
+        [(-0.21701518205544543, 0.21701518205544532)],
+        [0.43403036411089074], [False], 8),
     ("near", 64): (
-        [(-3.1331787643748297, -0.0999736271557116),
+        [(-3.1331787643748297, -0.09997362715571158),
          (0.0999736271557116, 3.1331787643748297)],
-        [(-0.0999736271557116, 0.0999736271557116)],
-        [0.1999472543114232], [True], 64),
+        [(-0.09997362715571158, 0.0999736271557116)],
+        [0.19994725431142318], [True], 64),
     ("near", 101): (
         [(-3.1331787643748297, -0.0962250448649376),
-         (0.0962250448649376, 3.1331787643748297)],
-        [(-0.0962250448649376, 0.0962250448649376)],
-        [0.1924500897298752], [True], 102),
+         (0.09622504486493755, 3.1331787643748297)],
+        [(-0.0962250448649376, 0.09622504486493755)],
+        [0.19245008972987515], [True], 102),
     ("near", 201): (
-        [(-3.1331787643748297, -0.09631140470593946),
-         (0.09631140470593946, 3.1331787643748297)],
-        [(-0.09631140470593946, 0.09631140470593946)],
-        [0.19262280941187893], [True], 202),
+        [(-3.1331787643748297, -0.09631140470593934),
+         (0.09631140470593938, 3.1331787643748297)],
+        [(-0.09631140470593934, 0.09631140470593938)],
+        [0.1926228094118787], [True], 202),
 }
 
 

@@ -133,6 +133,23 @@ def test_spec_validation():
         DistributionSpec(kind="x", a=0.0, b=0.0, tau=1.0, C_tau=1.0)
     with pytest.raises(ValueError):
         DistributionSpec(kind="x", a=1.0, b=1.0, tau=1.5, C_tau=1.0)
+    for field in ("a", "b", "tau", "C_tau"):
+        for bad in (math.nan, math.inf):
+            params = {"a": 1.0, "b": 1.0, "tau": 1.0, "C_tau": 1.0, field: bad}
+            with pytest.raises(ValueError, match="must be finite"):
+                DistributionSpec(kind="x", **params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constructors_reject_non_finite_parameters(bad):
+    pts = np.linspace(-1.0, 1.0, 5)
+    cases = [lambda: uniform(bad), lambda: uniform(1.0, bad), lambda: truncated_gaussian(bad)]
+    for i in range(len(pts)):
+        cases.append(lambda i=i: custom_density(np.where(np.arange(5) == i, bad, pts), np.ones(5)))
+        cases.append(lambda i=i: custom_density(pts, np.where(np.arange(5) == i, bad, 1.0)))
+    for make in cases:
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
 
 
 def test_json_round_trip():

@@ -90,6 +90,27 @@ def test_constructor_rejects_broken_hermiticity():
         HoppingModel(basis=m.basis, n=2, r=1, hoppings=hop)
 
 
+def test_constructor_names_the_first_failing_displacement():
+    # insertion order of the reference model: (0, 0), (1, 0), (0, 1),
+    # (-1, -1), (-1, 0), (0, -1), (1, 1)
+    m = std_model()
+    broken = dict(m.hoppings)
+    broken[(0, -1)] = broken[(0, -1)] + 0.1  # partner of (0, 1), stored later
+    with pytest.raises(ValueError) as err:
+        HoppingModel(basis=m.basis, n=2, r=1, hoppings=broken)
+    assert str(err.value) == "hoppings for (0, 1) and (0, -1) are not Hermitian partners"
+    missing = dict(m.hoppings)
+    del missing[(1, 1)]
+    with pytest.raises(ValueError) as err:
+        HoppingModel(basis=m.basis, n=2, r=1, hoppings=missing)
+    assert str(err.value) == "missing reverse hopping for (-1, -1)"
+    # a broken partner ahead of a missing one is reported first
+    del broken[(1, 1)]
+    with pytest.raises(ValueError) as err:
+        HoppingModel(basis=m.basis, n=2, r=1, hoppings=broken)
+    assert str(err.value) == "hoppings for (0, 1) and (0, -1) are not Hermitian partners"
+
+
 def test_constructor_rejects_out_of_range_displacement():
     with pytest.raises(ValueError):
         HoppingModel(
