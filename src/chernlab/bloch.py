@@ -161,8 +161,14 @@ class BandStructure:
 
 
 def _extrema(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-band (min, max) of grid eigenvalues w, shape (N, N, ..., n)."""
-    return w.min(axis=(0, 1)), w.max(axis=(0, 1))
+    """Per-band (min, max) of grid eigenvalues w, shape (N, N, ..., n).
+
+    Both reduce a band-major contiguous copy: numpy reduces each band's
+    own N*N block far faster than it strides across the band axis, and
+    min and max are exact, so the values do not change.
+    """
+    w = np.ascontiguousarray(np.moveaxis(w, (0, 1), (-2, -1)))
+    return w.min(axis=(-2, -1)), w.max(axis=(-2, -1))
 
 
 def _even_grid(grid: int) -> int:

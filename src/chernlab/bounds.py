@@ -15,6 +15,12 @@ Two conventions worth stating once:
     (diagonal blocks kept exact) collapsed onto a single exponential at
     the maximal hopping distance; its inversion `alpha_for_gap` is what
     fixes alpha from a target gap without hand input.
+
+`strong_disorder_threshold` is the fractional-moment threshold of
+Aizenman and Molchanov: its s-scan is one array expression over the
+64-point grid, and its refinement is the golden section of Kiefer,
+written out here as `_golden` so that the package needs no
+`scipy.optimize`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .bloch import BandStructure
 from .disorder import DistributionSpec
@@ -139,16 +144,61 @@ def combes_thomas_rate(S_alpha: float, alpha: float, delta: float) -> tuple[floa
     return 2.0 / delta, rate
 
 
-def _row_moment_sums(model: HoppingModel, s: float) -> float:
-    # sup over the orbital index of sum |entry|^s, the (0,0) diagonal
-    # entry excluded; translation covariance collapses the sup over gamma
-    totals = np.zeros(model.n)
-    for delta, mat in model.hoppings.items():
-        power = np.where(np.abs(mat) > 0, np.abs(mat) ** s, 0.0)
+def _block_magnitudes(model: HoppingModel) -> np.ndarray:
+    # |entry| of every hopping block, shape (D, n, n) in insertion order,
+    # with the (0,0) diagonal zeroed: the row sums skip the site's own entry
+    mags = np.abs(np.stack(list(model.hoppings.values())))
+    for d, delta in enumerate(model.hoppings):
         if delta == (0, 0):
-            np.fill_diagonal(power, 0.0)
-        totals += np.sum(power, axis=1)
-    return float(np.max(totals))
+            np.fill_diagonal(mags[d], 0.0)
+    return mags
+
+
+def _row_moment_sums(mags: np.ndarray, s) -> np.ndarray:
+    # sup over the orbital index of sum |entry|^s, for each s > 0 of an
+    # array; translation covariance collapses the sup over gamma. The
+    # blocks are added in insertion order, one at a time, so each value
+    # has the bits of a per-s loop.
+    s = np.asarray(s, dtype=float)
+    rows = (mags ** s[..., None, None, None]).sum(axis=-1)  # (..., D, n)
+    totals = np.zeros(rows.shape[:-2] + rows.shape[-1:])
+    for d in range(rows.shape[-2]):
+        totals += rows[..., d, :]
+    return totals.max(axis=-1)
+
+
+def _golden(f, xa: float, xb: float, xc: float, xtol: float):
+    """Golden-section minimum (x, f(x)) of f inside the bracket xa < xb < xc
+    with f(xb) below f(xa) and f(xc), or None for an invalid bracket.
+
+    The steps, constants and stop test are those of scipy's 3-point
+    ``minimize_scalar(method="golden")``, so x and f(x) match it bit for bit.
+    """
+    if not xa < xb < xc:
+        return None
+    fa, fb, fc = f(xa), f(xb), f(xc)
+    if not (fb < fa and fb < fc):
+        return None
+    gr = 0.61803399  # golden ratio conjugate, to scipy's eight digits
+    gc = 1.0 - gr
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = gr * x1 + gc * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = gr * x2 + gc * x0
+            f1 = f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 def strong_disorder_threshold(model: HoppingModel, spec: DistributionSpec) -> ThresholdReport:
@@ -158,31 +208,32 @@ def strong_disorder_threshold(model: HoppingModel, spec: DistributionSpec) -> Th
     the one-sided-to-two-sided window conversion. The row sum weighs
     each hopping block by e^{mu |delta|} >= 1, so for every s the
     infimum over mu >= 0 sits at mu = 0, and only s is scanned, on 64
-    geometric points of [0.01 tau, 0.99 tau]. The best s cell gets one
-    golden-section refinement.
+    geometric points of [0.01 tau, 0.99 tau]. The block magnitudes are
+    taken once, and the row sums of the whole grid are one array
+    expression. The best s cell gets one golden-section refinement
+    (``_golden``, in this module), which is skipped when its bracket is
+    flat or monotone: the grid point is then already optimal.
     """
     tau, C2 = spec.tau, 2.0 ** spec.tau * spec.C_tau
     s_grid = np.geomspace(0.01 * tau, 0.99 * tau, 64)
+    mags = _block_magnitudes(model)
 
-    def objective(s: float) -> float:
-        row = _row_moment_sums(model, s)
+    def value(s, row):
+        # scalar arithmetic: numpy's vectorized pow moves last bits
         if row == 0.0:
             return 0.0
         c = tau * C2 ** (s / tau) / (tau - s)
         return (c * row) ** (1.0 / s)
 
-    values = np.array([objective(s) for s in s_grid])
+    rows = _row_moment_sums(mags, s_grid).tolist()
+    values = np.array([value(s, row) for s, row in zip(s_grid, rows)])
     k = int(np.argmin(values))
     best_s, best = float(s_grid[k]), float(values[k])
     if best > 0 and 0 < k < len(s_grid) - 1:
-        lo, hi = float(s_grid[k - 1]), float(s_grid[k + 1])
-        try:
-            res = minimize_scalar(objective, bracket=(lo, best_s, hi),
-                                  method="golden", options={"xtol": 1e-10})
-            if res.fun < best:
-                best, best_s = float(res.fun), float(res.x)
-        except ValueError:
-            pass  # flat bracket, grid point already optimal
+        found = _golden(lambda s: value(s, float(_row_moment_sums(mags, s))),
+                        float(s_grid[k - 1]), best_s, float(s_grid[k + 1]), 1e-10)
+        if found is not None and found[1] < best:
+            best_s, best = float(found[0]), float(found[1])
     return ThresholdReport(value=best, s_opt=best_s)
 
 

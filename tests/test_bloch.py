@@ -212,6 +212,18 @@ def test_doubled_grid_holds_grid_bit_for_bit(N):
     assert np.array_equal(v_fine[::2, ::2], v_coarse)
 
 
+@pytest.mark.parametrize("shape", [(24, 24, 2), (26, 26, 3), (24, 24, 5, 2), (12, 12, 3, 4)])
+@pytest.mark.parametrize("view", [False, True], ids=["contiguous", "even-sublattice"])
+def test_extrema_band_major_matches_axis_reduction(shape, view):
+    w = np.random.default_rng(len(shape) * shape[0] + shape[-1]).normal(size=shape)
+    if view:
+        w = w[::2, ::2]
+    lo, hi = bloch._extrema(w)
+    assert lo.shape == hi.shape == shape[2:]
+    assert np.array_equal(lo, w.min(axis=(0, 1)))
+    assert np.array_equal(hi, w.max(axis=(0, 1)))
+
+
 def closed_form_cases():
     """Stacked 2x2 Hermitian matrices covering every branch of bloch._eigh."""
     rng = np.random.default_rng(5)

@@ -268,9 +268,11 @@ def test_row_moment_sums_reference_point(reference_model):
     # per orbital: the opposite onsite entry t1, two t1 neighbors, four
     # t2 neighbors at distance 1 and two at sqrt(2)
     t2 = 1.0 / (3.0 * math.sqrt(3.0))
-    for s in (0.3, 0.5, 0.78):
-        got = bounds._row_moment_sums(reference_model, s)
-        assert got == pytest.approx(3.0 + 6.0 * t2 ** s, rel=1e-12)
+    s = np.array([0.3, 0.5, 0.78])
+    got = bounds._row_moment_sums(bounds._block_magnitudes(reference_model), s)
+    assert got.shape == (3,)
+    for g, si in zip(got, s):
+        assert g == pytest.approx(3.0 + 6.0 * t2 ** si, rel=1e-12)
 
 
 def test_strong_threshold_reference_point(reference_model):
@@ -288,16 +290,102 @@ def test_strong_threshold_reference_point(reference_model):
 def test_strong_threshold_scans_s_only(reference_model, monkeypatch):
     # one row sum per s grid point plus the golden-section refinement;
     # a (s, mu) grid would need thousands
-    calls = []
+    sizes = []
     row_sums = bounds._row_moment_sums
 
-    def spy(model, s):
-        calls.append(s)
-        return row_sums(model, s)
+    def spy(mags, s):
+        sizes.append(np.size(s))
+        return row_sums(mags, s)
 
     monkeypatch.setattr(bounds, "_row_moment_sums", spy)
     bounds.strong_disorder_threshold(reference_model, truncated_gaussian(1.0))
-    assert 64 <= len(calls) < 200
+    assert 64 <= sum(sizes) < 200
+
+
+def _threshold_case(model, spec):
+    # the threshold objective of one model and law, and the bracket its
+    # s-scan hands to the golden section
+    tau, C2 = spec.tau, 2.0 ** spec.tau * spec.C_tau
+    mags = bounds._block_magnitudes(model)
+
+    def f(s):
+        c = tau * C2 ** (s / tau) / (tau - s)
+        return (c * float(bounds._row_moment_sums(mags, s))) ** (1.0 / s)
+
+    grid = np.geomspace(0.01 * tau, 0.99 * tau, 64)
+    k = int(np.argmin([f(s) for s in grid]))
+    return f, (float(grid[k - 1]), float(grid[k]), float(grid[k + 1]))
+
+
+_GOLDEN_CASES = {
+    "threshold-tg": lambda: _threshold_case(haldane_model(HaldaneParams()),
+                                            truncated_gaussian(1.0)),
+    "threshold-uniform": lambda: _threshold_case(haldane_model(HaldaneParams()),
+                                                 uniform(1.0)),
+    "threshold-uniform-skew": lambda: _threshold_case(
+        haldane_model(HaldaneParams(t2=0.3)), uniform(0.5, 2.0)),
+    "quadratic": lambda: (lambda x: (x - 0.3) ** 2, (0.0, 0.2, 1.0)),
+    "quadratic-left-heavy": lambda: (lambda x: (x - 0.3) ** 2, (-1.0, 0.25, 0.4)),
+    "quadratic-right-heavy": lambda: (lambda x: (x - 0.3) ** 2, (0.2, 0.35, 2.0)),
+    "quadratic-offset": lambda: (lambda x: 5.0 + 2.0 * (x + 7.5) ** 2, (-9.0, -7.0, -6.0)),
+    "quartic": lambda: (lambda x: (x - 1.0) ** 4 + 0.1 * x, (0.0, 0.6, 2.0)),
+    "cosh": lambda: (lambda x: math.cosh(x - 0.7), (-3.0, 1.0, 1.5)),
+    "exp-linear": lambda: (lambda x: math.exp(x) - 2.0 * x, (-1.0, 0.5, 2.0)),
+    "x-log-x": lambda: (lambda x: x * math.log(x), (0.05, 0.4, 1.0)),
+    "rational": lambda: (lambda x: x + 1.0 / x, (0.1, 1.3, 5.0)),
+    "abs-power": lambda: (lambda x: abs(x - 0.123) ** 1.5, (-1.0, 0.1, 1.0)),
+    "cosine": lambda: (lambda x: math.cos(x), (2.0, 3.0, 4.5)),
+    "gaussian-well": lambda: (lambda x: -math.exp(-(x - 2.0) ** 2), (0.0, 2.5, 3.0)),
+    "narrow": lambda: (lambda x: (x - 1e-3) ** 2, (0.0, 1e-3, 3e-3)),
+    "large-scale": lambda: (lambda x: (x - 4.2e5) ** 2, (1e5, 4e5, 9e5)),
+    "symmetric-bracket": lambda: (lambda x: (x + 0.3) ** 2, (-1.0, 0.0, 1.0)),
+    "log-barrier": lambda: (lambda x: -math.log(x) - math.log(1.0 - x) + x, (0.01, 0.5, 0.99)),
+    "sin-well": lambda: (lambda x: math.sin(3.0 * x) + 0.5 * x, (-1.0, -0.4, 0.0)),
+    "power-moment": lambda: (lambda s: (4.0 * 0.6 ** s / (1.0 - s)) ** (1.0 / s),
+                             (0.3, 0.6, 0.95)),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_CASES))
+def test_golden_matches_scipy_bit_for_bit(name):
+    from scipy.optimize import minimize_scalar
+
+    f, (a, b, c) = _GOLDEN_CASES[name]()
+    got = bounds._golden(f, a, b, c, 1e-10)
+    res = minimize_scalar(f, bracket=(a, b, c), method="golden", options={"xtol": 1e-10})
+    assert got is not None
+    assert got == (float(res.x), float(res.fun))
+
+
+def test_golden_runs_both_first_probe_branches():
+    # right-heavy: the first probe lands right of xb; left-heavy, and a
+    # bracket with equal sides: left of it
+    probes = []
+
+    def f(x):
+        probes.append(x)
+        return (x - 0.3) ** 2
+
+    bounds._golden(f, 0.2, 0.35, 2.0, 1e-10)
+    assert probes[3] == 0.35 and probes[4] > 0.35
+    for bracket in ((-1.0, 0.25, 0.4), (-0.5, 0.25, 1.0)):
+        probes.clear()
+        bounds._golden(f, *bracket, 1e-10)
+        assert probes[3] < 0.25 and probes[4] == 0.25
+
+
+@pytest.mark.parametrize("f, bracket", [
+    (lambda x: 1.0, (0.0, 0.5, 1.0)),  # flat
+    (lambda x: x, (0.0, 0.5, 1.0)),  # monotone increasing
+    (lambda x: -x, (0.0, 0.5, 1.0)),  # monotone decreasing
+    (lambda x: x * x, (0.0, 0.0, 1.0)),  # xb not strictly inside
+], ids=["flat", "increasing", "decreasing", "degenerate"])
+def test_golden_invalid_bracket_is_none_where_scipy_raises(f, bracket):
+    from scipy.optimize import minimize_scalar
+
+    assert bounds._golden(f, *bracket, 1e-10) is None
+    with pytest.raises(ValueError):
+        minimize_scalar(f, bracket=bracket, method="golden", options={"xtol": 1e-10})
 
 
 def test_strong_threshold_uniform_law(reference_model):

@@ -502,6 +502,17 @@ def test_console_script_entry_point(tmp_path, model_file):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the threshold's golden section lives in bounds; scipy.optimize would
+    # cost every CLI process about 0.2 s and 17 MB at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import chernlab, chernlab.cli, sys; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs every CLI process about half a second at start-up
     proc = subprocess.run(
