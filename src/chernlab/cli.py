@@ -515,6 +515,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _not_nan(flag: str, value):
+    """A flag's value, or a ValueError naming the flag if it is or holds a NaN.
+
+    json.loads returns one shared NaN object, so a NaN from a config file
+    passes the round-trip guard by identity and the runner's reader names
+    its key. A NaN parsed from a flag is a new object that would trip the
+    guard instead, whose message names no key.
+    """
+    if any(isinstance(x, float) and math.isnan(x)
+           for x in (value if isinstance(value, list) else [value])):
+        raise ValueError(f"{flag}: must not be NaN")
+    return value
+
+
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     doc: dict = {}
     if args.config:
@@ -534,11 +548,13 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         doc["output"] = args.out
 
     ens = dict(doc.get("ensemble", {}))
-    for flag, key in (("seed", "master_seed"), ("realizations", "n_realizations"),
-                      ("lam", "lam"), ("box_l", "box_L"), ("bc", "bc")):
-        value = getattr(args, flag)
+    for flag, dest, key in (("--seed", "seed", "master_seed"),
+                            ("--realizations", "realizations", "n_realizations"),
+                            ("--lambda", "lam", "lam"), ("--box-l", "box_l", "box_L"),
+                            ("--bc", "bc", "bc")):
+        value = getattr(args, dest)
         if value is not None:
-            ens[key] = value
+            ens[key] = _not_nan(flag, value)
     doc["ensemble"] = ens
 
     scan = dict(doc.get("scan", {}))
@@ -546,9 +562,10 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         text = getattr(args, f"scan_{key}")
         if text is not None:
             try:
-                scan[key] = parse(text)
+                value = parse(text)
             except ValueError as e:
                 raise ValueError(f"{flag}: {e}") from None
+            scan[key] = _not_nan(flag, value)
     doc["scan"] = scan
 
     try:

@@ -14,9 +14,10 @@ Statistics that only count or locate eigenvalues call numpy's
 may differ from the ``eigensystem`` ones in the last bits. A spectral
 projection is held by its occupied eigenvectors V (N x k) and forms
 P = V V^* only when a caller reads ``matrix``; the windowed marker reads
-rows of P from V alone. Gap-membership arguments should use the
-periodic restriction: open boundaries of a topologically nontrivial
-model carry in-gap edge modes.
+rows of P from V alone, and only the kernel-decay probe reads the
+raw N x N matrix V V^* (``fermi_matrix``). Gap-membership arguments
+should use the periodic restriction: open boundaries of a
+topologically nontrivial model carry in-gap edge modes.
 
 Every matrix product on eigenvectors goes through ``_dot``, that is
 through scipy's BLAS, the library that solved for them. numpy and scipy
@@ -217,9 +218,9 @@ def _occupied(op: FiniteOperator, E: float) -> np.ndarray:
 def fermi_matrix(op: FiniteOperator, E: float) -> np.ndarray:
     """Raw chi_(-inf, E] of the operator, V_k V_k^* (N x N), unsymmetrized.
 
-    For the probes that reduce the kernel itself and compare its raw
-    bits across energies and strengths. E exactly at an eigenvalue is
-    included.
+    For ``projection_decay``, the one probe that reduces the kernel
+    itself, taking its block norms at each energy of a grid. E exactly
+    at an eigenvalue is included.
     """
     vk = _occupied(op, E)
     return _dot(vk, vk, adjoint_b=True)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "LatticeBasis",
     "Box",
     "wedge",
     "norm",
@@ -21,19 +20,6 @@ __all__ = [
     "inner_boundary",
     "core_sites",
 ]
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Two real basis vectors spanning the lattice, in Cartesian units."""
-
-    a1: tuple[float, float]
-    a2: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        det = self.a1[0] * self.a2[1] - self.a1[1] * self.a2[0]
-        if abs(det) <= 1e-15:
-            raise ValueError("basis vectors must be linearly independent")
 
 
 def wedge(gamma, xi) -> int:

@@ -17,13 +17,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .lattice import Box, LatticeBasis, box_sites, norm_inf, wedge
+from .lattice import Box, box_sites, norm_inf, wedge
 
 __all__ = [
     "HoppingModel",
     "HaldaneParams",
     "haldane_model",
-    "honeycomb_basis",
     "kernel",
     "build_dense",
     "check_magnetic_periodicity",
@@ -39,17 +38,10 @@ _A2 = (0, 1)
 _A3 = (-1, -1)
 
 
-def honeycomb_basis() -> LatticeBasis:
-    # a1 = d2 - d3, a2 = d3 - d1 for the nearest-neighbor bonds
-    # d1 = (1/2, -sqrt3/2), d2 = (1/2, sqrt3/2), d3 = (-1, 0)
-    return LatticeBasis(a1=(1.5, np.sqrt(3.0) / 2.0), a2=(-1.5, np.sqrt(3.0) / 2.0))
-
-
 @dataclass(frozen=True)
 class HoppingModel:
     """Hopping data H0(0, delta) keyed by coefficient displacement."""
 
-    basis: LatticeBasis
     n: int
     r: int
     hoppings: Mapping[tuple[int, int], np.ndarray]
@@ -124,6 +116,8 @@ def haldane_model(p: HaldaneParams) -> HoppingModel:
     """
     w = p.t2 * np.exp(-1j * p.phi)
     nnn = np.diag([w, np.conj(w)])
+    # a1 = d2 - d3, a2 = d3 - d1 for the nearest-neighbor bonds
+    # d1 = (1/2, -sqrt3/2), d2 = (1/2, sqrt3/2), d3 = (-1, 0)
     # (block with t1 at [0,1], block with t1 at [1,0], block left diagonal)
     slots = {
         "d3": (_A1, _A2, _A3),
@@ -145,7 +139,7 @@ def haldane_model(p: HaldaneParams) -> HoppingModel:
         (-dn[0], -dn[1]): h_dn.conj().T,
         (-dg[0], -dg[1]): nnn.conj().T,
     }
-    return HoppingModel(basis=honeycomb_basis(), n=2, r=1, hoppings=hop, flux=0.0)
+    return HoppingModel(n=2, r=1, hoppings=hop, flux=0.0)
 
 
 def kernel(model: HoppingModel, gamma, xi) -> np.ndarray:
@@ -338,5 +332,5 @@ def model_from_json(doc) -> HoppingModel:
             neg = (-delta[0], -delta[1])
             if neg not in hop:
                 hop[neg] = hop[delta].conj().T
-        return HoppingModel(basis=LatticeBasis(a1=(1.0, 0.0), a2=(0.0, 1.0)), n=n, r=r, hoppings=hop, flux=flux)
+        return HoppingModel(n=n, r=r, hoppings=hop, flux=flux)
     raise ValueError(f"unknown model type: {kind!r}")

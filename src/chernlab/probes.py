@@ -4,8 +4,9 @@ Every probe is a pure function of an EnsembleConfig and runs one
 realization loop, ``_realizations``: it builds the clean restriction of
 the box once per call and, for k = 0, 1, ... in order on the calling
 thread, draws potential k from (master_seed, k) once and yields the
-realization as a function lam -> H0 + lam V_k. The coupled probes
-evaluate every strength of a realization on that one draw. BLAS threads
+realization as a function lam -> H0 + lam V_k. The marker scan, the
+one probe that couples strengths, evaluates every strength of a
+realization on that one draw. BLAS threads
 parallelize each solve. Averages over realizations go through one
 reduction, ``_mean_stderr``. Probes that compare against an analytic
 bound report the bound next to the estimate instead of hiding the
@@ -45,8 +46,6 @@ __all__ = [
     "WegnerRow",
     "SuitabilityResult",
     "IdsRow",
-    "EnergyContinuityResult",
-    "DisorderContinuityResult",
     "MarkerScanRow",
     "MomentRow",
     "wilson_interval",
@@ -54,9 +53,6 @@ __all__ = [
     "suitable_box_probability",
     "projection_decay",
     "ids_estimate",
-    "ids_continuity_check",
-    "disorder_continuity_lhs",
-    "disorder_continuity_check",
     "averaged_marker_scan",
     "time_averaged_moment",
     "bump_window",
@@ -299,10 +295,6 @@ class _DisplacementClasses:
         """Mean of per-site-pair values over each distance class."""
         return np.bincount(self.ids, weights=norms.ravel()) / self.counts
 
-    def profile(self, M: np.ndarray) -> np.ndarray:
-        """Class means of the block nuclear norms of M."""
-        return self.means(self.block_norms(M))
-
 
 def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
                      grid_points: int = 16) -> DecayProfile:
@@ -370,118 +362,6 @@ def ids_estimate(cfg: EnsembleConfig, E_grid) -> list[IdsRow]:
         for real in _realizations(cfg, box)])
     return [IdsRow(E=E, value=float(m), stderr=float(s), n=cfg.n_realizations)
             for E, m, s in zip(energies, means, stderrs)]
-
-
-@dataclass(frozen=True)
-class EnergyContinuityResult:
-    lhs: float
-    lhs_stderr: float
-    rhs: float
-    passed: bool
-    n: int
-
-
-def ids_continuity_check(cfg: EnsembleConfig, E1: float, E2: float,
-                         off_diagonal: bool = False) -> EnergyContinuityResult:
-    """Projection increment against the energy-regularity ceiling.
-
-    Diagonal form: mean per-site rank increment vs
-    2^(2-tau) n pi C_tau |dE/lam|^tau. With off_diagonal=True the
-    statistic is the largest center-averaged block nuclear norm of
-    P(E2)-P(E1) over displacement classes, and the ceiling carries n^2.
-    The check passes when the 99% upper confidence of the statistic
-    stays below the ceiling.
-    """
-    if cfg.lam <= 0:
-        raise ValueError("the ceiling needs lam > 0")
-    if E2 < E1:
-        raise ValueError("need E2 >= E1")
-    box = box_sites(cfg.box_L)
-    tau, C = cfg.spec.tau, cfg.spec.C_tau
-    n = cfg.model.n
-    scale = (2.0 ** (2.0 - tau)) * math.pi * C * abs((E2 - E1) / cfg.lam) ** tau
-    rhs = (n * n if off_diagonal else n) * scale
-
-    if off_diagonal:
-        classes = _DisplacementClasses(box, cfg.bc, n)
-
-        def stat(op) -> np.ndarray:
-            return classes.profile(fermi_matrix(op, E2) - fermi_matrix(op, E1))
-    else:
-        def stat(op) -> float:
-            k1, k2 = np.searchsorted(np.linalg.eigvalsh(op.matrix), (E1, E2), side="right")
-            return (k2 - k1) / box.size
-
-    means, stderrs = _mean_stderr([stat(real(cfg.lam)) for real in _realizations(cfg, box)])
-    j = np.argmax(means)  # the worst displacement class; the only entry of the diagonal form
-    lhs, stderr = float(means.flat[j]), float(stderrs.flat[j])
-    return EnergyContinuityResult(lhs=lhs, lhs_stderr=stderr, rhs=rhs,
-                                  passed=lhs + _Z99 * stderr <= rhs,
-                                  n=cfg.n_realizations)
-
-
-# ------------------------------------------------- continuity in disorder
-
-
-@dataclass(frozen=True)
-class DisorderContinuityResult:
-    delta_lams: np.ndarray
-    lhs: np.ndarray
-    exponent: float
-    target: float
-    passed: bool
-    n: int
-
-
-def _coupled_profiles(cfg: EnsembleConfig, E: float, base_lam: float, lams) -> np.ndarray:
-    """Realization means of the class profile of P(lam) - P(base_lam) at E,
-    one row per lam in lams.
-
-    Coupled sampling: every strength of a realization sees the same
-    potential draw, so a row vanishes exactly where lam = base_lam.
-    """
-    box = box_sites(cfg.box_L)
-    classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
-
-    def stat(real) -> list[np.ndarray]:
-        base = fermi_matrix(real(base_lam), E)
-        return [classes.profile(fermi_matrix(real(lam), E) - base) for lam in lams]
-
-    return _mean_stderr([stat(real) for real in _realizations(cfg, box, (base_lam, *lams))])[0]
-
-
-def disorder_continuity_lhs(cfg: EnsembleConfig, lam_a: float, lam_b: float,
-                            E: float) -> float:
-    """sup over displacements of E[block nuclear norm of P(lam_a)-P(lam_b)].
-
-    Coupled sampling: both strengths see the identical potential draw,
-    so the statistic vanishes exactly at lam_a = lam_b.
-    """
-    return float(np.max(_coupled_profiles(cfg, E, lam_b, (lam_a,))))
-
-
-def disorder_continuity_check(cfg: EnsembleConfig, lam1: float, lam2: float,
-                              E: float, rungs: int = 6) -> DisorderContinuityResult:
-    """Scaling exponent of the coupled projection difference in |dlam|.
-
-    The ladder halves dlam = lam2 - lam1 per rung with the lower
-    strength pinned at lam1; the fitted log-log slope must reach the
-    regularity exponent tau/(tau+2) minus a 0.1 finite-size allowance.
-    """
-    if lam1 <= 0 or lam2 <= lam1:
-        raise ValueError("need 0 < lam1 < lam2")
-    if rungs < 2:
-        raise ValueError("need at least two ladder rungs")
-    dlams = (lam2 - lam1) * 0.5 ** np.arange(rungs)
-    lhs = _coupled_profiles(cfg, E, lam1, lam1 + dlams).max(axis=1)
-    ok = lhs > 0
-    if np.sum(ok) < 2:
-        raise ValueError("projection difference vanished on the ladder; nothing to fit")
-    slope = float(np.polyfit(np.log(dlams[ok]), np.log(lhs[ok]), 1)[0])
-    target = cfg.spec.tau / (cfg.spec.tau + 2.0)
-    return DisorderContinuityResult(delta_lams=dlams, lhs=lhs, exponent=slope,
-                                    target=target, passed=slope >= target - 0.1,
-                                    n=cfg.n_realizations)
 
 
 # --------------------------------------------------------- marker averages

@@ -32,7 +32,7 @@ def test_bloch_k0_nn_only():
 
 def test_bloch_rejects_flux():
     m = std_model()
-    mf = HoppingModel(basis=m.basis, n=2, r=1, hoppings=dict(m.hoppings), flux=0.5)
+    mf = HoppingModel(n=2, r=1, hoppings=dict(m.hoppings), flux=0.5)
     with pytest.raises(ValueError):
         bloch_matrix(mf, (0.0, 0.0))
 
@@ -268,7 +268,7 @@ def three_orbital_model():
         hop[delta] = np.zeros((3, 3), dtype=complex)
         hop[delta][:2, :2] = mat
     hop[(0, 0)][2, 2] = 10.0
-    return HoppingModel(basis=ref.basis, n=3, r=1, hoppings=hop)
+    return HoppingModel(n=3, r=1, hoppings=hop)
 
 
 def test_three_orbital_model_keeps_numpy_path():

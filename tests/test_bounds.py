@@ -23,8 +23,7 @@ from chernlab.disorder import (
 )
 from chernlab.finite_volume import green_function, restrict_simple
 from chernlab.lattice import box_sites
-from chernlab.model import (HaldaneParams, HoppingModel, haldane_model,
-                            honeycomb_basis)
+from chernlab.model import HaldaneParams, HoppingModel, haldane_model
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +86,7 @@ def test_salpha_single_hopping_pair():
     # one hopping t across distance 1 (plus its reverse):
     # S_alpha = 2 t (e^alpha - 1) exactly
     t = 0.7
-    m = HoppingModel(basis=honeycomb_basis(), n=1, r=1, hoppings={
+    m = HoppingModel(n=1, r=1, hoppings={
         (0, 0): np.array([[0.0]]),
         (1, 0): np.array([[t]]),
         (-1, 0): np.array([[t]]),
@@ -129,7 +128,7 @@ def test_alpha_for_gap_inverts_overbound(reference_model, reference_bands):
 
 
 def test_alpha_for_gap_rejects_hopping_free_model():
-    m = HoppingModel(basis=honeycomb_basis(), n=1, r=1, hoppings={(0, 0): np.array([[1.0]])})
+    m = HoppingModel(n=1, r=1, hoppings={(0, 0): np.array([[1.0]])})
     with pytest.raises(ValueError):
         bounds.alpha_for_gap(m, 1.0)
 
@@ -394,7 +393,7 @@ def test_strong_threshold_uniform_law(reference_model):
 
 
 def test_strong_threshold_onsite_only_model():
-    m = HoppingModel(basis=honeycomb_basis(), n=2, r=1, hoppings={
+    m = HoppingModel(n=2, r=1, hoppings={
         (0, 0): np.array([[1.0, 0.0], [0.0, -1.0]]),
     })
     rep = bounds.strong_disorder_threshold(m, uniform(1.0))
@@ -403,7 +402,7 @@ def test_strong_threshold_onsite_only_model():
 
 def test_strong_threshold_degree_one_homogeneous(reference_model):
     # scaling every hopping by c scales the threshold by exactly c
-    scaled = HoppingModel(basis=reference_model.basis, n=2, r=1, hoppings={
+    scaled = HoppingModel(n=2, r=1, hoppings={
         d: 2.0 * m for d, m in reference_model.hoppings.items()})
     spec = truncated_gaussian(1.0)
     base = bounds.strong_disorder_threshold(reference_model, spec)

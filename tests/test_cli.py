@@ -309,6 +309,23 @@ def test_config_scalar_and_list_values_are_checked(tmp_path, model_file, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    ["ids", "--lambda", "nan"],
+    ["msa-probe", "--theta", "nan"],
+    ["wegner", "--energy", "nan"],
+    ["moments", "--p", "nan"],
+    ["wegner", "--eps-grid=nan"],
+], ids=lambda args: " ".join(args))
+def test_nan_flag_is_named(tmp_path, model_file, uniform_file, capsys, args):
+    # a NaN given by flag stops the run naming its flag, as a NaN in a
+    # config file names its key, and writes no output
+    out = tmp_path / "run"
+    assert main(args + ["--model", model_file, "--dist", uniform_file,
+                        "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {args[1].split('=')[0]}: must not be NaN\n"
+    assert not out.exists()
+
+
 HALDANE = {"type": "haldane", "t1": 1.0, "t2": T2, "phi": 0.5, "M": 0.0}
 CUSTOM = {"type": "custom", "n": 2, "r": 1, "B": 0.0,
           "hoppings": [{"dg1": 0, "dg2": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}]}

@@ -20,7 +20,6 @@ from chernlab.model import (
     HoppingModel,
     build_dense,
     haldane_model,
-    honeycomb_basis,
 )
 
 T2 = 1.0 / (3.0 * math.sqrt(3.0))
@@ -29,7 +28,7 @@ TOPO = HaldaneParams(t1=1.0, t2=T2, phi=math.pi / 2, M=0.0)
 
 def _onsite_model(M: float) -> HoppingModel:
     # purely diagonal two-band model, entries +-M
-    return HoppingModel(basis=honeycomb_basis(), n=2, r=1,
+    return HoppingModel(n=2, r=1,
                         hoppings={(0, 0): np.array([[M, 0.0], [0.0, -M]], dtype=complex)},
                         flux=0.0)
 
@@ -172,7 +171,7 @@ def test_add_potential_equals_dense_diagonal_sum():
 
 def test_periodic_flux_divisibility():
     m = haldane_model(TOPO)
-    flux_model = HoppingModel(basis=m.basis, n=2, r=1, hoppings=dict(m.hoppings),
+    flux_model = HoppingModel(n=2, r=1, hoppings=dict(m.hoppings),
                               flux=2 * math.pi / 3)
     with pytest.raises(ValueError):
         restrict_periodic(flux_model, box_sites(8))
@@ -182,7 +181,7 @@ def test_periodic_flux_divisibility():
 
 def test_periodic_rejects_irrational_flux():
     m = haldane_model(TOPO)
-    flux_model = HoppingModel(basis=m.basis, n=2, r=1, hoppings=dict(m.hoppings),
+    flux_model = HoppingModel(n=2, r=1, hoppings=dict(m.hoppings),
                               flux=0.37)
     with pytest.raises(ValueError):
         restrict_periodic(flux_model, box_sites(8))

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab.lattice import (
-    LatticeBasis,
     box_sites,
     core_sites,
     inner_boundary,
@@ -37,11 +36,6 @@ def test_wedge_shift_invariance(g, x):
 def test_norms_use_coefficients():
     assert norm((3, 4)) == pytest.approx(5.0)
     assert norm_inf((3, -4)) == 4
-
-
-def test_basis_requires_independence():
-    with pytest.raises(ValueError):
-        LatticeBasis(a1=(1.0, 2.0), a2=(2.0, 4.0))
 
 
 def test_box_small_sides():

@@ -10,7 +10,6 @@ from chernlab.model import (
     build_dense,
     check_magnetic_periodicity,
     haldane_model,
-    honeycomb_basis,
     hopping_norm_sum,
     kernel,
     model_from_json,
@@ -87,7 +86,7 @@ def test_constructor_rejects_broken_hermiticity():
     bad[0, 1] += 0.1
     hop[(1, 0)] = bad
     with pytest.raises(ValueError):
-        HoppingModel(basis=m.basis, n=2, r=1, hoppings=hop)
+        HoppingModel(n=2, r=1, hoppings=hop)
 
 
 def test_constructor_names_the_first_failing_displacement():
@@ -97,24 +96,23 @@ def test_constructor_names_the_first_failing_displacement():
     broken = dict(m.hoppings)
     broken[(0, -1)] = broken[(0, -1)] + 0.1  # partner of (0, 1), stored later
     with pytest.raises(ValueError) as err:
-        HoppingModel(basis=m.basis, n=2, r=1, hoppings=broken)
+        HoppingModel(n=2, r=1, hoppings=broken)
     assert str(err.value) == "hoppings for (0, 1) and (0, -1) are not Hermitian partners"
     missing = dict(m.hoppings)
     del missing[(1, 1)]
     with pytest.raises(ValueError) as err:
-        HoppingModel(basis=m.basis, n=2, r=1, hoppings=missing)
+        HoppingModel(n=2, r=1, hoppings=missing)
     assert str(err.value) == "missing reverse hopping for (-1, -1)"
     # a broken partner ahead of a missing one is reported first
     del broken[(1, 1)]
     with pytest.raises(ValueError) as err:
-        HoppingModel(basis=m.basis, n=2, r=1, hoppings=broken)
+        HoppingModel(n=2, r=1, hoppings=broken)
     assert str(err.value) == "hoppings for (0, 1) and (0, -1) are not Hermitian partners"
 
 
 def test_constructor_rejects_out_of_range_displacement():
     with pytest.raises(ValueError):
         HoppingModel(
-            basis=honeycomb_basis(),
             n=1,
             r=1,
             hoppings={(2, 0): np.eye(1), (-2, 0): np.eye(1)},
@@ -131,7 +129,7 @@ def test_kernel_matches_hoppings_at_zero_flux():
 
 def test_kernel_hermitian_pairs_any_flux():
     m = std_model()
-    mf = HoppingModel(basis=m.basis, n=2, r=1, hoppings=dict(m.hoppings), flux=2 * np.pi / 5)
+    mf = HoppingModel(n=2, r=1, hoppings=dict(m.hoppings), flux=2 * np.pi / 5)
     for g, x in [((0, 0), (1, 0)), ((2, 1), (1, 0)), ((-1, 3), (-2, 2)), ((1, 1), (1, 1))]:
         np.testing.assert_allclose(kernel(mf, g, x), kernel(mf, x, g).conj().T, atol=1e-14)
 
@@ -150,7 +148,7 @@ def test_magnetic_periodicity_detects_perturbation():
 def test_magnetic_periodicity_rational_flux():
     # kernel synthesized from the covariance phase itself must pass the check
     m = std_model()
-    m3 = HoppingModel(basis=m.basis, n=2, r=1, hoppings=dict(m.hoppings), flux=2 * np.pi / 3)
+    m3 = HoppingModel(n=2, r=1, hoppings=dict(m.hoppings), flux=2 * np.pi / 3)
     assert check_magnetic_periodicity(m3, 9)
     H = build_dense(m3, box_sites(9))
     assert np.max(np.abs(H - H.conj().T)) < 1e-12

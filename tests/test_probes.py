@@ -21,17 +21,19 @@ from chernlab.bounds import (
     strong_disorder_threshold,
 )
 from chernlab.bloch import band_structure
-from chernlab.disorder import truncated_gaussian, uniform
-from chernlab.finite_volume import restrict_periodic, spectral_projection
-from chernlab.lattice import box_sites
+from chernlab.disorder import sample_potential, truncated_gaussian, uniform
+from chernlab.finite_volume import (
+    add_potential,
+    green_function,
+    restrict_periodic,
+    spectral_projection,
+)
+from chernlab.lattice import box_sites, core_sites, inner_boundary
 from chernlab.model import HaldaneParams, haldane_model
 from chernlab.probes import (
     EnsembleConfig,
     averaged_marker_scan,
     bump_window,
-    disorder_continuity_check,
-    disorder_continuity_lhs,
-    ids_continuity_check,
     ids_estimate,
     loglog_slope,
     max_secant_slope,
@@ -169,6 +171,27 @@ def test_suitability_trend_with_box_size(model):
     assert probs[1] == 1.0
 
 
+@pytest.mark.parametrize("L", [7, 13])
+def test_suitability_threshold_matches_green_function(model, L):
+    # oracle: with b the largest core-to-shell 2x2 block norm of the full
+    # resolvent from green_function, the one realization passes exactly
+    # for theta <= theta* = -ln b / ln L
+    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=0.3, box_L=L,
+                         bc="periodic", n_realizations=1, master_seed=11)
+    box = box_sites(L)
+    op = add_potential(restrict_periodic(model, box),
+                       sample_potential(cfg.spec, box, model.n, cfg.master_seed, 0), cfg.lam)
+    G = green_function(op, 3.2)
+    core = [box.index_of(*g) for g in core_sites(box, 1).sites]
+    shell = [box.index_of(*g) for g in inner_boundary(box, 1)]
+    b = max(np.linalg.norm(G[2 * i:2 * i + 2, 2 * j:2 * j + 2], 2)
+            for i in core for j in shell)
+    theta = -np.log(b) / np.log(L)
+    assert theta > 0
+    assert suitable_box_probability(cfg, 3.2, theta * (1 - 1e-6)).probability == 1.0
+    assert suitable_box_probability(cfg, 3.2, theta * (1 + 1e-6)).probability == 0.0
+
+
 # ---------------------------------------------------------------- decay
 
 
@@ -228,86 +251,9 @@ def test_ids_monotone_under_disorder(model):
     assert vals[4] == pytest.approx(1.0, abs=1e-12)  # E=0, particle-hole pair
 
 
-def test_ids_energy_continuity(model):
-    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=2.0, box_L=10,
-                         bc="periodic", n_realizations=60, master_seed=4)
-    r = ids_continuity_check(cfg, -0.05, 0.05)
-    assert r.passed and r.lhs > 0
-    assert r.lhs == pytest.approx(0.00616667, rel=1e-5)
-    # rhs closed form: 2^(2-tau) n pi C_tau (dE/lam)^tau, uniform C_tau=1/2
-    assert r.rhs == pytest.approx(2.0 * 2 * np.pi * 0.5 * (0.1 / 2.0), rel=1e-12)
-
-    # off-diagonal variant carries n^2 rather than n
-    ro = ids_continuity_check(cfg, -0.05, 0.05, off_diagonal=True)
-    assert ro.passed
-    assert ro.rhs == pytest.approx(2.0 * r.rhs, rel=1e-12)
-
-
-def test_ids_continuity_degenerate_and_invalid(model):
-    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=6,
-                         bc="periodic", n_realizations=5, master_seed=0)
-    r = ids_continuity_check(cfg, 0.3, 0.3)
-    assert (r.lhs, r.rhs, r.passed) == (0.0, 0.0, True)
-    with pytest.raises(ValueError):
-        ids_continuity_check(cfg, 0.5, 0.3)
-    bad = EnsembleConfig(model=cfg.model, spec=None, lam=0.0, box_L=6)
-    with pytest.raises(ValueError):
-        ids_continuity_check(bad, 0.0, 0.1)
-
-
-def test_lifshitz_protected_window_gives_zero_lhs(model):
-    # at lam=1 the shifted band edges just touch E=0; no finite sample
-    # puts an eigenvalue inside the window, so the bound holds trivially
-    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=10,
-                         bc="periodic", n_realizations=60, master_seed=4)
-    r = ids_continuity_check(cfg, -0.05, 0.05)
-    assert r.lhs == 0.0 and r.passed
-
-
-# ------------------------------------------------------- disorder continuity
-
-
-def test_disorder_continuity_mid_spectrum(model):
-    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=10,
-                         bc="periodic", n_realizations=40, master_seed=9)
-    r = disorder_continuity_check(cfg, 1.0, 2.0, 0.0, rungs=6)
-    assert r.passed
-    assert r.target == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert r.exponent == pytest.approx(1.0099, abs=2e-3)
-    # coupled sampling halves lhs with each halved rung
-    ratios = r.lhs[1:] / r.lhs[:-1]
-    assert np.all((0.45 < ratios) & (ratios < 0.55))
-
-
-def test_disorder_continuity_gap_is_lipschitz(model):
-    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=10,
-                         bc="periodic", n_realizations=40, master_seed=9)
-    r = disorder_continuity_check(cfg, 0.1, 0.2, 0.0, rungs=5)
-    assert r.exponent >= 0.9
-
-
-def test_disorder_continuity_equal_lambdas(model):
-    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=8,
-                         bc="periodic", n_realizations=10, master_seed=9)
-    assert disorder_continuity_lhs(cfg, 1.3, 1.3, 0.0) == 0.0
-
-
-def test_disorder_continuity_validation(model):
-    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=8,
-                         bc="periodic", n_realizations=5, master_seed=0)
-    with pytest.raises(ValueError):
-        disorder_continuity_check(cfg, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        disorder_continuity_check(cfg, 2.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        disorder_continuity_check(cfg, 1.0, 2.0, 0.0, rungs=1)
-
-
 @pytest.mark.parametrize("probe", [
-    lambda cfg: disorder_continuity_lhs(cfg, 0.5, 0.0, 0.0),
-    lambda cfg: disorder_continuity_check(cfg, 0.5, 1.0, 0.0),
     lambda cfg: averaged_marker_scan(cfg, [0.0], [0.0, 0.5], window_L=2),
-], ids=["disorder_continuity_lhs", "disorder_continuity_check", "averaged_marker_scan"])
+], ids=["averaged_marker_scan"])
 def test_coupled_strength_without_distribution_is_rejected(model, probe):
     # a clean ensemble passes EnsembleConfig's check; a positive coupled
     # strength must still stop before any potential is drawn
@@ -456,12 +402,6 @@ DRAWING_PROBES = {
     "suitable_box_probability": lambda cfg: suitable_box_probability(cfg, 3.2, 1.0),
     "projection_decay": lambda cfg: projection_decay(cfg, (-0.2, 0.2), grid_points=2),
     "ids_estimate": lambda cfg: ids_estimate(cfg, [0.0]),
-    "ids_continuity_check": lambda cfg: ids_continuity_check(cfg, -0.1, 0.1),
-    "ids_continuity_check_off_diagonal":
-        lambda cfg: ids_continuity_check(cfg, -0.1, 0.1, off_diagonal=True),
-    "disorder_continuity_lhs": lambda cfg: disorder_continuity_lhs(cfg, 2.0, 1.0, 0.0),
-    "disorder_continuity_check":
-        lambda cfg: disorder_continuity_check(cfg, 1.0, 2.0, 0.0, rungs=3),
     "averaged_marker_scan":
         lambda cfg: averaged_marker_scan(cfg, [0.0], [0.0, 1.0, 2.0], window_L=2),
     "time_averaged_moment": lambda cfg: time_averaged_moment(cfg, 2.0, (2.0, 0.5), [0.0, 1.0]),
