@@ -376,6 +376,7 @@ def _run_moments(config: ExperimentConfig):
     rows = time_averaged_moment(_ensemble(config), p, (center, width), Ts)
     M = [r.mean for r in rows]
     meta = {"p": p,
+            "empty_windows": rows[0].empty_windows,
             "window": f"{_fmt(center)} {_fmt(width)}",
             "transport_slope": transport_slope(Ts, M)}
     positive = [(T, m) for T, m in zip(Ts[1:], M[1:]) if m > 0]
@@ -464,9 +465,9 @@ _COMMANDS = {
 def run(config: ExperimentConfig) -> Path:
     """Execute one resolved configuration; returns the primary output path."""
     command = _COMMANDS[config.command]
+    result = command.runner(config)
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    result = command.runner(config)
     path = out / command.output
     doc = {"schema_version": SCHEMA_VERSION, "config": config.to_dict()}
     if command.header is None:

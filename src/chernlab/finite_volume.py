@@ -1,14 +1,18 @@
 """Finite-volume restrictions, spectra, projections, Green functions.
 
-The restrictions build the clean operator H0 of a box only. A
-disordered realization is that clean operator with lam V added to its
-diagonal (``add_potential``), the one way to form H0 + lam V. An
-ensemble builds and validates the clean operator of its box once and
-pays one matrix copy per realization. Each operator solves lazily with
-one call of LAPACK's MRRR driver ``zheevr`` through
+The restrictions build the clean operator H0 of a box only, held as its
+nonzero entries (``HermitianEntries``, about 18 per site for the Haldane
+model) and checked Hermitian once. A disordered realization is that
+clean operator with lam V added to its diagonal (``add_potential``), the
+one way to form H0 + lam V; it shares the clean entries and stores only
+the real diagonal lam v. No operator holds an N x N matrix: ``matrix``
+assembles one when read. Each operator solves lazily with one call of
+LAPACK's MRRR driver ``zheevr`` through
 ``scipy.linalg.eigh(driver="evr")`` (``eigensystem``; ``eigenvalues``
-is its first part), so an energy read from ``eigenvalues`` sits exactly
-on the state a projection counts.
+is its first part), on a freshly assembled buffer that the solve
+overwrites, so an energy read from ``eigenvalues`` sits exactly on the
+state a projection counts and the eigenvectors are the one N x N array
+a solve leaves.
 Statistics that only count or locate eigenvalues call numpy's
 ``eigvalsh`` on the matrix instead and form no eigenvectors; its values
 may differ from the ``eigensystem`` ones in the last bits. A spectral
@@ -40,10 +44,11 @@ from scipy.linalg import blas
 
 from .disorder import DisorderSample
 from .lattice import Box
-from .model import HoppingModel, build_dense
+from .model import HoppingModel, dense_from_entries, hopping_entries
 
 __all__ = [
     "FiniteOperator",
+    "HermitianEntries",
     "ProjectionMatrix",
     "add_potential",
     "restrict_simple",
@@ -57,26 +62,83 @@ _HERM_TOL = 1e-12
 _ORTHO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class HermitianEntries:
+    """The nonzero entries (rows, cols, vals) of a size x size Hermitian matrix.
+
+    No (row, col) pair may repeat. Checked once, when built: each entry
+    is compared with the conjugate of its partner at (col, row), or with
+    0 if there is none, which are the |m - m^*| values of the dense
+    matrix m. ``dense`` assembles m with ``model.dense_from_entries``.
+    """
+
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self) -> None:
+        N = self.size
+        keys = self.rows * N + self.cols
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            raise ValueError("entries repeat a (row, col) pair")
+        partner_keys = self.cols * N + self.rows
+        at = np.minimum(np.searchsorted(sorted_keys, partner_keys), len(keys) - 1)
+        partner = np.where(sorted_keys[at] == partner_keys, self.vals[order[at]], 0.0)
+        if self.vals.size and np.max(np.abs(self.vals - partner.conj())) > _HERM_TOL:
+            raise ValueError("matrix is not Hermitian")
+        for a in (self.rows, self.cols, self.vals):
+            a.flags.writeable = False
+
+    def dense(self, diagonal: np.ndarray | None = None, order: str = "C") -> np.ndarray:
+        """The matrix plus diag(``diagonal``), added after every entry."""
+        H = dense_from_entries(self.size, self.rows, self.cols, self.vals, order)
+        if diagonal is not None:
+            H[np.diag_indices(self.size)] += diagonal
+        return H
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteOperator:
-    matrix: np.ndarray
+    """H0 + diag(potential) on a box, held without any N x N matrix.
+
+    ``entries`` hold the clean operator H0, checked Hermitian once; a
+    realization shares them and adds only its real diagonal
+    ``potential`` lam v (None for no diagonal), so it is Hermitian
+    without a second check. Built from a dense Hermitian ``matrix``,
+    read as its nonzero entries, or from a clean operator's ``entries``
+    and a ``potential``. ``matrix`` assembles the dense operator anew
+    on each read.
+    """
+
+    entries: HermitianEntries
+    potential: np.ndarray | None
     box: Box
     n: int
     sample_ref: str
 
-    def __post_init__(self) -> None:
-        N = self.n * self.box.size
-        if self.matrix.shape != (N, N):
-            raise ValueError(f"matrix must be {N}x{N}")
-        # m - m^* written part by part into one buffer: np.abs(m - m.conj().T)
-        # bit for bit, with one complex temporary instead of two
-        m = self.matrix
-        d = np.empty(m.shape, dtype=complex)
-        np.subtract(m.real, m.real.T, out=d.real)
-        np.add(m.imag, m.imag.T, out=d.imag)
-        if np.max(np.abs(d)) > _HERM_TOL:
-            raise ValueError("matrix is not Hermitian")
-        self.matrix.flags.writeable = False
+    def __init__(self, matrix: np.ndarray | None = None, *, box: Box, n: int, sample_ref: str,
+                 entries: HermitianEntries | None = None,
+                 potential: np.ndarray | None = None) -> None:
+        N = n * box.size
+        if entries is None:
+            m = np.asarray(matrix)
+            if m.shape != (N, N):
+                raise ValueError(f"matrix must be {N}x{N}")
+            rows, cols = np.nonzero(m)
+            entries = HermitianEntries(N, rows, cols, m[rows, cols])
+        if entries.size != N:
+            raise ValueError(f"entries must be of a {N}x{N} matrix")
+        for name, value in (("entries", entries), ("potential", potential), ("box", box),
+                            ("n", n), ("sample_ref", sample_ref)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N operator, assembled on each read."""
+        return self.entries.dense(self.potential)
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -86,9 +148,11 @@ class FiniteOperator:
         ``scipy.linalg.eigh(driver="evr")``. At N = 648 it takes about
         190 ms against about 300 ms for numpy's divide-and-conquer
         ``eigh``, with less workspace, and gives the same eigenpairs to
-        rounding.
+        rounding. The operator is assembled into a fresh Fortran-ordered
+        buffer that the solve overwrites, so only the eigenvectors stay.
         """
-        w, v = scipy.linalg.eigh(self.matrix, driver="evr")
+        w, v = scipy.linalg.eigh(self.entries.dense(self.potential, order="F"),
+                                 driver="evr", overwrite_a=True)
         w.flags.writeable = False
         v.flags.writeable = False
         return w, v
@@ -154,10 +218,10 @@ def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
                   lam: float) -> FiniteOperator:
     """The realization clean + lam V, V the diagonal potential of the sample.
 
-    The clean matrix is copied and lam v_i added to its entry (i, i),
-    which equals clean + diag(lam v) bit for bit. Without a sample the
-    clean operator itself is returned; at lam = 0 its read-only matrix
-    is shared, not copied.
+    The realization shares the clean entries and stores lam v; its
+    matrix adds lam v_i to entry (i, i) of the clean matrix, which
+    equals clean + diag(lam v) bit for bit. Without a sample the clean
+    operator itself is returned; at lam = 0 no diagonal is stored.
     """
     if lam < 0:
         raise ValueError("disorder strength must be >= 0")
@@ -167,21 +231,27 @@ def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
         if lam != 0.0:
             raise ValueError("nonzero disorder strength needs a sample")
         return clean
-    H = clean.matrix
+    potential = None
     if lam != 0.0:
         vals = np.asarray(sample.values, dtype=float)
-        if vals.shape != (H.shape[0],):
-            raise ValueError(f"sample has {vals.shape[0]} values, operator needs {H.shape[0]}")
-        H = H.copy()
-        H[np.diag_indices_from(H)] += lam * vals
-    return FiniteOperator(matrix=H, box=clean.box, n=clean.n,
-                          sample_ref=_sample_ref(sample))
+        N = clean.entries.size
+        if vals.shape != (N,):
+            raise ValueError(f"sample has {vals.shape[0]} values, operator needs {N}")
+        potential = lam * vals
+        potential.flags.writeable = False
+    return FiniteOperator(box=clean.box, n=clean.n, sample_ref=_sample_ref(sample),
+                          entries=clean.entries, potential=potential)
+
+
+def _clean(model: HoppingModel, box: Box, periodic: bool) -> FiniteOperator:
+    N = box.size * model.n
+    return FiniteOperator(box=box, n=model.n, sample_ref="clean",
+                          entries=HermitianEntries(N, *hopping_entries(model, box, periodic)))
 
 
 def restrict_simple(model: HoppingModel, box: Box) -> FiniteOperator:
     """Compression chi_Box H0 chi_Box of the clean operator, open boundaries."""
-    return FiniteOperator(matrix=build_dense(model, box, periodic=False), box=box,
-                          n=model.n, sample_ref="clean")
+    return _clean(model, box, periodic=False)
 
 
 def _flux_denominator(flux: float, L: int) -> int:
@@ -205,8 +275,7 @@ def restrict_periodic(model: HoppingModel, box: Box) -> FiniteOperator:
         raise ValueError(f"box side {box.L} is not a multiple of the flux period {q}")
     if 2 * model.r >= box.L:
         raise ValueError(f"hopping range {model.r} needs box side > {2 * model.r}")
-    return FiniteOperator(matrix=build_dense(model, box, periodic=True), box=box,
-                          n=model.n, sample_ref="clean")
+    return _clean(model, box, periodic=True)
 
 
 def _occupied(op: FiniteOperator, E: float) -> np.ndarray:

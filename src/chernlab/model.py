@@ -24,6 +24,8 @@ __all__ = [
     "HaldaneParams",
     "haldane_model",
     "kernel",
+    "hopping_entries",
+    "dense_from_entries",
     "build_dense",
     "check_magnetic_periodicity",
     "hopping_norm_sum",
@@ -153,30 +155,35 @@ def kernel(model: HoppingModel, gamma, xi) -> np.ndarray:
     return np.exp(1j * model.flux * wedge(gamma, xi)) * h
 
 
-def build_dense(model: HoppingModel, box: Box, periodic: bool = False) -> np.ndarray:
-    """Assemble the dense matrix of H0 on the box, site-major ordering.
+def hopping_entries(model: HoppingModel, box: Box,
+                    periodic: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (rows, cols, vals) of H0 on the box, site-major ordering.
 
-    With ``periodic`` the displacement wraps modulo L in each direction
-    (the flux phase is still evaluated at the unwrapped coefficients of
-    the stored displacement, applied to the wrapped pair).
+    Displacement by displacement in insertion order, then orbital pair by
+    orbital pair, skipping zero hopping entries. With ``periodic`` the
+    displacement wraps modulo L in each direction (the flux phase is
+    still evaluated at the unwrapped coefficients of the stored
+    displacement, applied to the wrapped pair). A (row, col) pair repeats
+    only when two displacements wrap onto each other, that is for a
+    periodic box of side at most 2r.
     """
     n, L = model.n, box.L
     N = box.size
-    H = np.zeros((N * n, N * n), dtype=complex)
     off = L // 2
     g1 = box.sites[:, 0]
     g2 = box.sites[:, 1]
+    rows, cols, vals = [], [], []
     for delta, mat in model.hoppings.items():
         t1c, t2c = g1 + delta[0], g2 + delta[1]
         if periodic:
             t1w = (t1c + off) % L - off
             t2w = (t2c + off) % L - off
-            cols = (t1w + off) * L + (t2w + off)
+            targets = (t1w + off) * L + (t2w + off)
             rows_ok = np.arange(N)
         else:
             ok = (t1c >= -off) & (t1c <= L - 1 - off) & (t2c >= -off) & (t2c <= L - 1 - off)
             rows_ok = np.nonzero(ok)[0]
-            cols = (t1c[ok] + off) * L + (t2c[ok] + off)
+            targets = (t1c[ok] + off) * L + (t2c[ok] + off)
         if model.flux != 0.0:
             # phase at (gamma, gamma + delta): exp(iB (gamma ^ delta))
             ph = np.exp(1j * model.flux * (g2[rows_ok] * delta[0] - g1[rows_ok] * delta[1]))
@@ -185,8 +192,30 @@ def build_dense(model: HoppingModel, box: Box, periodic: bool = False) -> np.nda
         for a in range(n):
             for b in range(n):
                 if mat[a, b] != 0.0:
-                    H[rows_ok * n + a, cols * n + b] += ph * mat[a, b]
+                    rows.append(rows_ok * n + a)
+                    cols.append(targets * n + b)
+                    vals.append(ph * mat[a, b])
+    if not rows:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def dense_from_entries(size: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                       order: str = "C") -> np.ndarray:
+    """A size x size complex matrix of zeros plus each value added at its
+    (row, col), in entry order, so repeated pairs accumulate.
+
+    ``order`` is the memory layout, "C" or "F" (the layout LAPACK
+    overwrites in place).
+    """
+    H = np.zeros((size, size), dtype=complex, order=order)
+    np.add.at(H, (rows, cols), vals)
     return H
+
+
+def build_dense(model: HoppingModel, box: Box, periodic: bool = False) -> np.ndarray:
+    """The dense matrix of H0 on the box: the ``hopping_entries`` added to zeros."""
+    return dense_from_entries(box.size * model.n, *hopping_entries(model, box, periodic))
 
 
 def check_magnetic_periodicity(model: HoppingModel, L: int, matrix: np.ndarray | None = None) -> bool:

@@ -407,10 +407,14 @@ def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
 
 @dataclass(frozen=True)
 class MomentRow:
+    """Moment at time T over n realizations; ``empty_windows`` of them had
+    no eigenpair inside the energy window and contribute 0."""
+
     T: float
     mean: float
     stderr: float
     n: int
+    empty_windows: int
 
 
 def bump_window(center: float, half_width: float):
@@ -433,7 +437,9 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
     weight 2/(2 - i T (E_a - E_b)). The position weight is the diagonal
     (1+|site|^2)^(p/2); the initial state is the n-orbital indicator of
     the origin cell. Only eigenpairs inside the window contribute, so
-    the pair sums run over the windowed spectral slice.
+    the pair sums run over the windowed spectral slice; a realization
+    whose window holds none contributes 0 and is counted in every row's
+    ``empty_windows``.
     """
     if p < 0:
         raise ValueError("moment order must be nonnegative")
@@ -452,12 +458,13 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
         raise ValueError("box does not contain the origin cell")
     rows0 = origin * cfg.model.n + np.arange(cfg.model.n)
 
-    def moments(op) -> np.ndarray:
+    def moments(op) -> np.ndarray | None:
+        """The moment at every time, or None when the window holds no eigenpair."""
         w, v = op.eigensystem
         gv = g(w)
         idx = np.flatnonzero(gv > 0)
         if idx.size == 0:
-            return np.zeros(len(times))
+            return None
         vs = v[:, idx]
         D = _dot(vs, weight[:, None] * vs, adjoint_a=True)
         C = vs[rows0, :]
@@ -469,8 +476,11 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
             out[j] = float(np.real(np.sum(2.0 * F / (2.0 - 1j * T * dE))))
         return out
 
-    means, stderrs = _mean_stderr([moments(real(cfg.lam)) for real in _realizations(cfg, box)])
-    return [MomentRow(T=T, mean=float(m), stderr=float(s), n=cfg.n_realizations)
+    per_real = [moments(real(cfg.lam)) for real in _realizations(cfg, box)]
+    empty = sum(m is None for m in per_real)
+    means, stderrs = _mean_stderr([np.zeros(len(times)) if m is None else m for m in per_real])
+    return [MomentRow(T=T, mean=float(m), stderr=float(s), n=cfg.n_realizations,
+                      empty_windows=empty)
             for T, m, s in zip(times, means, stderrs)]
 
 

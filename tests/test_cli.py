@@ -306,7 +306,7 @@ def test_config_scalar_and_list_values_are_checked(tmp_path, model_file, capsys,
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be "), err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -395,6 +395,22 @@ def test_moments_metadata_carries_slopes(tmp_path, model_file):
     assert float(rows[0][0]) == 0.0  # T=0 envelope row always present
     assert float(meta["transport_slope"]) > 1.5
     assert float(meta["raw_slope"]) < 1.0
+    assert meta["empty_windows"] == "0"
+
+
+def test_moments_metadata_counts_empty_windows(tmp_path, model_file):
+    # a window that holds no eigenpair gives zero moments and a zero
+    # slope, and the header says how many realizations that was
+    law = tmp_path / "gauss.json"
+    law.write_text(json.dumps({"kind": "truncated_gaussian", "a": 2.0}))
+    out = tmp_path / "run"
+    assert main(["moments", "--model", model_file, "--dist", str(law), "--lambda", "0.3",
+                 "--window=0:0.3", "--box-l", "10", "--realizations", "3",
+                 "--out", str(out)]) == 0
+    meta, _, rows = read_csv(out / "moments.csv")
+    assert meta["empty_windows"] == "3"
+    assert meta["transport_slope"] == "0"
+    assert all(float(row[1]) == 0.0 for row in rows)
 
 
 def test_invalid_config_exits_nonzero_with_line(tmp_path, model_file, capsys):
@@ -447,8 +463,8 @@ def test_command_mismatch_and_runtime_errors(tmp_path, model_file, uniform_file,
             assert main([command, "--model", model_file, "--dist", uniform_file,
                          f"--grid={side}", "--out", str(out)]) == 1
             assert f"grid side {side} must be at least 1" in capsys.readouterr().err
-    # no failed run above wrote an output or a sidecar
-    assert list(out.iterdir()) == []
+    # no failed run above wrote an output, a sidecar or the directory
+    assert not out.exists()
 
 
 def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsys):

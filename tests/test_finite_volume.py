@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chernlab.bloch import bloch_matrix
 from chernlab.disorder import uniform, sample_potential
 from chernlab.finite_volume import (
     FiniteOperator,
+    HermitianEntries,
     add_potential,
     fermi_matrix,
     green_function,
@@ -159,7 +162,9 @@ def test_add_potential_equals_dense_diagonal_sum():
     assert op.matrix.tobytes() == expected.tobytes()
     assert np.array_equal(clean.matrix, before)
     assert op.sample_ref == "seed=4,realization=7"
-    assert add_potential(clean, sample, 0.0).matrix is clean.matrix
+    unshifted = add_potential(clean, sample, 0.0)
+    assert unshifted.potential is None and unshifted.entries is clean.entries
+    assert unshifted.matrix.tobytes() == clean.matrix.tobytes()
     assert add_potential(clean, None, 0.0) is clean
     with pytest.raises(ValueError, match="sample"):
         add_potential(clean, None, 0.5)
@@ -167,6 +172,56 @@ def test_add_potential_equals_dense_diagonal_sum():
         add_potential(op, sample, 1.0)
     with pytest.raises(ValueError):
         add_potential(clean, sample, -1.0)
+
+
+def test_one_realization_solve_holds_about_two_matrices():
+    # clean restriction, realization and solve keep no N x N array but
+    # the buffer the solve overwrites and the eigenvectors
+    m = haldane_model(TOPO)
+    box = box_sites(12)
+    N = m.n * box.size
+    sample = sample_potential(uniform(1.0), box, 2, seed=1, realization_index=0)
+    tracemalloc.start()
+    try:
+        add_potential(restrict_periodic(m, box), sample, 1.0).eigensystem
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * N * N * 16
+
+
+def test_eigensystem_is_evr_of_the_matrix_bit_for_bit():
+    m = haldane_model(TOPO)
+    box = box_sites(8)
+    clean = restrict_periodic(m, box)
+    sample = sample_potential(uniform(1.0), box, 2, seed=6, realization_index=3)
+    for op in (clean, add_potential(clean, sample, 1.3)):
+        w, v = scipy.linalg.eigh(op.matrix, driver="evr")
+        assert op.eigensystem[0].tobytes() == w.tobytes()
+        assert op.eigensystem[1].tobytes() == v.tobytes()
+
+
+def test_realization_matrix_is_exactly_hermitian():
+    m = haldane_model(TOPO)
+    box = box_sites(7)
+    sample = sample_potential(uniform(1.0), box, 2, seed=2, realization_index=5)
+    H = add_potential(restrict_simple(m, box), sample, 2.4).matrix
+    assert np.array_equal(H, H.conj().T)
+
+
+def test_entries_check_matches_the_dense_bound():
+    # each entry against its partner's conjugate, with the dense check's
+    # 1e-12 bound on |m - m^*|; a repeated (row, col) pair is refused
+    rows, cols = np.array([0, 1, 2]), np.array([1, 0, 2])
+    for skew, ok in ((5e-13, True), (2e-12, False), (5e-13j, True), (2e-12j, False)):
+        vals = np.array([1.0 + 1.0j, 1.0 - 1.0j + skew, 3.0])
+        if ok:
+            HermitianEntries(3, rows, cols, vals)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                HermitianEntries(3, rows, cols, vals)
+    with pytest.raises(ValueError, match="repeat"):
+        HermitianEntries(3, np.array([2, 2]), np.array([2, 2]), np.array([1.0, 1.0], dtype=complex))
 
 
 def test_periodic_flux_divisibility():

@@ -350,6 +350,14 @@ def test_moment_window_outside_spectrum_is_zero(model):
     assert all(r.mean == 0.0 for r in rows)
 
 
+def test_moment_rows_count_empty_windows(model):
+    cfg = clean_cfg(model, 8)
+    outside = time_averaged_moment(cfg, 2.0, (10.0, 0.5), [0.0, 1.0])
+    inside = time_averaged_moment(cfg, 2.0, (2.0, 0.5), [0.0, 1.0])
+    assert [r.empty_windows for r in outside] == [cfg.n_realizations] * 2
+    assert [r.empty_windows for r in inside] == [0, 0]
+
+
 def test_moment_validation(model):
     cfg = clean_cfg(model, 8)
     with pytest.raises(ValueError):
@@ -423,7 +431,7 @@ def test_finished_probe_call_keeps_no_reference(monkeypatch, probe):
 
     def spy(*args):
         op = restrict(*args)
-        built.append(weakref.ref(op.matrix))
+        built.append(weakref.ref(op))
         return op
 
     monkeypatch.setattr(probes, "restrict_periodic", spy)
