@@ -2,33 +2,60 @@
 
 The restrictions build the clean operator H0 of a box only, held as its
 nonzero entries (``HermitianEntries``, about 18 per site for the Haldane
-model) and checked Hermitian once. A disordered realization is that
-clean operator with lam V added to its diagonal (``add_potential``), the
-one way to form H0 + lam V; it shares the clean entries and stores only
-the real diagonal lam v. No operator holds an N x N matrix: ``matrix``
-assembles one when read. Each operator solves lazily with one call of
-LAPACK's MRRR driver ``zheevr`` through
-``scipy.linalg.eigh(driver="evr")`` (``eigensystem``; ``eigenvalues``
-is its first part), on a freshly assembled buffer that the solve
-overwrites, so an energy read from ``eigenvalues`` sits exactly on the
-state a projection counts and the eigenvectors are the one N x N array
-a solve leaves.
+model) and checked Hermitian and finite once. A disordered realization
+is that clean operator with lam V added to its diagonal
+(``add_potential``), the one way to form H0 + lam V; it shares the clean
+entries and stores only the real diagonal lam v. No operator holds an
+N x N matrix: ``matrix`` assembles one when read.
+
+Each operator is reduced once, lazily, to real tridiagonal form:
+LAPACK's ``zhetrd`` overwrites a freshly assembled Fortran buffer with
+its Householder reflectors, and divide and conquer on the tridiagonal
+(``dstevd``; Cuppen, Gu and Eisenstat) gives every eigenvalue and every
+eigenvector of the tridiagonal form. A caller then back-transforms
+(``zunmqr``) only the eigenvector columns it reads: ``eigenpairs(lo,
+hi)`` the ones of the eigenvalues in (lo, hi], ``eigensystem`` all N.
+The eigenvalues, the full eigensystem and every slice come from that
+one reduction, so an energy read from ``eigenvalues`` sits exactly on
+the state a projection counts. At N = 648 on 2 vCPUs (side 18,
+truncated Gaussian a = 2 at lam = 0.1 and 62.8, medians of 7)
+``zhetrd`` took 58-69 ms, ``dstevd`` 22-24 ms and the occupied half's
+back-transform 20-21 ms: 121-128 ms in all, against 180-198 ms for
+LAPACK's MRRR driver ``zheevr``, which forms every eigenvector. All N
+columns took 52-54 ms to back-transform.
+The raw LAPACK calls check nothing; the finiteness checks of
+``HermitianEntries`` and ``FiniteOperator`` stand in for scipy's
+``check_finite``.
+
+The lower reduction leaves row 0 fixed: its reflectors act on rows
+1..N-1, stored one row below the rows they act on, and that offset
+would make f2py copy both them and the columns they act on. So the
+operator is assembled with every index advanced by one (mod N), row
+and column i of H sitting at row and column i + 1 of the buffer, and
+the reduced buffer is moved up one row in place. The reflectors then
+act on rows 0..N-2, which are rows 0..N-2 of H, and leave row N-1 of H
+fixed, the one the shifted buffer kept at row 0. f2py then hands the
+reflectors and the columns to LAPACK as they are, and the eigenvectors
+come out in the rows of H.
+
 Statistics that only count or locate eigenvalues call numpy's
 ``eigvalsh`` on the matrix instead and form no eigenvectors; its values
-may differ from the ``eigensystem`` ones in the last bits. A spectral
+may differ from the ``eigenvalues`` ones in the last bits. A spectral
 projection is held by its occupied eigenvectors V (N x k) and forms
 P = V V^* only when a caller reads ``matrix``; the windowed marker reads
 rows of P from V alone, and only the kernel-decay probe reads the
-raw N x N matrix V V^* (``fermi_matrix``). Gap-membership arguments
-should use the periodic restriction: open boundaries of a
-topologically nontrivial model carry in-gap edge modes.
+raw N x N matrix V V^* (``fermi_matrix``). Both take an operator or a
+``SpectralSlice`` of one, so a probe scanning energies back-transforms
+once, up to its top energy, and reads leading columns below it.
+Gap-membership arguments should use the periodic restriction: open
+boundaries of a topologically nontrivial model carry in-gap edge modes.
 
 Every matrix product on eigenvectors goes through ``_dot``, that is
 through scipy's BLAS, the library that solved for them. numpy and scipy
 each bundle their own OpenBLAS, and after a call the worker threads of
 one keep spinning and slow the other's next call on a small machine: at
-N = 648 on 2 vCPUs, ``evr`` took 202 ms after nothing and 275 ms right
-after one numpy ``gemm``.
+N = 648 on 2 vCPUs, ``zheevr`` took 202 ms after nothing and 275 ms
+right after one numpy ``gemm``.
 """
 
 from __future__ import annotations
@@ -36,11 +63,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import pi
+from math import isfinite, pi
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .disorder import DisorderSample
 from .lattice import Box
@@ -50,6 +77,7 @@ __all__ = [
     "FiniteOperator",
     "HermitianEntries",
     "ProjectionMatrix",
+    "SpectralSlice",
     "add_potential",
     "restrict_simple",
     "restrict_periodic",
@@ -66,10 +94,11 @@ _ORTHO_TOL = 1e-9
 class HermitianEntries:
     """The nonzero entries (rows, cols, vals) of a size x size Hermitian matrix.
 
-    No (row, col) pair may repeat. Checked once, when built: each entry
-    is compared with the conjugate of its partner at (col, row), or with
-    0 if there is none, which are the |m - m^*| values of the dense
-    matrix m. ``dense`` assembles m with ``model.dense_from_entries``.
+    No (row, col) pair may repeat and every value must be finite.
+    Checked once, when built: each entry is compared with the conjugate
+    of its partner at (col, row), or with 0 if there is none, which are
+    the |m - m^*| values of the dense matrix m. ``dense`` assembles m
+    with ``model.dense_from_entries``.
     """
 
     size: int
@@ -79,6 +108,8 @@ class HermitianEntries:
 
     def __post_init__(self) -> None:
         N = self.size
+        if not np.all(np.isfinite(self.vals)):
+            raise ValueError("entries must be finite")
         keys = self.rows * N + self.cols
         order = np.argsort(keys)
         sorted_keys = keys[order]
@@ -92,12 +123,123 @@ class HermitianEntries:
         for a in (self.rows, self.cols, self.vals):
             a.flags.writeable = False
 
-    def dense(self, diagonal: np.ndarray | None = None, order: str = "C") -> np.ndarray:
-        """The matrix plus diag(``diagonal``), added after every entry."""
-        H = dense_from_entries(self.size, self.rows, self.cols, self.vals, order)
+    def dense(self, diagonal: np.ndarray | None = None, order: str = "C",
+              shift: int = 0) -> np.ndarray:
+        """The matrix plus diag(``diagonal``), added after every entry.
+
+        With ``shift`` s, entry (i, j) lands at ((i + s) mod N, (j + s) mod N).
+        """
+        N = self.size
+        H = dense_from_entries(N, (self.rows + shift) % N, (self.cols + shift) % N,
+                               self.vals, order)
         if diagonal is not None:
-            H[np.diag_indices(self.size)] += diagonal
+            H[np.diag_indices(N)] += np.roll(diagonal, shift)
         return H
+
+
+class _Tridiagonal(NamedTuple):
+    """An operator H reduced to a real tridiagonal T.
+
+    ``values`` are the ascending eigenvalues and the columns of ``z`` the
+    eigenvectors of T. ``reflectors`` (N x (N - 1)) and ``tau`` hold a
+    unitary Q as Householder reflectors on rows 0..N-2 of H; with z' a
+    column of z whose row 0 is moved last, Q z' is an eigenvector of H
+    (see the module docstring).
+    """
+
+    values: np.ndarray
+    z: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+
+
+def _lapack_info(name: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info}")
+
+
+def _hetrd_stevd(a: np.ndarray, vectors: bool):
+    """(w, z, a, tau): ``zhetrd`` (lower) on the Hermitian Fortran buffer a,
+    which it overwrites with its reflectors, then ``dstevd`` for all
+    eigenvalues w of the tridiagonal and, with ``vectors``, its
+    eigenvectors z."""
+    N = a.shape[0]
+    work, info = lapack.zhetrd_lwork(N, lower=1)
+    _lapack_info("zhetrd_lwork", info)
+    a, d, e, tau, info = lapack.zhetrd(a, lower=1, lwork=int(work.real), overwrite_a=1)
+    _lapack_info("zhetrd", info)
+    w, z, info = lapack.dstevd(d, e if N > 1 else np.zeros(1), compute_v=int(vectors))
+    _lapack_info("dstevd", info)
+    return w, z, a, tau
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a dense Hermitian matrix, by the same reduction."""
+    return _hetrd_stevd(np.array(m, dtype=complex, order="F"), vectors=False)[0]
+
+
+def _reduce(entries: HermitianEntries, potential: np.ndarray | None) -> _Tridiagonal:
+    """Reduce the operator once, on the index-shifted buffer, and move the
+    reflectors up one row."""
+    N = entries.size
+    w, z, a, tau = _hetrd_stevd(entries.dense(potential, order="F", shift=1), vectors=True)
+    # move every column up one row in place (a 1-D shift of the
+    # column-major buffer) and clear the last row; the diagonal, now in
+    # the previous column's last row, is not read
+    flat = a.reshape(-1, order="F")
+    flat[:-1] = flat[1:]
+    a[-1] = 0.0
+    w.flags.writeable = False
+    return _Tridiagonal(w, z, a[:, :N - 1], tau)
+
+
+def _back_transform(z: np.ndarray, reflectors: np.ndarray, tau: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The eigenvectors Q z' of H for the tridiagonal eigenvector columns z.
+
+    z' is z with row 0 moved last, the rows of H in the order the
+    reflectors act on. ``out`` (N x k, Fortran order, complex), if
+    given, receives the result in place; ``zunmqr`` forms no copy of it.
+    """
+    N, k = z.shape
+    if out is None:
+        out = np.empty((N, k), dtype=complex, order="F")
+    out[:N - 1] = z[1:]
+    out[N - 1] = z[0]
+    if N > 1 and k:
+        _, work, info = lapack.zunmqr("L", "N", reflectors, tau, out, -1, overwrite_c=1)
+        _lapack_info("zunmqr", info)
+        _, _, info = lapack.zunmqr("L", "N", reflectors, tau, out, int(work[0].real),
+                                   overwrite_c=1)
+        _lapack_info("zunmqr", info)
+    return out
+
+
+@dataclass(frozen=True)
+class SpectralSlice:
+    """The eigenpairs of an operator with eigenvalues in (lo, hi].
+
+    ``values`` ascend; column j of ``vectors`` (N x k) is the eigenvector
+    of ``values[j]``. ``eigenpairs`` takes any narrower slice of it.
+    """
+
+    lo: float
+    hi: float
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not self.lo <= self.hi:
+            raise ValueError(f"empty energy range ({self.lo}, {self.hi}]")
+        for a in (self.values, self.vectors):
+            a.flags.writeable = False
+
+    def eigenpairs(self, lo: float = -np.inf, hi: float = np.inf) -> SpectralSlice:
+        """The eigenpairs in (lo, hi], which must lie inside this slice."""
+        if lo < self.lo or hi > self.hi:
+            raise ValueError(f"({lo}, {hi}] is not inside the slice ({self.lo}, {self.hi}]")
+        a, b = np.searchsorted(self.values, [lo, hi], side="right")
+        return SpectralSlice(lo, hi, self.values[a:b], self.vectors[:, a:b])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -105,7 +247,7 @@ class FiniteOperator:
     """H0 + diag(potential) on a box, held without any N x N matrix.
 
     ``entries`` hold the clean operator H0, checked Hermitian once; a
-    realization shares them and adds only its real diagonal
+    realization shares them and adds only its real, finite diagonal
     ``potential`` lam v (None for no diagonal), so it is Hermitian
     without a second check. Built from a dense Hermitian ``matrix``,
     read as its nonzero entries, or from a clean operator's ``entries``
@@ -131,6 +273,8 @@ class FiniteOperator:
             entries = HermitianEntries(N, rows, cols, m[rows, cols])
         if entries.size != N:
             raise ValueError(f"entries must be of a {N}x{N} matrix")
+        if potential is not None and not np.all(np.isfinite(potential)):
+            raise ValueError("potential must be finite")
         for name, value in (("entries", entries), ("potential", potential), ("box", box),
                             ("n", n), ("sample_ref", sample_ref)):
             object.__setattr__(self, name, value)
@@ -141,26 +285,60 @@ class FiniteOperator:
         return self.entries.dense(self.potential)
 
     @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, v) from one MRRR solve: ascending eigenvalues, eigenvector columns.
+    def _tridiagonal(self) -> _Tridiagonal:
+        # held until ``eigensystem`` is read, which takes it over
+        return _reduce(self.entries, self.potential)
 
-        LAPACK ``zheevr`` (Dhillon and Parlett, LAA 387 (2004)) through
-        ``scipy.linalg.eigh(driver="evr")``. At N = 648 it takes about
-        190 ms against about 300 ms for numpy's divide-and-conquer
-        ``eigh``, with less workspace, and gives the same eigenpairs to
-        rounding. The operator is assembled into a fresh Fortran-ordered
-        buffer that the solve overwrites, so only the eigenvectors stay.
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues, from the one tridiagonal reduction."""
+        return self._tridiagonal.values
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v): ``eigenvalues`` and all N eigenvector columns.
+
+        ``zunmqr`` back-transforms every column from the one tridiagonal
+        reduction (``zhetrd``, then ``dstevd``), in two column halves, so
+        that at most half of T's eigenvectors (N^2/2 reals) are held next
+        to the reflectors and v: the first half goes into a buffer of N/2
+        columns, a copy of T's second-half columns replaces T's
+        eigenvectors, and the buffer is grown in place to N columns for
+        the second half. At N = 648 the whole solve took 150-170 ms
+        against 180-198 ms for ``zheevr``; at N = 288 its peak was 2.43
+        N^2 complex numbers, workspace and clean entries included. The
+        reduction is released; later slices are columns of v.
         """
-        w, v = scipy.linalg.eigh(self.entries.dense(self.potential, order="F"),
-                                 driver="evr", overwrite_a=True)
-        w.flags.writeable = False
+        w = self.eigenvalues
+        _, z, reflectors, tau = self._tridiagonal
+        del self.__dict__["_tridiagonal"]
+        N, h = z.shape[0], z.shape[0] // 2
+        buf = np.empty(N * h, dtype=complex)
+        _back_transform(z[:, :h], reflectors, tau, out=buf.reshape((N, h), order="F"))
+        z = z[:, h:].copy(order="F")
+        buf.resize(N * N)
+        v = buf.reshape((N, N), order="F")
+        _back_transform(z, reflectors, tau, out=v[:, h:])
         v.flags.writeable = False
         return w, v
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of ``eigensystem``."""
-        return self.eigensystem[0]
+    def eigenpairs(self, lo: float = -np.inf, hi: float = np.inf) -> SpectralSlice:
+        """The eigenpairs with eigenvalues in (lo, hi].
+
+        Back-transforms only those columns, or reads them from
+        ``eigensystem`` once that is formed; an empty slice transforms
+        nothing.
+        """
+        w = self.eigenvalues
+        a, b = np.searchsorted(w, [lo, hi], side="right")
+        if "eigensystem" in self.__dict__:
+            v = self.eigensystem[1][:, a:b]
+        elif a >= b:
+            v = np.empty((len(w), 0), dtype=complex)
+        else:
+            t = self._tridiagonal
+            v = _back_transform(t.z[:, a:b], t.reflectors, t.tau)
+        return SpectralSlice(lo, hi, w[a:b], v)
 
 
 @dataclass(frozen=True)
@@ -221,10 +399,11 @@ def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
     The realization shares the clean entries and stores lam v; its
     matrix adds lam v_i to entry (i, i) of the clean matrix, which
     equals clean + diag(lam v) bit for bit. Without a sample the clean
-    operator itself is returned; at lam = 0 no diagonal is stored.
+    operator itself is returned; at lam = 0 no diagonal is stored. lam
+    must be finite and >= 0, and lam v finite.
     """
-    if lam < 0:
-        raise ValueError("disorder strength must be >= 0")
+    if not (isfinite(lam) and lam >= 0):
+        raise ValueError("disorder strength must be finite and >= 0")
     if clean.sample_ref != "clean":
         raise ValueError("the potential must be added to a clean operator")
     if sample is None:
@@ -237,7 +416,8 @@ def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
         N = clean.entries.size
         if vals.shape != (N,):
             raise ValueError(f"sample has {vals.shape[0]} values, operator needs {N}")
-        potential = lam * vals
+        with np.errstate(over="ignore"):  # an overflow is refused as not finite
+            potential = lam * vals
         potential.flags.writeable = False
     return FiniteOperator(box=clean.box, n=clean.n, sample_ref=_sample_ref(sample),
                           entries=clean.entries, potential=potential)
@@ -278,29 +458,25 @@ def restrict_periodic(model: HoppingModel, box: Box) -> FiniteOperator:
     return _clean(model, box, periodic=True)
 
 
-def _occupied(op: FiniteOperator, E: float) -> np.ndarray:
-    """Eigenvector columns of the eigenvalues <= E."""
-    w, v = op.eigensystem
-    return v[:, :np.searchsorted(w, E, side="right")]
-
-
-def fermi_matrix(op: FiniteOperator, E: float) -> np.ndarray:
+def fermi_matrix(source: FiniteOperator | SpectralSlice, E: float) -> np.ndarray:
     """Raw chi_(-inf, E] of the operator, V_k V_k^* (N x N), unsymmetrized.
 
     For ``projection_decay``, the one probe that reduces the kernel
     itself, taking its block norms at each energy of a grid. E exactly
-    at an eigenvalue is included.
+    at an eigenvalue is included. ``source`` is the operator or a slice
+    of it that covers (-inf, E].
     """
-    vk = _occupied(op, E)
+    vk = source.eigenpairs(hi=E).vectors
     return _dot(vk, vk, adjoint_b=True)
 
 
-def spectral_projection(op: FiniteOperator, E: float) -> ProjectionMatrix:
+def spectral_projection(source: FiniteOperator | SpectralSlice, E: float) -> ProjectionMatrix:
     """P = chi_(-inf, E] of the operator, held by its occupied eigenvectors.
 
     E exactly at an eigenvalue is included. No N x N product is formed.
+    ``source`` is the operator or a slice of it that covers (-inf, E].
     """
-    return ProjectionMatrix(_occupied(op, E))
+    return ProjectionMatrix(source.eigenpairs(hi=E).vectors)
 
 
 def green_function(op: FiniteOperator, z: complex) -> np.ndarray:

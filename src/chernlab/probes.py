@@ -29,6 +29,7 @@ import numpy as np
 from .bounds import wegner_bound
 from .disorder import DistributionSpec, sample_potential
 from .finite_volume import (
+    SpectralSlice,
     _dot,
     add_potential,
     fermi_matrix,
@@ -303,7 +304,9 @@ def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
     Per realization the sup over a grid_points-point grid inside the
     window is taken first (projections only move at eigenvalues, so the
     grid brackets the sup statistically), then classes are averaged
-    over centers and realizations and fitted log-linearly.
+    over centers and realizations and fitted log-linearly. Each
+    realization back-transforms its eigenvectors once, up to the top of
+    the window.
     """
     lo, hi = float(E_window[0]), float(E_window[1])
     if not hi >= lo:
@@ -314,14 +317,16 @@ def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
     classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
     energies = np.linspace(lo, hi, grid_points)
 
-    def class_means(op) -> np.ndarray:
+    def class_means(occupied: SpectralSlice) -> np.ndarray:
         sup = None
         for E in energies:
-            norms = classes.block_norms(fermi_matrix(op, E))
+            norms = classes.block_norms(fermi_matrix(occupied, E))
             sup = norms if sup is None else np.maximum(sup, norms)
         return classes.means(sup)
 
-    means, stderrs = _mean_stderr([class_means(real(cfg.lam))
+    # the operator, and with it its reduction, is dropped once its slice
+    # is read
+    means, stderrs = _mean_stderr([class_means(real(cfg.lam).eigenpairs(hi=energies[-1]))
                                    for real in _realizations(cfg, box)])
 
     distances = classes.distances
@@ -382,7 +387,9 @@ def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
 
     Realization k reuses the same potential draw across the whole lam
     grid (coupled columns), so the lam = 0 column is exactly the clean
-    marker. Window defaults to a third of the box.
+    marker. Window defaults to a third of the box. Each operator
+    back-transforms its eigenvectors once, up to the top energy of the
+    grid.
     """
     box = box_sites(cfg.box_L)
     if window_L is None:
@@ -390,12 +397,14 @@ def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
     energies = [float(E) for E in E_grid]
     lams = [float(x) for x in lam_grid]
 
-    def markers(op) -> list[float]:
-        return [chern_marker(spectral_projection(op, E), box, window_L) for E in energies]
+    def markers(occupied: SpectralSlice) -> list[float]:
+        return [chern_marker(spectral_projection(occupied, E), box, window_L)
+                for E in energies]
 
-    # one disordered operator alive at a time: each is dropped when its
-    # row of markers is done
-    means, stderrs = _mean_stderr([[markers(real(lam)) for lam in lams]
+    # one disordered operator alive at a time: each, with its reduction,
+    # is dropped once its slice is read
+    top = max(energies, default=-np.inf)
+    means, stderrs = _mean_stderr([[markers(real(lam).eigenpairs(hi=top)) for lam in lams]
                                    for real in _realizations(cfg, box, lams)])
     return [MarkerScanRow(E=E, lam=lam, mean=float(means[i, j]), stderr=float(stderrs[i, j]),
                           n=cfg.n_realizations)
@@ -437,8 +446,9 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
     weight 2/(2 - i T (E_a - E_b)). The position weight is the diagonal
     (1+|site|^2)^(p/2); the initial state is the n-orbital indicator of
     the origin cell. Only eigenpairs inside the window contribute, so
-    the pair sums run over the windowed spectral slice; a realization
-    whose window holds none contributes 0 and is counted in every row's
+    the pair sums run over the windowed spectral slice, the only
+    eigenvectors back-transformed; a realization whose window holds none
+    contributes 0, transforms nothing and is counted in every row's
     ``empty_windows``.
     """
     if p < 0:
@@ -447,7 +457,8 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
     if (p / 2.0) * math.log1p(2.0 * half * half) > 700.0:
         raise ValueError("moment order overflows double range at this box size")
     box = box_sites(cfg.box_L)
-    g = bump_window(*g_window)
+    center, half_width = g_window
+    g = bump_window(center, half_width)
     times = [float(T) for T in T_grid]
     if any(T < 0 for T in times):
         raise ValueError("times must be nonnegative")
@@ -458,14 +469,14 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
         raise ValueError("box does not contain the origin cell")
     rows0 = origin * cfg.model.n + np.arange(cfg.model.n)
 
-    def moments(op) -> np.ndarray | None:
+    def moments(window: SpectralSlice) -> np.ndarray | None:
         """The moment at every time, or None when the window holds no eigenpair."""
-        w, v = op.eigensystem
+        w = window.values
         gv = g(w)
         idx = np.flatnonzero(gv > 0)
         if idx.size == 0:
             return None
-        vs = v[:, idx]
+        vs = window.vectors[:, idx]
         D = _dot(vs, weight[:, None] * vs, adjoint_a=True)
         C = vs[rows0, :]
         B = _dot(C, C, adjoint_a=True)
@@ -476,7 +487,8 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
             out[j] = float(np.real(np.sum(2.0 * F / (2.0 - 1j * T * dE))))
         return out
 
-    per_real = [moments(real(cfg.lam)) for real in _realizations(cfg, box)]
+    per_real = [moments(real(cfg.lam).eigenpairs(center - half_width, center + half_width))
+                for real in _realizations(cfg, box)]
     empty = sum(m is None for m in per_real)
     means, stderrs = _mean_stderr([np.zeros(len(times)) if m is None else m for m in per_real])
     return [MomentRow(T=T, mean=float(m), stderr=float(s), n=cfg.n_realizations,

@@ -22,9 +22,8 @@ from __future__ import annotations
 from math import pi
 
 import numpy as np
-import scipy.linalg
 
-from .finite_volume import ProjectionMatrix, _dot
+from .finite_volume import ProjectionMatrix, _dot, _eigvalsh
 from .lattice import Box
 
 __all__ = [
@@ -134,7 +133,7 @@ def index_pair(P: ProjectionMatrix, box: Box, p: tuple[float, float],
     u = flux_unitary(p, box, n)
     D = (u[:, None] * m) * np.conj(u)[None, :] - m
     rows, _ = _window_rows(box, n, max(2, box.L // 2))
-    ev = scipy.linalg.eigh(D[np.ix_(rows, rows)], eigvals_only=True, driver="evr")
+    ev = _eigvalsh(D[np.ix_(rows, rows)])
     hi, lo = 1.0 - tol_window, -1.0 + tol_window
     if np.any(np.abs(ev - hi) < 1e-6) or np.any(np.abs(ev - lo) < 1e-6):
         raise ValueError("ambiguous index: eigenvalue at a tolerance-window edge")

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from chernlab import finite_volume
 from chernlab.bloch import bloch_matrix
-from chernlab.disorder import uniform, sample_potential
+from chernlab.disorder import DisorderSample, truncated_gaussian, uniform, sample_potential
 from chernlab.finite_volume import (
     FiniteOperator,
     HermitianEntries,
+    SpectralSlice,
     add_potential,
     fermi_matrix,
     green_function,
@@ -190,15 +192,109 @@ def test_one_realization_solve_holds_about_two_matrices():
     assert peak <= 2.5 * N * N * 16
 
 
-def test_eigensystem_is_evr_of_the_matrix_bit_for_bit():
-    m = haldane_model(TOPO)
-    box = box_sites(8)
-    clean = restrict_periodic(m, box)
-    sample = sample_potential(uniform(1.0), box, 2, seed=6, realization_index=3)
-    for op in (clean, add_potential(clean, sample, 1.3)):
-        w, v = scipy.linalg.eigh(op.matrix, driver="evr")
-        assert op.eigensystem[0].tobytes() == w.tobytes()
-        assert op.eigensystem[1].tobytes() == v.tobytes()
+def _gap_splits(w: np.ndarray, count: int) -> list[int]:
+    # the column counts k that end at the widest gaps w[k] - w[k-1] wider
+    # than 1e-3: there the projection onto the first k columns is well
+    # conditioned
+    gaps = np.diff(w)
+    return sorted(int(k) + 1 for k in np.argsort(gaps)[-count:] if gaps[k] > 1e-3)
+
+
+@pytest.mark.parametrize("case", ["clean", "onsite", "strong"])
+def test_eigensystem_matches_evr_oracle(case):
+    # the tridiagonal path against LAPACK's MRRR driver on the same
+    # matrix: a clean box, two 36-fold levels, and 1.5 lambda_rho of the
+    # truncated Gaussian a = 2 (criterion 07's strong disorder)
+    if case == "onsite":
+        op = restrict_periodic(_onsite_model(1.0), box_sites(6))
+    else:
+        box = box_sites(8)
+        op = restrict_periodic(haldane_model(TOPO), box)
+        if case == "strong":
+            sample = sample_potential(truncated_gaussian(2.0), box, 2, seed=6,
+                                      realization_index=3)
+            op = add_potential(op, sample, 62.8)
+    w_evr, v_evr = scipy.linalg.eigh(op.matrix, driver="evr")
+    w, v = op.eigensystem
+    assert np.max(np.abs(w - w_evr)) <= 1e-15 * len(w) * max(1.0, np.max(np.abs(w)))
+    for k in _gap_splits(w, 3):
+        P_evr = v_evr[:, :k] @ v_evr[:, :k].conj().T
+        assert np.max(np.abs(v[:, :k] @ v[:, :k].conj().T - P_evr)) <= 1e-12
+        # a slice back-transformed on its own, on a fresh operator
+        fresh = FiniteOperator(box=op.box, n=op.n, sample_ref=op.sample_ref,
+                               entries=op.entries, potential=op.potential)
+        vk = fresh.eigenpairs(hi=0.5 * (w[k - 1] + w[k])).vectors
+        assert vk.shape[1] == k
+        assert np.max(np.abs(vk @ vk.conj().T - P_evr)) <= 1e-12
+
+
+def test_slices_come_from_one_reduction(monkeypatch):
+    # eigenvalues, slices and the full eigensystem share one zhetrd; a
+    # slice transforms its own columns until the eigensystem is formed,
+    # and is read from it afterwards
+    reductions, transforms = [], []
+    reduce, transform = finite_volume._reduce, finite_volume._back_transform
+    monkeypatch.setattr(finite_volume, "_reduce",
+                        lambda *a: reductions.append(1) or reduce(*a))
+    monkeypatch.setattr(finite_volume, "_back_transform",
+                        lambda z, *a, **k: transforms.append(z.shape[1]) or transform(z, *a, **k))
+    op = restrict_periodic(haldane_model(TOPO), box_sites(6))
+    N = 72
+    w = op.eigenvalues
+    lower = op.eigenpairs(hi=0.0)
+    window = op.eigenpairs(-2.0, -1.0)
+    assert transforms == [36, int(np.sum((w > -2.0) & (w <= -1.0)))]
+    assert np.array_equal(window.values, w[(w > -2.0) & (w <= -1.0)])
+    _, v = op.eigensystem
+    assert transforms[2:] == [N // 2, N - N // 2]
+    again = op.eigenpairs(hi=0.0)
+    assert len(transforms) == 4 and reductions == [1]
+    assert again.vectors.base is not None and np.shares_memory(again.vectors, v)
+    assert np.max(np.abs(again.vectors - lower.vectors)) <= 1e-12
+    assert op.eigenvalues is w
+
+
+def test_one_site_and_empty_slices():
+    # N = 1 has no reflectors; k = 0 transforms nothing
+    op = FiniteOperator(np.array([[0.5 + 0.0j]]), box=box_sites(1), n=1, sample_ref="clean")
+    w, v = op.eigensystem
+    assert w.tolist() == [0.5] and v.tolist() == [[1.0]]
+    assert spectral_projection(op, 0.0).rank == 0
+    assert spectral_projection(op, 0.5).rank == 1
+    two = restrict_simple(_onsite_model(1.0), box_sites(1))
+    assert two.eigenpairs(hi=-2.0).vectors.shape == (2, 0)
+    assert fermi_matrix(two, -2.0).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert np.array_equal(np.abs(two.eigenpairs(lo=0.0).vectors), [[1.0], [0.0]])
+    with pytest.raises(ValueError, match="empty"):
+        two.eigenpairs(1.0, 0.0)
+    below = two.eigenpairs(hi=0.0)
+    assert isinstance(below, SpectralSlice)
+    with pytest.raises(ValueError, match="inside"):
+        spectral_projection(below, 1.0)
+
+
+def test_non_finite_operator_is_rejected():
+    # LAPACK is called without scipy's check_finite: a NaN pair once
+    # built and solved to NaN eigenvalues without an error
+    box = box_sites(3)
+    for x in (np.nan, np.inf, complex(0.0, np.nan)):
+        bad = np.zeros((18, 18), dtype=complex)
+        bad[0, 1] = bad[1, 0] = x
+        with pytest.raises(ValueError, match="finite"):
+            FiniteOperator(matrix=bad, box=box, n=2, sample_ref="clean")
+    with pytest.raises(ValueError, match="finite"):
+        HermitianEntries(2, np.array([0, 1]), np.array([0, 1]), np.array([1.0, np.inf]))
+    clean = restrict_periodic(haldane_model(TOPO), box_sites(6))
+    sample = sample_potential(uniform(1.0), box_sites(6), 2, seed=4, realization_index=0)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            add_potential(clean, sample, lam)
+    with_nan = np.array(sample.values)
+    with_nan[5] = np.nan
+    # lam v overflows; a sample value is NaN
+    for values, lam in ((np.full(72, 2.0), 1e308), (with_nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            add_potential(clean, DisorderSample(values=values, seed=4, realization_index=0), lam)
 
 
 def test_realization_matrix_is_exactly_hermitian():

@@ -306,6 +306,43 @@ def test_marker_scan_never_forms_projection(model, monkeypatch):
     assert formed == []
 
 
+def _spy_back_transform(monkeypatch) -> list[int]:
+    # the column count of every back-transform of tridiagonal eigenvectors
+    counts = []
+    transform = finite_volume._back_transform
+
+    def spy(z, *args, **kwargs):
+        counts.append(z.shape[1])
+        return transform(z, *args, **kwargs)
+
+    monkeypatch.setattr(finite_volume, "_back_transform", spy)
+    return counts
+
+
+def test_scans_back_transform_once_per_operator(model, monkeypatch):
+    # a marker realization transforms exactly its occupied columns, once;
+    # an energy scan transforms once per operator, up to its top energy,
+    # and so does each realization of the decay probe
+    counts = _spy_back_transform(monkeypatch)
+    cfg = EnsembleConfig(model=model, spec=truncated_gaussian(2.0), lam=0.1,
+                         box_L=8, bc="periodic", n_realizations=2, master_seed=3)
+    occupied = []
+    for real in probes._realizations(cfg, box_sites(8), [0.1, 2.0]):
+        for lam in (0.1, 2.0):
+            w = np.linalg.eigvalsh(real(lam).matrix)
+            occupied.append(int(np.sum(w <= 0.0)))
+    one = EnsembleConfig(model=model, spec=truncated_gaussian(2.0), lam=0.1,
+                         box_L=8, bc="periodic", n_realizations=1, master_seed=3)
+    averaged_marker_scan(one, [0.0], [0.1], window_L=3)
+    assert counts == [occupied[0]] == [64]
+    counts.clear()
+    averaged_marker_scan(cfg, [-1.3, 0.0], [0.1, 2.0], window_L=3)
+    assert counts == occupied
+    counts.clear()
+    projection_decay(cfg, (-0.4, 0.0), grid_points=3)
+    assert counts == occupied[::2]
+
+
 # ---------------------------------------------------------------- moments
 
 
@@ -350,10 +387,16 @@ def test_moment_window_outside_spectrum_is_zero(model):
     assert all(r.mean == 0.0 for r in rows)
 
 
-def test_moment_rows_count_empty_windows(model):
+def test_moment_rows_count_empty_windows(model, monkeypatch):
+    # only the window's columns are back-transformed, and an empty
+    # window transforms nothing
+    counts = _spy_back_transform(monkeypatch)
     cfg = clean_cfg(model, 8)
     outside = time_averaged_moment(cfg, 2.0, (10.0, 0.5), [0.0, 1.0])
+    assert counts == []
     inside = time_averaged_moment(cfg, 2.0, (2.0, 0.5), [0.0, 1.0])
+    w = restrict_periodic(model, box_sites(8)).eigenvalues
+    assert counts == [int(np.sum((w > 1.5) & (w <= 2.5)))]
     assert [r.empty_windows for r in outside] == [cfg.n_realizations] * 2
     assert [r.empty_windows for r in inside] == [0, 0]
 
@@ -495,8 +538,8 @@ def test_mean_stderr_matches_numpy_per_entry():
 # ---------------------------------------------------------------- pins
 # Exact reruns at nine realizations. The decay profile reduces each
 # distance class as one contiguous vector (pairwise summation); summing
-# realizations in sequence instead puts entry 1 of the means one ulp
-# higher, at 0.3099127692758914.
+# realizations in sequence instead puts entry 2 of the means 0.3e-16
+# higher, at 0.11956450501676308.
 
 
 def pin_cfg(model, spec, lam, L, seed):
@@ -516,16 +559,16 @@ PINNED = {
         lambda m: [(r.lam, r.E, r.mean, r.stderr) for r in averaged_marker_scan(
             pin_cfg(m, truncated_gaussian(2.0), 0.1, 8, 14), [0.0, -1.0], [0.5, 2.0],
             window_L=3)],
-        [(0.5, 0.0, -0.9771933505038218, 0.0017063234741152118),
-         (0.5, -1.0, -0.4243873796295451, 0.040653937870100326),
-         (2.0, 0.0, -0.5138747416976087, 0.057186382499824884),
-         (2.0, -1.0, -0.21456643508946902, 0.045998005503990184)]),
+        [(0.5, 0.0, -0.9771933505038226, 0.0017063234741142173),
+         (0.5, -1.0, -0.4243873796295448, 0.04065393787010068),
+         (2.0, 0.0, -0.513874741697609, 0.05718638249982621),
+         (2.0, -1.0, -0.2145664350894697, 0.0459980055039892)]),
     "time_averaged_moment": (
         lambda m: [(r.mean, r.stderr) for r in time_averaged_moment(
             pin_cfg(m, uniform(1.0), 1.0, 8, 5), 2.0, (2.0, 0.5), [0.0, 1.0, 10.0])],
-        [(0.7432273357603036, 0.07694538363838785),
-         (0.7478433291081826, 0.0774543700753936),
-         (0.928125432837875, 0.10544460673259577)]),
+        [(0.7432273357603024, 0.07694538363838832),
+         (0.7478433291081811, 0.07745437007539399),
+         (0.9281254328378734, 0.10544460673259631)]),
     "wegner_empirical": (
         lambda m: [(r.empirical, r.upper_99, r.bound) for r in wegner_empirical(
             pin_cfg(m, uniform(1.0), 2.0, 6, 1), 0.0, [0.002, 0.02, 0.1])],
@@ -543,10 +586,10 @@ PINNED = {
         lambda m: (lambda p: [p.fit_amplitude, p.fit_rate, p.r_squared, len(p.means),
                               p.means[:4].tolist(), p.stderrs[:4].tolist()])(
             projection_decay(pin_cfg(m, uniform(1.0), 1.0, 8, 3), (-0.2, 0.2))),
-        [0.28004477493020086, 0.9141713822761501, 0.8096887338917754, 15,
-         [1.0, 0.30991276927589134, 0.11956450501676315, 0.03915443127907156],
-         [6.798699777552592e-17, 0.0003503339780800673, 0.00018435085960085538,
-          0.00022781046555233315]]),
+        [0.2800447749302071, 0.9141713822761597, 0.8096887338917824, 15,
+         [1.0, 0.3099127692758912, 0.11956450501676305, 0.03915443127907149],
+         [5.703228632848237e-17, 0.00035033397808003513, 0.0001843508596009264,
+          0.00022781046555230702]]),
 }
 
 
