@@ -10,8 +10,9 @@ from a config file pass the same checks.
 Output contract: every run writes a CSV (or JSON for scalar reports)
 plus a sidecar JSON carrying the fully resolved configuration, so any
 output file can be reproduced from its sidecar alone. CSV bodies are
-byte-identical for a fixed (config, seed). --threads is accepted and
-selects nothing, so no value of it can change an output.
+byte-identical for a fixed (config, seed) and a fixed BLAS thread count:
+the eigenvector probes' last bits move with OpenBLAS's threads. --threads
+is accepted and selects nothing, so no value of it can change an output.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .disorder import (
     trunc_gauss_abs_moment_bound,
     trunc_gauss_power_moment_bound,
 )
+from .lattice import box_sites, core_sites
 from .model import HaldaneParams, _read_number, _read_numbers, haldane_model, model_from_json
 from .probes import (
     EnsembleConfig,
@@ -341,6 +343,13 @@ def _run_msa_probe(config: ExperimentConfig):
                           whole=True)
     if not boxes:
         raise ValueError("box_grid is empty")
+    if rng < 1:
+        raise ValueError(f"range must be >= 1, got {rng}")
+    for L in boxes:  # every side, before the first draw
+        try:
+            core_sites(box_sites(L), rng)
+        except ValueError as e:
+            raise ValueError(f"box_grid side {L}: {e}") from None
     rows = []
     for L in boxes:
         r = suitable_box_probability(replace(cfg, box_L=L), E, theta, r=rng)

@@ -22,7 +22,6 @@ from .model import _read_number, _read_numbers
 
 __all__ = [
     "DistributionSpec",
-    "DisorderSample",
     "uniform",
     "truncated_gaussian",
     "custom_density",
@@ -87,13 +86,6 @@ class DistributionSpec:
             raise ValueError("support [-a, b] needs a, b >= 0 and a+b > 0")
         if not (0 < self.tau <= 1):
             raise ValueError("tau must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class DisorderSample:
-    values: np.ndarray
-    seed: int
-    realization_index: int
 
 
 def uniform(a: float, b: float | None = None) -> DistributionSpec:
@@ -201,8 +193,9 @@ def _ppf(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
 
 
 def sample_potential(spec: DistributionSpec, box: Box, n: int, seed: int,
-                     realization_index: int) -> DisorderSample:
-    """I.i.d. draws per (site, orbital), flat in site-major matrix order.
+                     realization_index: int) -> np.ndarray:
+    """I.i.d. draws per (site, orbital), flat in site-major matrix order,
+    as a read-only array.
 
     Values are keyed by site coordinates, not site rank, so nested boxes
     drawn from the same (seed, index) agree on their common sites.
@@ -219,7 +212,7 @@ def sample_potential(spec: DistributionSpec, box: Box, n: int, seed: int,
     u = (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
     vals = _ppf(spec, u)
     vals.flags.writeable = False
-    return DisorderSample(values=vals, seed=seed, realization_index=realization_index)
+    return vals
 
 
 def abs_moment(spec: DistributionSpec, s: float, quad_points: int = 4001) -> float:

@@ -69,7 +69,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .disorder import DisorderSample
 from .lattice import Box
 from .model import HoppingModel, dense_from_entries, hopping_entries
 
@@ -242,42 +241,30 @@ class SpectralSlice:
         return SpectralSlice(lo, hi, self.values[a:b], self.vectors[:, a:b])
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class FiniteOperator:
     """H0 + diag(potential) on a box, held without any N x N matrix.
 
     ``entries`` hold the clean operator H0, checked Hermitian once; a
-    realization shares them and adds only its real, finite diagonal
-    ``potential`` lam v (None for no diagonal), so it is Hermitian
-    without a second check. Built from a dense Hermitian ``matrix``,
-    read as its nonzero entries, or from a clean operator's ``entries``
-    and a ``potential``. ``matrix`` assembles the dense operator anew
-    on each read.
+    realization shares them and adds only its real diagonal
+    ``potential`` lam v, None for a clean operator. The potential must
+    have one finite value per row, so the sum is Hermitian without a
+    second check. ``matrix`` assembles the dense operator anew on each
+    read.
     """
 
     entries: HermitianEntries
-    potential: np.ndarray | None
-    box: Box
-    n: int
-    sample_ref: str
+    potential: np.ndarray | None = None
 
-    def __init__(self, matrix: np.ndarray | None = None, *, box: Box, n: int, sample_ref: str,
-                 entries: HermitianEntries | None = None,
-                 potential: np.ndarray | None = None) -> None:
-        N = n * box.size
-        if entries is None:
-            m = np.asarray(matrix)
-            if m.shape != (N, N):
-                raise ValueError(f"matrix must be {N}x{N}")
-            rows, cols = np.nonzero(m)
-            entries = HermitianEntries(N, rows, cols, m[rows, cols])
-        if entries.size != N:
-            raise ValueError(f"entries must be of a {N}x{N} matrix")
-        if potential is not None and not np.all(np.isfinite(potential)):
+    def __post_init__(self) -> None:
+        v = self.potential
+        if v is None:
+            return
+        N = self.entries.size
+        if v.shape != (N,):
+            raise ValueError(f"potential has shape {v.shape}, operator needs ({N},)")
+        if not np.all(np.isfinite(v)):
             raise ValueError("potential must be finite")
-        for name, value in (("entries", entries), ("potential", potential), ("box", box),
-                            ("n", n), ("sample_ref", sample_ref)):
-            object.__setattr__(self, name, value)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -386,25 +373,20 @@ def _dot(a: np.ndarray, b: np.ndarray, adjoint_a: bool = False,
     return gemm(1.0, a, b, trans_a=2 if adjoint_a else 0, trans_b=2 if adjoint_b else 0)
 
 
-def _sample_ref(sample: DisorderSample | None) -> str:
-    if sample is None:
-        return "clean"
-    return f"seed={sample.seed},realization={sample.realization_index}"
-
-
-def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
+def add_potential(clean: FiniteOperator, sample: np.ndarray | None,
                   lam: float) -> FiniteOperator:
-    """The realization clean + lam V, V the diagonal potential of the sample.
+    """The realization clean + lam V, V = diag(sample) the drawn potential.
 
     The realization shares the clean entries and stores lam v; its
     matrix adds lam v_i to entry (i, i) of the clean matrix, which
     equals clean + diag(lam v) bit for bit. Without a sample the clean
-    operator itself is returned; at lam = 0 no diagonal is stored. lam
-    must be finite and >= 0, and lam v finite.
+    operator itself is returned; at lam = 0 no diagonal is stored, and
+    the realization is the clean operator again. lam must be finite and
+    >= 0, and lam v finite.
     """
     if not (isfinite(lam) and lam >= 0):
         raise ValueError("disorder strength must be finite and >= 0")
-    if clean.sample_ref != "clean":
+    if clean.potential is not None:
         raise ValueError("the potential must be added to a clean operator")
     if sample is None:
         if lam != 0.0:
@@ -412,21 +394,15 @@ def add_potential(clean: FiniteOperator, sample: DisorderSample | None,
         return clean
     potential = None
     if lam != 0.0:
-        vals = np.asarray(sample.values, dtype=float)
-        N = clean.entries.size
-        if vals.shape != (N,):
-            raise ValueError(f"sample has {vals.shape[0]} values, operator needs {N}")
         with np.errstate(over="ignore"):  # an overflow is refused as not finite
-            potential = lam * vals
+            potential = lam * np.asarray(sample, dtype=float)
         potential.flags.writeable = False
-    return FiniteOperator(box=clean.box, n=clean.n, sample_ref=_sample_ref(sample),
-                          entries=clean.entries, potential=potential)
+    return FiniteOperator(clean.entries, potential)
 
 
 def _clean(model: HoppingModel, box: Box, periodic: bool) -> FiniteOperator:
-    N = box.size * model.n
-    return FiniteOperator(box=box, n=model.n, sample_ref="clean",
-                          entries=HermitianEntries(N, *hopping_entries(model, box, periodic)))
+    return FiniteOperator(HermitianEntries(box.size * model.n,
+                                           *hopping_entries(model, box, periodic)))
 
 
 def restrict_simple(model: HoppingModel, box: Box) -> FiniteOperator:

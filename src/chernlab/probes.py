@@ -178,6 +178,8 @@ def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid) -> list[WegnerRow]
     eps_values = sorted(float(e) for e in eps_grid)
     if not eps_values:
         raise ValueError("eps_grid is empty")
+    if not all(e > 0 for e in eps_values):
+        raise ValueError(f"eps_grid values must be positive, got {eps_values}")
     dists = np.array([np.min(np.abs(np.linalg.eigvalsh(real(cfg.lam).matrix) - E))
                       for real in _realizations(cfg, box_sites(cfg.box_L))])
     rows = []
@@ -453,8 +455,11 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
     """
     if p < 0:
         raise ValueError("moment order must be nonnegative")
+    # a moment is at most n W_max, W_max = (1 + 2 half^2)^(p/2) the
+    # largest weight; the standard error sums the squares of all of them
     half = cfg.box_L // 2
-    if (p / 2.0) * math.log1p(2.0 * half * half) > 700.0:
+    if (p * math.log1p(2.0 * half * half) + 2.0 * math.log(cfg.model.n)
+            + math.log(cfg.n_realizations)) > 700.0:
         raise ValueError("moment order overflows double range at this box size")
     box = box_sites(cfg.box_L)
     center, half_width = g_window

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from chernlab import probes
 from chernlab.bloch import band_structure
 from chernlab.cli import ExperimentConfig, _build_parser, main
 from chernlab.model import haldane_model, model_from_json
@@ -467,10 +468,15 @@ def test_command_mismatch_and_runtime_errors(tmp_path, model_file, uniform_file,
     assert not out.exists()
 
 
-def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsys):
+def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsys,
+                                       monkeypatch):
     # an empty grid is an error, not a header-only CSV; a config file's
     # scan values pass the same checks as flags, and flag text that does
-    # not parse names its flag
+    # not parse names its flag; every case stops before the first draw
+    draws = []
+    sample = probes.sample_potential
+    monkeypatch.setattr(probes, "sample_potential",
+                        lambda *a: draws.append(a[3:]) or sample(*a))
     out = tmp_path / "run"
     cases = [
         (["wegner", "--dist", uniform_file, "--lambda", "2", "--box-l", "4",
@@ -502,11 +508,25 @@ def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsy
         # a negative disorder strength would write inverted bands
         (["spectrum", "--dist", uniform_file, "--lambda-grid=-1:1:3"],
          "lambda_grid must start at a disorder strength >= 0", "spectrum.csv"),
+        # the weight (p/2) ln(1 + 2 * 4^2) fits a double, the sum of the
+        # squared moments over realizations does not
+        (["moments", "--dist", uniform_file, "--lambda", "2", "--box-l", "8",
+          "--realizations", "5", "--p", "400"],
+         "moment order overflows double range", "moments.csv"),
+        (["wegner", "--dist", uniform_file, "--lambda", "2", "--box-l", "4",
+          "--realizations", "40", "--eps-grid=1e-3,0"],
+         "eps_grid values must be positive", "wegner.csv"),
+        # sides 7 and 13 are admissible, 8 is not
+        (["msa-probe", "--dist", uniform_file, "--lambda", "0.3", "--box-grid", "7,13,8",
+          "--realizations", "20"], "box_grid side 8", "msa_probe.csv"),
+        (["msa-probe", "--dist", uniform_file, "--lambda", "0.3", "--range", "0"],
+         "range must be >= 1", "msa_probe.csv"),
     ]
     for args, message, name in cases:
         assert main(args + ["--model", model_file, "--out", str(out)]) == 1, args
         assert message in capsys.readouterr().err, args
         assert not (out / name).exists(), args
+    assert draws == []
 
 
 def test_cached_parser_parses_an_argv_alike_after_another_command():

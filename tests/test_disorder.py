@@ -31,23 +31,23 @@ def _ks_statistic(spec, values):
 def test_samples_match_law(spec):
     # one-sample KS against the exact CDF; N=3200 draws
     sample = sample_potential(spec, box_sites(40), n=2, seed=7, realization_index=0)
-    assert _ks_statistic(spec, sample.values) < 0.02
+    assert _ks_statistic(spec, sample) < 0.02
 
 
 @pytest.mark.parametrize("spec", [uniform(0.5, 2.0), truncated_gaussian(1.5)])
 def test_support(spec):
     sample = sample_potential(spec, box_sites(30), n=2, seed=3, realization_index=1)
-    assert np.all(sample.values >= -spec.a - 1e-12)
-    assert np.all(sample.values <= spec.b + 1e-12)
+    assert np.all(sample >= -spec.a - 1e-12)
+    assert np.all(sample <= spec.b + 1e-12)
 
 
 def test_reproducible_and_distinct():
     spec = uniform(1.0)
     box = box_sites(6)
-    a = sample_potential(spec, box, 2, seed=42, realization_index=3).values
-    b = sample_potential(spec, box, 2, seed=42, realization_index=3).values
-    c = sample_potential(spec, box, 2, seed=42, realization_index=4).values
-    d = sample_potential(spec, box, 2, seed=43, realization_index=3).values
+    a = sample_potential(spec, box, 2, seed=42, realization_index=3)
+    b = sample_potential(spec, box, 2, seed=42, realization_index=3)
+    c = sample_potential(spec, box, 2, seed=42, realization_index=4)
+    d = sample_potential(spec, box, 2, seed=43, realization_index=3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -57,8 +57,8 @@ def test_nested_boxes_agree_on_shared_sites():
     # values are keyed by coordinates, so a subbox sees the same draws
     spec = truncated_gaussian(1.0)
     small, big = box_sites(5), box_sites(9)
-    vs = sample_potential(spec, small, 2, seed=42, realization_index=3).values
-    vb = sample_potential(spec, big, 2, seed=42, realization_index=3).values
+    vs = sample_potential(spec, small, 2, seed=42, realization_index=3)
+    vb = sample_potential(spec, big, 2, seed=42, realization_index=3)
     for i, (g1, g2) in enumerate(small.sites):
         j = big.index_of(int(g1), int(g2))
         assert j >= 0
@@ -123,7 +123,7 @@ def test_custom_density_normalizes_and_samples():
     v = np.linspace(-2.0, 1.0, 5001)
     assert np.trapezoid(spec.pdf(v), v) == pytest.approx(1.0, abs=1e-4)
     sample = sample_potential(spec, box_sites(40), 2, seed=11, realization_index=0)
-    assert _ks_statistic(spec, sample.values) < 0.025
+    assert _ks_statistic(spec, sample) < 0.025
 
 
 def test_spec_validation():
@@ -196,7 +196,7 @@ def test_json_values_are_checked(doc, key):
 def test_sampling_pure_function_of_key(seed, idx):
     spec = uniform(1.0)
     box = box_sites(3)
-    a = sample_potential(spec, box, 2, seed, idx).values
-    b = sample_potential(spec, box, 2, seed, idx).values
+    a = sample_potential(spec, box, 2, seed, idx)
+    b = sample_potential(spec, box, 2, seed, idx)
     assert np.array_equal(a, b)
     assert np.all(np.abs(a) <= 1.0)

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from chernlab import finite_volume
 from chernlab.bloch import bloch_matrix
-from chernlab.disorder import DisorderSample, truncated_gaussian, uniform, sample_potential
+from chernlab.disorder import truncated_gaussian, uniform, sample_potential
 from chernlab.finite_volume import (
     FiniteOperator,
     HermitianEntries,
@@ -41,7 +41,6 @@ def _onsite_model(M: float) -> HoppingModel:
 def test_simple_restriction_is_hermitian():
     op = restrict_simple(haldane_model(TOPO), box_sites(6))
     assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12
-    assert op.sample_ref == "clean"
 
 
 def test_simple_clean_spectrum_massive_point():
@@ -106,7 +105,7 @@ def test_periodic_spectrum_shift_inclusion():
     lam = 0.8
     w0 = restrict_periodic(m, box).eigenvalues
     w = add_potential(restrict_periodic(m, box), sample, lam).eigenvalues
-    delta = spec.b - np.max(sample.values)
+    delta = spec.b - np.max(sample)
     assert delta > 0
     assert np.all(w >= w0 - lam * spec.a - 1e-9)
     assert np.all(w <= w0 + lam * (spec.b - delta) + 1e-9)
@@ -124,7 +123,8 @@ def test_simple_spectrum_in_convex_hull():
 
 
 def test_eigvalsh_matches_eigensystem():
-    # the eigenvalue-only probes call eigvalsh; projections count eigh values
+    # the eigenvalue-only probes call eigvalsh; projections count the values
+    # of the tridiagonal reduction
     m = haldane_model(TOPO)
     box = box_sites(8)
     sample = sample_potential(uniform(1.0), box, 2, seed=3, realization_index=1)
@@ -141,7 +141,8 @@ def test_eigvalsh_matches_eigensystem():
 def test_eigensystem_on_degenerate_spectra(model, L):
     # clean periodic boxes hold the widest eigenvalue clusters (momentum
     # images up to 12-fold; the on-site model is two 36-fold levels),
-    # where the MRRR driver must still return orthonormal eigenvectors
+    # where divide and conquer on the tridiagonal form must still return
+    # orthonormal eigenvectors
     op = restrict_periodic(model, box_sites(L))
     w, v = op.eigensystem
     assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-11
@@ -160,10 +161,9 @@ def test_add_potential_equals_dense_diagonal_sum():
     before = clean.matrix.copy()
     sample = sample_potential(uniform(1.0), box, 2, seed=4, realization_index=7)
     op = add_potential(clean, sample, 1.7)
-    expected = build_dense(m, box, periodic=True) + np.diag(1.7 * sample.values)
+    expected = build_dense(m, box, periodic=True) + np.diag(1.7 * sample)
     assert op.matrix.tobytes() == expected.tobytes()
     assert np.array_equal(clean.matrix, before)
-    assert op.sample_ref == "seed=4,realization=7"
     unshifted = add_potential(clean, sample, 0.0)
     assert unshifted.potential is None and unshifted.entries is clean.entries
     assert unshifted.matrix.tobytes() == clean.matrix.tobytes()
@@ -190,6 +190,12 @@ def test_one_realization_solve_holds_about_two_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * N * N * 16
+
+
+def _entries_of(m: np.ndarray) -> HermitianEntries:
+    # a dense matrix read as its nonzero entries
+    rows, cols = np.nonzero(m)
+    return HermitianEntries(len(m), rows, cols, m[rows, cols])
 
 
 def _gap_splits(w: np.ndarray, count: int) -> list[int]:
@@ -221,8 +227,7 @@ def test_eigensystem_matches_evr_oracle(case):
         P_evr = v_evr[:, :k] @ v_evr[:, :k].conj().T
         assert np.max(np.abs(v[:, :k] @ v[:, :k].conj().T - P_evr)) <= 1e-12
         # a slice back-transformed on its own, on a fresh operator
-        fresh = FiniteOperator(box=op.box, n=op.n, sample_ref=op.sample_ref,
-                               entries=op.entries, potential=op.potential)
+        fresh = FiniteOperator(op.entries, op.potential)
         vk = fresh.eigenpairs(hi=0.5 * (w[k - 1] + w[k])).vectors
         assert vk.shape[1] == k
         assert np.max(np.abs(vk @ vk.conj().T - P_evr)) <= 1e-12
@@ -256,7 +261,7 @@ def test_slices_come_from_one_reduction(monkeypatch):
 
 def test_one_site_and_empty_slices():
     # N = 1 has no reflectors; k = 0 transforms nothing
-    op = FiniteOperator(np.array([[0.5 + 0.0j]]), box=box_sites(1), n=1, sample_ref="clean")
+    op = FiniteOperator(_entries_of(np.array([[0.5 + 0.0j]])))
     w, v = op.eigensystem
     assert w.tolist() == [0.5] and v.tolist() == [[1.0]]
     assert spectral_projection(op, 0.0).rank == 0
@@ -276,12 +281,11 @@ def test_one_site_and_empty_slices():
 def test_non_finite_operator_is_rejected():
     # LAPACK is called without scipy's check_finite: a NaN pair once
     # built and solved to NaN eigenvalues without an error
-    box = box_sites(3)
     for x in (np.nan, np.inf, complex(0.0, np.nan)):
         bad = np.zeros((18, 18), dtype=complex)
         bad[0, 1] = bad[1, 0] = x
         with pytest.raises(ValueError, match="finite"):
-            FiniteOperator(matrix=bad, box=box, n=2, sample_ref="clean")
+            _entries_of(bad)
     with pytest.raises(ValueError, match="finite"):
         HermitianEntries(2, np.array([0, 1]), np.array([0, 1]), np.array([1.0, np.inf]))
     clean = restrict_periodic(haldane_model(TOPO), box_sites(6))
@@ -289,12 +293,12 @@ def test_non_finite_operator_is_rejected():
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             add_potential(clean, sample, lam)
-    with_nan = np.array(sample.values)
+    with_nan = np.array(sample)
     with_nan[5] = np.nan
     # lam v overflows; a sample value is NaN
     for values, lam in ((np.full(72, 2.0), 1e308), (with_nan, 1.0)):
         with pytest.raises(ValueError, match="finite"):
-            add_potential(clean, DisorderSample(values=values, seed=4, realization_index=0), lam)
+            add_potential(clean, values, lam)
 
 
 def test_realization_matrix_is_exactly_hermitian():
@@ -402,20 +406,46 @@ def test_green_function_diagonal_model():
 
 
 def test_operator_validation():
-    box = box_sites(3)
     bad = np.zeros((18, 18), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        FiniteOperator(matrix=bad, box=box, n=2, sample_ref="clean")
+        _entries_of(bad)
     # complex-symmetric off-diagonal pair and an imaginary diagonal
     for entries in (((0, 1, 1j), (1, 0, 1j)), ((2, 2, 1j),)):
         bad = np.zeros((18, 18), dtype=complex)
         for i, j, x in entries:
             bad[i, j] = x
         with pytest.raises(ValueError, match="Hermitian"):
-            FiniteOperator(matrix=bad, box=box, n=2, sample_ref="clean")
+            _entries_of(bad)
     good = np.zeros((18, 18), dtype=complex)
     good[0, 1], good[1, 0] = 1j, -1j
-    FiniteOperator(matrix=good, box=box, n=2, sample_ref="clean")
+    FiniteOperator(_entries_of(good))
     with pytest.raises(ValueError):
-        add_potential(restrict_simple(haldane_model(TOPO), box), None, -1.0)
+        add_potential(restrict_simple(haldane_model(TOPO), box_sites(3)), None, -1.0)
+
+
+def test_potential_is_one_finite_value_per_row():
+    # the operator itself checks its diagonal, however it was built
+    entries = restrict_periodic(haldane_model(TOPO), box_sites(3)).entries
+    FiniteOperator(entries, np.zeros(18))
+    with pytest.raises(ValueError, match="shape"):
+        FiniteOperator(entries, np.zeros(17))
+    with pytest.raises(ValueError, match="shape"):
+        FiniteOperator(entries, np.zeros((18, 1)))
+    with_nan = np.zeros(18)
+    with_nan[4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        FiniteOperator(entries, with_nan)
+
+
+def test_unshifted_realization_takes_a_potential():
+    # a lam = 0 realization stores no diagonal, so it is the clean
+    # operator and a potential may be added to it
+    m = haldane_model(TOPO)
+    box = box_sites(6)
+    clean = restrict_periodic(m, box)
+    sample = sample_potential(uniform(1.0), box, 2, seed=4, realization_index=7)
+    unshifted = add_potential(clean, sample, 0.0)
+    op = add_potential(unshifted, sample, 1.7)
+    expected = build_dense(m, box, periodic=True) + np.diag(1.7 * sample)
+    assert op.matrix.tobytes() == expected.tobytes()
