@@ -282,6 +282,8 @@ def _run_thresholds(config: ExperimentConfig):
     s = _read_number(config.scan, "s", 0.25)
     t = _read_number(config.scan, "t", 1.0)
     q = _read_number(config.scan, "q", 2.0)
+    if q <= 0:  # the moment bounds below divide by q + 1 and take its roots
+        raise ValueError(f"q must be > 0, got {q}")
     bs = band_structure(model, _read_number(config.scan, "grid", 201, whole=True))
     open_gaps = [i for i, o in enumerate(bs.gap_open) if o]
     if not open_gaps:

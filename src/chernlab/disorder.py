@@ -82,15 +82,20 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if not all(math.isfinite(x) for x in (self.a, self.b, self.tau, self.C_tau)):
             raise ValueError("a, b, tau and C_tau must be finite")
-        if self.a < 0 or self.b < 0 or self.a + self.b <= 0:
-            raise ValueError("support [-a, b] needs a, b >= 0 and a+b > 0")
+        _check_support(self.a, self.b)
         if not (0 < self.tau <= 1):
             raise ValueError("tau must lie in (0, 1]")
+
+
+def _check_support(a: float, b: float) -> None:
+    if a < 0 or b < 0 or a + b <= 0:
+        raise ValueError("support [-a, b] needs a, b >= 0 and a+b > 0")
 
 
 def uniform(a: float, b: float | None = None) -> DistributionSpec:
     """Uniform density on [-a, b] (defaults to symmetric [-a, a])."""
     b = a if b is None else b
+    _check_support(a, b)  # before the density 1/(a + b) is formed
     width = a + b
     dens = 1.0 / width
 

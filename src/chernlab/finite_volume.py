@@ -12,20 +12,22 @@ Each operator is reduced once, lazily, to real tridiagonal form:
 LAPACK's ``zhetrd`` overwrites a freshly assembled Fortran buffer with
 its Householder reflectors, and divide and conquer on the tridiagonal
 (``dstevd``; Cuppen, Gu and Eisenstat) gives every eigenvalue and every
-eigenvector of the tridiagonal form. A caller then back-transforms
-(``zunmqr``) only the eigenvector columns it reads: ``eigenpairs(lo,
-hi)`` the ones of the eigenvalues in (lo, hi], ``eigensystem`` all N.
-The eigenvalues, the full eigensystem and every slice come from that
-one reduction, so an energy read from ``eigenvalues`` sits exactly on
-the state a projection counts. At N = 648 on 2 vCPUs (side 18,
-truncated Gaussian a = 2 at lam = 0.1 and 62.8, medians of 7)
-``zhetrd`` took 58-69 ms, ``dstevd`` 22-24 ms and the occupied half's
-back-transform 20-21 ms: 121-128 ms in all, against 180-198 ms for
-LAPACK's MRRR driver ``zheevr``, which forms every eigenvector. All N
-columns took 52-54 ms to back-transform.
-The raw LAPACK calls check nothing; the finiteness checks of
-``HermitianEntries`` and ``FiniteOperator`` stand in for scipy's
-``check_finite``.
+eigenvector of the tridiagonal form. ``eigenpairs(lo, hi)``, the one
+way to read eigenvectors, back-transforms (``zunmqr``) only the columns
+of the eigenvalues in (lo, hi], all N by default. The eigenvalues and
+every slice come from that one reduction, so an energy read from
+``eigenvalues`` sits exactly on the state a projection counts. At
+N = 648 on 2 vCPUs (side 18, truncated Gaussian a = 2 at lam = 0.1 and
+62.8, medians of 7) ``zhetrd`` took 58-69 ms, ``dstevd`` 22-24 ms and
+the occupied half's back-transform 20-21 ms: 121-128 ms in all, against
+180-198 ms for LAPACK's MRRR driver ``zheevr``, which forms every
+eigenvector. All N columns took 52-54 ms to back-transform.
+``resolvent_columns`` reads columns of (H - E)^(-1) from one Hermitian
+indefinite solve (``zhesv``), with no eigenvectors: at side 19 (N = 722)
+the suitable-box probe's shell columns took 32 ms, against 201 ms for
+all N eigenvectors. ``green_function`` is its test oracle. The raw
+LAPACK calls check nothing; the finiteness checks of ``HermitianEntries``
+and ``FiniteOperator`` stand in for scipy's ``check_finite``.
 
 The lower reduction leaves row 0 fixed: its reflectors act on rows
 1..N-1, stored one row below the rows they act on, and that offset
@@ -83,6 +85,7 @@ __all__ = [
     "fermi_matrix",
     "spectral_projection",
     "green_function",
+    "resolvent_columns",
 ]
 
 _HERM_TOL = 1e-12
@@ -192,17 +195,14 @@ def _reduce(entries: HermitianEntries, potential: np.ndarray | None) -> _Tridiag
     return _Tridiagonal(w, z, a[:, :N - 1], tau)
 
 
-def _back_transform(z: np.ndarray, reflectors: np.ndarray, tau: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _back_transform(z: np.ndarray, reflectors: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """The eigenvectors Q z' of H for the tridiagonal eigenvector columns z.
 
     z' is z with row 0 moved last, the rows of H in the order the
-    reflectors act on. ``out`` (N x k, Fortran order, complex), if
-    given, receives the result in place; ``zunmqr`` forms no copy of it.
+    reflectors act on; ``zunmqr`` overwrites a copy of it in place.
     """
     N, k = z.shape
-    if out is None:
-        out = np.empty((N, k), dtype=complex, order="F")
+    out = np.empty((N, k), dtype=complex, order="F")
     out[:N - 1] = z[1:]
     out[N - 1] = z[0]
     if N > 1 and k:
@@ -273,7 +273,6 @@ class FiniteOperator:
 
     @cached_property
     def _tridiagonal(self) -> _Tridiagonal:
-        # held until ``eigensystem`` is read, which takes it over
         return _reduce(self.entries, self.potential)
 
     @cached_property
@@ -281,46 +280,15 @@ class FiniteOperator:
         """Ascending eigenvalues, from the one tridiagonal reduction."""
         return self._tridiagonal.values
 
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, v): ``eigenvalues`` and all N eigenvector columns.
-
-        ``zunmqr`` back-transforms every column from the one tridiagonal
-        reduction (``zhetrd``, then ``dstevd``), in two column halves, so
-        that at most half of T's eigenvectors (N^2/2 reals) are held next
-        to the reflectors and v: the first half goes into a buffer of N/2
-        columns, a copy of T's second-half columns replaces T's
-        eigenvectors, and the buffer is grown in place to N columns for
-        the second half. At N = 648 the whole solve took 150-170 ms
-        against 180-198 ms for ``zheevr``; at N = 288 its peak was 2.43
-        N^2 complex numbers, workspace and clean entries included. The
-        reduction is released; later slices are columns of v.
-        """
-        w = self.eigenvalues
-        _, z, reflectors, tau = self._tridiagonal
-        del self.__dict__["_tridiagonal"]
-        N, h = z.shape[0], z.shape[0] // 2
-        buf = np.empty(N * h, dtype=complex)
-        _back_transform(z[:, :h], reflectors, tau, out=buf.reshape((N, h), order="F"))
-        z = z[:, h:].copy(order="F")
-        buf.resize(N * N)
-        v = buf.reshape((N, N), order="F")
-        _back_transform(z, reflectors, tau, out=v[:, h:])
-        v.flags.writeable = False
-        return w, v
-
     def eigenpairs(self, lo: float = -np.inf, hi: float = np.inf) -> SpectralSlice:
         """The eigenpairs with eigenvalues in (lo, hi].
 
-        Back-transforms only those columns, or reads them from
-        ``eigensystem`` once that is formed; an empty slice transforms
-        nothing.
+        Back-transforms only those columns, on every call; an empty slice
+        transforms nothing.
         """
         w = self.eigenvalues
         a, b = np.searchsorted(w, [lo, hi], side="right")
-        if "eigensystem" in self.__dict__:
-            v = self.eigensystem[1][:, a:b]
-        elif a >= b:
+        if a >= b:
             v = np.empty((len(w), 0), dtype=complex)
         else:
             t = self._tridiagonal
@@ -455,9 +423,32 @@ def spectral_projection(source: FiniteOperator | SpectralSlice, E: float) -> Pro
     return ProjectionMatrix(source.eigenpairs(hi=E).vectors)
 
 
+def resolvent_columns(op: FiniteOperator, E: float, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of (H - E)^(-1) for real E (N x k).
+
+    ``zhesv`` factors the assembled H - E in place (Bunch-Kaufman,
+    U D U^*) and solves for the unit columns in place. An exactly
+    singular D is a resonant energy and raises ValueError.
+    """
+    N = op.entries.size
+    diagonal = np.full(N, -float(E)) if op.potential is None else op.potential - E
+    a = op.entries.dense(diagonal, order="F")
+    b = np.zeros((N, len(cols)), dtype=complex, order="F")
+    b[cols, np.arange(len(cols))] = 1.0
+    work, info = lapack.zhesv_lwork(N)
+    _lapack_info("zhesv_lwork", info)
+    _, _, x, info = lapack.zhesv(a, b, lwork=int(work.real), overwrite_a=1, overwrite_b=1)
+    if info > 0:
+        raise ValueError(f"resonant energy: the factor of H - E is singular at E = {E}")
+    _lapack_info("zhesv", info)
+    return x
+
+
 def green_function(op: FiniteOperator, z: complex) -> np.ndarray:
-    """(H - z)^(-1) through the eigendecomposition."""
-    w, v = op.eigensystem
+    """(H - z)^(-1) through the eigendecomposition; the test oracle of
+    ``resolvent_columns``."""
+    eig = op.eigenpairs()
+    w, v = eig.values, eig.vectors
     gap = np.min(np.abs(w - z))
     if gap <= 1e-12:
         raise ValueError(f"resonant energy: dist(z, spectrum) = {gap:.3e}")

@@ -33,6 +33,7 @@ from .finite_volume import (
     _dot,
     add_potential,
     fermi_matrix,
+    resolvent_columns,
     restrict_periodic,
     restrict_simple,
     spectral_projection,
@@ -150,8 +151,6 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 def _orbital_rows(box: Box, sites: np.ndarray, n: int) -> np.ndarray:
     idx = np.array([box.index_of(int(g1), int(g2)) for g1, g2 in sites])
-    if np.any(idx < 0):
-        raise ValueError("sites fall outside the box")
     return (idx[:, None] * n + np.arange(n)[None, :]).ravel()
 
 
@@ -208,10 +207,11 @@ def suitable_box_probability(cfg: EnsembleConfig, E: float, theta: float,
                              r: int = 1) -> SuitabilityResult:
     """Fraction of realizations whose box resolvent decays core-to-shell.
 
-    A realization counts iff E avoids the spectrum and every n-by-n
-    resolvent block from a core site to an inner-boundary site has
-    spectral norm at most L^(-theta). The box side must satisfy the
-    core geometry L = 3k + 4r with k a positive integer.
+    A realization counts iff its factor of H - E is not exactly singular
+    (resonant) and every n-by-n resolvent block from a core site to an
+    inner-boundary site has spectral norm at most L^(-theta). The box
+    side must satisfy the core geometry L = 3k + 4r with k a positive
+    integer.
     """
     box = box_sites(cfg.box_L)
     core = core_sites(box, r)
@@ -222,10 +222,12 @@ def suitable_box_probability(cfg: EnsembleConfig, E: float, theta: float,
     thresh = float(cfg.box_L) ** (-theta)
 
     def suitable(op) -> int:
-        w, v = op.eigensystem
-        if np.min(np.abs(w - E)) <= 1e-12:
+        try:
+            G = resolvent_columns(op, E, rows_shell)[rows_core]
+        except np.linalg.LinAlgError:  # a LAPACK failure, not a resonance
+            raise
+        except ValueError:  # resonant
             return 0
-        G = _dot(v[rows_core] / (w - E), v[rows_shell], adjoint_b=True)
         blocks = G.reshape(len(core.sites), n, len(shell), n).transpose(0, 2, 1, 3)
         norms = np.linalg.svd(blocks, compute_uv=False)[..., 0]
         return int(np.all(norms <= thresh))
@@ -469,10 +471,7 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
         raise ValueError("times must be nonnegative")
     weight = (1.0 + np.sum(box.sites.astype(float) ** 2, axis=1)) ** (p / 2.0)
     weight = np.repeat(weight, cfg.model.n)
-    origin = box.index_of(0, 0)
-    if origin < 0:
-        raise ValueError("box does not contain the origin cell")
-    rows0 = origin * cfg.model.n + np.arange(cfg.model.n)
+    rows0 = box.index_of(0, 0) * cfg.model.n + np.arange(cfg.model.n)
 
     def moments(window: SpectralSlice) -> np.ndarray | None:
         """The moment at every time, or None when the window holds no eigenpair."""

@@ -430,6 +430,25 @@ def test_invalid_config_exits_nonzero_with_line(tmp_path, model_file, capsys):
     assert f"{baddist}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dist", [{"kind": "uniform", "a": 0}, {"kind": "uniform", "a": -1, "b": 1}])
+def test_zero_width_uniform_law_is_refused(tmp_path, model_file, capsys, dist):
+    # the support is checked before the density 1/(a + b) is formed: a
+    # zero width once ended in a ZeroDivisionError traceback
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "spectrum", "distribution": dist}))
+    assert main(["spectrum", "--config", str(cfg), "--model", model_file,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: distribution: support [-a, b] ")
+    # from a --dist file the error names the file and line, like any other
+    dist_file = tmp_path / "dist.json"
+    dist_file.write_text(json.dumps(dist))
+    assert main(["spectrum", "--dist", str(dist_file), "--model", model_file,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {dist_file}:1: support [-a, b] ")
+    assert not out.exists()
+
+
 def test_command_mismatch_and_runtime_errors(tmp_path, model_file, uniform_file, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "bloch"}))
@@ -468,7 +487,7 @@ def test_command_mismatch_and_runtime_errors(tmp_path, model_file, uniform_file,
     assert not out.exists()
 
 
-def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsys,
+def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, tg_file, capsys,
                                        monkeypatch):
     # an empty grid is an error, not a header-only CSV; a config file's
     # scan values pass the same checks as flags, and flag text that does
@@ -521,6 +540,10 @@ def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, capsy
           "--realizations", "20"], "box_grid side 8", "msa_probe.csv"),
         (["msa-probe", "--dist", uniform_file, "--lambda", "0.3", "--range", "0"],
          "range must be >= 1", "msa_probe.csv"),
+        # q <= 0 once divided by zero (q = -1) or took a negative root
+        # (q = -3) in the truncated-Gaussian moment bound
+        (["thresholds", "--dist", tg_file, "--q=-1"], "q must be > 0", "thresholds.json"),
+        (["thresholds", "--dist", tg_file, "--q=-3"], "q must be > 0", "thresholds.json"),
     ]
     for args, message, name in cases:
         assert main(args + ["--model", model_file, "--out", str(out)]) == 1, args
@@ -555,22 +578,15 @@ def test_console_script_entry_point(tmp_path, model_file):
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the threshold's golden section lives in bounds; scipy.optimize would
-    # cost every CLI process about 0.2 s and 17 MB at start-up
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.stats", "scipy.sparse"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    # at start-up scipy.optimize would cost every CLI process about 0.2 s
+    # and 17 MB (the threshold's golden section lives in bounds),
+    # scipy.stats about half a second; the resolvent is one dense LAPACK
+    # solve and needs no sparse stack
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import chernlab, chernlab.cli, sys; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs every CLI process about half a second at start-up
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import chernlab.cli, sys; print('scipy.stats' in sys.modules)"],
+         f"import chernlab, chernlab.cli, sys; print({module!r} in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

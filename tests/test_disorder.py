@@ -140,6 +140,17 @@ def test_spec_validation():
                 DistributionSpec(kind="x", **params)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, None), (-1.0, 1.0), (0.0, 0.0), (-2.0, 1.0)])
+def test_uniform_refuses_an_empty_support(a, b):
+    # the support is checked before the density 1/(a + b) is formed: a
+    # zero width once ended in a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"support \[-a, b\]"):
+        uniform(a, b)
+    doc = {"kind": "uniform", "a": a} if b is None else {"kind": "uniform", "a": a, "b": b}
+    with pytest.raises(ValueError, match=r"support \[-a, b\]"):
+        spec_from_json(doc)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_constructors_reject_non_finite_parameters(bad):
     pts = np.linspace(-1.0, 1.0, 5)

@@ -15,6 +15,7 @@ from chernlab.finite_volume import (
     add_potential,
     fermi_matrix,
     green_function,
+    resolvent_columns,
     restrict_periodic,
     restrict_simple,
     spectral_projection,
@@ -26,6 +27,7 @@ from chernlab.model import (
     build_dense,
     haldane_model,
 )
+from chernlab.probes import EnsembleConfig, suitable_box_probability
 
 T2 = 1.0 / (3.0 * math.sqrt(3.0))
 TOPO = HaldaneParams(t1=1.0, t2=T2, phi=math.pi / 2, M=0.0)
@@ -129,8 +131,9 @@ def test_eigvalsh_matches_eigensystem():
     box = box_sites(8)
     sample = sample_potential(uniform(1.0), box, 2, seed=3, realization_index=1)
     op = add_potential(restrict_periodic(m, box), sample, 2.0)
-    w, v = op.eigensystem
-    assert op.eigenvalues is w
+    eig = op.eigenpairs()
+    w, v = eig.values, eig.vectors
+    assert np.array_equal(op.eigenvalues, w)
     assert np.max(np.abs(np.linalg.eigvalsh(op.matrix) - w)) < 1e-12
     assert np.max(np.abs(op.matrix @ v - v * w)) < 1e-11
 
@@ -144,7 +147,8 @@ def test_eigensystem_on_degenerate_spectra(model, L):
     # where divide and conquer on the tridiagonal form must still return
     # orthonormal eigenvectors
     op = restrict_periodic(model, box_sites(L))
-    w, v = op.eigensystem
+    eig = op.eigenpairs()
+    w, v = eig.values, eig.vectors
     assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-11
     assert np.max(np.abs(op.matrix @ v - v * w)) <= 1e-12
     if L == 18:
@@ -177,19 +181,24 @@ def test_add_potential_equals_dense_diagonal_sum():
 
 
 def test_one_realization_solve_holds_about_two_matrices():
-    # clean restriction, realization and solve keep no N x N array but
-    # the buffer the solve overwrites and the eigenvectors
+    # clean restriction, realization and either solve the probes run (the
+    # occupied half's eigenpairs, or the shell columns of the resolvent)
+    # keep no N x N array but the buffer the solve overwrites and its result
     m = haldane_model(TOPO)
     box = box_sites(12)
     N = m.n * box.size
     sample = sample_potential(uniform(1.0), box, 2, seed=1, realization_index=0)
-    tracemalloc.start()
-    try:
-        add_potential(restrict_periodic(m, box), sample, 1.0).eigensystem
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * N * N * 16
+    shell = np.array([m.n * box.index_of(*g) + o for g in inner_boundary(box, 1)
+                      for o in range(m.n)])
+    for solve in (lambda op: op.eigenpairs(hi=0.0),
+                  lambda op: resolvent_columns(op, 3.2, shell)):
+        tracemalloc.start()
+        try:
+            solve(add_potential(restrict_periodic(m, box), sample, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * N * N * 16
 
 
 def _entries_of(m: np.ndarray) -> HermitianEntries:
@@ -221,7 +230,8 @@ def test_eigensystem_matches_evr_oracle(case):
                                       realization_index=3)
             op = add_potential(op, sample, 62.8)
     w_evr, v_evr = scipy.linalg.eigh(op.matrix, driver="evr")
-    w, v = op.eigensystem
+    eig = op.eigenpairs()
+    w, v = eig.values, eig.vectors
     assert np.max(np.abs(w - w_evr)) <= 1e-15 * len(w) * max(1.0, np.max(np.abs(w)))
     for k in _gap_splits(w, 3):
         P_evr = v_evr[:, :k] @ v_evr[:, :k].conj().T
@@ -234,27 +244,22 @@ def test_eigensystem_matches_evr_oracle(case):
 
 
 def test_slices_come_from_one_reduction(monkeypatch):
-    # eigenvalues, slices and the full eigensystem share one zhetrd; a
-    # slice transforms its own columns until the eigensystem is formed,
-    # and is read from it afterwards
+    # eigenvalues and every slice share one zhetrd; each slice transforms
+    # its own columns
     reductions, transforms = [], []
     reduce, transform = finite_volume._reduce, finite_volume._back_transform
     monkeypatch.setattr(finite_volume, "_reduce",
                         lambda *a: reductions.append(1) or reduce(*a))
     monkeypatch.setattr(finite_volume, "_back_transform",
-                        lambda z, *a, **k: transforms.append(z.shape[1]) or transform(z, *a, **k))
+                        lambda z, *a: transforms.append(z.shape[1]) or transform(z, *a))
     op = restrict_periodic(haldane_model(TOPO), box_sites(6))
-    N = 72
     w = op.eigenvalues
     lower = op.eigenpairs(hi=0.0)
     window = op.eigenpairs(-2.0, -1.0)
     assert transforms == [36, int(np.sum((w > -2.0) & (w <= -1.0)))]
     assert np.array_equal(window.values, w[(w > -2.0) & (w <= -1.0)])
-    _, v = op.eigensystem
-    assert transforms[2:] == [N // 2, N - N // 2]
     again = op.eigenpairs(hi=0.0)
-    assert len(transforms) == 4 and reductions == [1]
-    assert again.vectors.base is not None and np.shares_memory(again.vectors, v)
+    assert len(transforms) == 3 and reductions == [1]
     assert np.max(np.abs(again.vectors - lower.vectors)) <= 1e-12
     assert op.eigenvalues is w
 
@@ -262,7 +267,8 @@ def test_slices_come_from_one_reduction(monkeypatch):
 def test_one_site_and_empty_slices():
     # N = 1 has no reflectors; k = 0 transforms nothing
     op = FiniteOperator(_entries_of(np.array([[0.5 + 0.0j]])))
-    w, v = op.eigensystem
+    eig = op.eigenpairs()
+    w, v = eig.values, eig.vectors
     assert w.tolist() == [0.5] and v.tolist() == [[1.0]]
     assert spectral_projection(op, 0.0).rank == 0
     assert spectral_projection(op, 0.5).rank == 1
@@ -394,6 +400,37 @@ def test_green_function_resonant_error():
     op = restrict_periodic(haldane_model(TOPO), box_sites(6))
     with pytest.raises(ValueError, match="resonant"):
         green_function(op, complex(op.eigenvalues[3]))
+
+
+@pytest.mark.parametrize("case", ["clean", "disordered", "open"])
+def test_resolvent_columns_match_green_function(case):
+    # the one Hermitian solve against the eigendecomposition oracle, on a
+    # clean periodic box, a disordered one and a disordered open box
+    m = haldane_model(TOPO)
+    box = box_sites(7)
+    build = restrict_simple if case == "open" else restrict_periodic
+    op = build(m, box)
+    if case != "clean":
+        sample = sample_potential(uniform(1.0), box, 2, seed=11, realization_index=4)
+        op = add_potential(op, sample, 0.3 if case == "disordered" else 1.5)
+    cols = np.array([0, 1, 17, 40, 97])
+    for E in (-3.2, 0.3, 1.1):
+        X = resolvent_columns(op, E, cols)
+        G = green_function(op, E)[:, cols]
+        assert X.shape == (98, 5)
+        assert np.max(np.abs(X - G)) <= 1e-12 * np.max(np.abs(G))
+
+
+def test_resolvent_columns_refuse_a_resonant_energy():
+    # H - E has exact zeros on its diagonal at E = +-1, so the factor is
+    # exactly singular
+    op = restrict_periodic(_onsite_model(1.0), box_sites(7))
+    cfg = EnsembleConfig(model=_onsite_model(1.0), spec=None, lam=0.0, box_L=7, bc="periodic")
+    for E in (1.0, -1.0):
+        with pytest.raises(ValueError, match="resonant"):
+            resolvent_columns(op, E, np.arange(4))
+        assert suitable_box_probability(cfg, E, 1.0).probability == 0.0
+    assert np.array_equal(resolvent_columns(op, 0.5, [0, 1])[:2], np.diag([2.0, -2.0 / 3.0]))
 
 
 def test_green_function_diagonal_model():

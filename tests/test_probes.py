@@ -192,6 +192,20 @@ def test_suitability_threshold_matches_green_function(model, L):
     assert suitable_box_probability(cfg, 3.2, theta * (1 + 1e-6)).probability == 0.0
 
 
+def test_suitability_solves_without_eigenvectors(model, monkeypatch):
+    # the core-to-shell block comes from one Hermitian solve: no
+    # tridiagonal reduction, no back-transform
+    calls = []
+    for name in ("_reduce", "_back_transform"):
+        f = getattr(finite_volume, name)
+        monkeypatch.setattr(finite_volume, name,
+                            lambda *a, name=name, f=f, **k: calls.append(name) or f(*a, **k))
+    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=0.3, box_L=7,
+                         bc="periodic", n_realizations=3, master_seed=11)
+    assert suitable_box_probability(cfg, 3.2, 0.5).probability == 1.0
+    assert calls == []
+
+
 # ---------------------------------------------------------------- decay
 
 
