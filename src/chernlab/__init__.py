@@ -11,21 +11,16 @@ Layers, from geometry to experiment:
 - bounds: resolvent-decay rates, fractional-moment constants, disorder
   thresholds.
 - probes: seeded Monte-Carlo estimators confronting the bounds.
-- cli: JSON-configured experiment runner with reproducible outputs;
-  loaded by ``import chernlab.cli``, not here, so that
-  ``python -m chernlab.cli`` executes it only once.
+- cli: JSON-configured experiment runner with reproducible outputs.
+
+``import chernlab`` loads none of them: a layer is imported on first
+use, by ``import chernlab.probes`` or by the attribute access
+``chernlab.probes`` (a module ``__getattr__``, PEP 562). So a command
+that needs only the clean spectrum never loads scipy, and
+``python -m chernlab.cli`` executes the runner only once.
 """
 
-from . import (
-    bloch,
-    bounds,
-    disorder,
-    finite_volume,
-    lattice,
-    model,
-    probes,
-    topology,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -41,3 +36,11 @@ __all__ = [
     "topology",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        # the import binds the submodule as an attribute of the package,
+        # so this runs once per layer
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

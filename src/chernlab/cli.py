@@ -13,6 +13,12 @@ output file can be reproduced from its sidecar alone. CSV bodies are
 byte-identical for a fixed (config, seed) and a fixed BLAS thread count:
 the eigenvector probes' last bits move with OpenBLAS's threads. --threads
 is accepted and selects nothing, so no value of it can change an output.
+
+Layers load on first use. At module level this file imports only
+``model``, ``lattice`` and ``bloch``, which need numpy alone; a runner
+imports ``probes``, ``bounds`` or ``disorder`` when it runs, and with
+them scipy. So ``phase-diagram``, ``bloch`` and ``chern`` never load
+scipy, whose import would cost each of them about 0.4 s.
 """
 
 from __future__ import annotations
@@ -25,39 +31,16 @@ import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .bloch import band_structure, chern_number, chern_numbers
-from .bounds import (
-    a_zero,
-    alpha_for_gap,
-    c_s_alpha,
-    combes_thomas_salpha,
-    d_s1_bound,
-    salpha_overbound,
-    strong_disorder_threshold,
-)
-from .disorder import (
-    abs_moment,
-    spec_from_json,
-    trunc_gauss_abs_moment_bound,
-    trunc_gauss_power_moment_bound,
-)
 from .lattice import box_sites, core_sites
 from .model import HaldaneParams, _read_number, _read_numbers, haldane_model, model_from_json
-from .probes import (
-    EnsembleConfig,
-    averaged_marker_scan,
-    ids_estimate,
-    loglog_slope,
-    projection_decay,
-    suitable_box_probability,
-    time_averaged_moment,
-    transport_slope,
-    wegner_empirical,
-)
+
+if TYPE_CHECKING:
+    from .probes import EnsembleConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "run"]
 
@@ -213,10 +196,12 @@ def _read_grid(config: ExperimentConfig, key: str, default: list) -> tuple[float
 def _spec(config: ExperimentConfig):
     if config.distribution is None:
         return None
+    from .disorder import spec_from_json
     return spec_from_json(config.distribution)
 
 
 def _ensemble(config: ExperimentConfig) -> EnsembleConfig:
+    from .probes import EnsembleConfig
     ens = config.ensemble
     return EnsembleConfig(
         model=model_from_json(config.model),
@@ -248,6 +233,7 @@ def _run_chern(config: ExperimentConfig):
 
 
 def _run_marker(config: ExperimentConfig):
+    from .probes import averaged_marker_scan
     cfg = _ensemble(config)
     E = _read_number(config.scan, "energy", 0.0)
     window = config.scan.get("window_L")
@@ -275,6 +261,16 @@ def _run_spectrum(config: ExperimentConfig):
 
 
 def _run_thresholds(config: ExperimentConfig):
+    from .bounds import (
+        a_zero,
+        alpha_for_gap,
+        c_s_alpha,
+        combes_thomas_salpha,
+        d_s1_bound,
+        salpha_overbound,
+        strong_disorder_threshold,
+    )
+    from .disorder import abs_moment, trunc_gauss_abs_moment_bound, trunc_gauss_power_moment_bound
     model = model_from_json(config.model)
     spec = _spec(config)
     if spec is None:
@@ -327,6 +323,7 @@ def _run_thresholds(config: ExperimentConfig):
 
 
 def _run_wegner(config: ExperimentConfig):
+    from .probes import wegner_empirical
     cfg = _ensemble(config)
     E = _read_number(config.scan, "energy", 0.0)
     rows = wegner_empirical(
@@ -336,6 +333,7 @@ def _run_wegner(config: ExperimentConfig):
 
 
 def _run_msa_probe(config: ExperimentConfig):
+    from .probes import suitable_box_probability
     cfg = _ensemble(config)
     E = _read_number(config.scan, "energy", 0.0)
     theta = _read_number(config.scan, "theta", 1.0)
@@ -360,6 +358,7 @@ def _run_msa_probe(config: ExperimentConfig):
 
 
 def _run_decay(config: ExperimentConfig):
+    from .probes import projection_decay
     cfg = _ensemble(config)
     lo, hi = _read_numbers(config.scan, "window", [-0.2, 0.2], 2)
     prof = projection_decay(cfg, (lo, hi),
@@ -372,12 +371,14 @@ def _run_decay(config: ExperimentConfig):
 
 
 def _run_ids(config: ExperimentConfig):
+    from .probes import ids_estimate
     lo, hi, count = _read_grid(config, "energy_grid", [-4.0, 4.0, 17])
     rows = ids_estimate(_ensemble(config), np.linspace(lo, hi, count))
     return [(r.E, r.value, r.stderr, r.n) for r in rows], {}
 
 
 def _run_moments(config: ExperimentConfig):
+    from .probes import loglog_slope, time_averaged_moment, transport_slope
     p = _read_number(config.scan, "p", 2.0)
     center, width = _read_numbers(config.scan, "window", [2.0, 0.5], 2)
     lo, hi, count = _read_grid(config, "t_grid", [1.0, 100.0, 9])
@@ -595,6 +596,7 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(args.model, _key_line(args.model, "type"), str(e))
         raise ValueError(f"model: {e}")
     if config.distribution is not None:
+        from .disorder import spec_from_json
         try:
             spec_from_json(config.distribution)
         except (KeyError, ValueError) as e:

@@ -40,9 +40,12 @@ fixed, the one the shifted buffer kept at row 0. f2py then hands the
 reflectors and the columns to LAPACK as they are, and the eigenvectors
 come out in the rows of H.
 
-Statistics that only count or locate eigenvalues call numpy's
-``eigvalsh`` on the matrix instead and form no eigenvectors; its values
-may differ from the ``eigenvalues`` ones in the last bits. A spectral
+Statistics that only count or locate eigenvalues read ``eigvalsh()``
+instead: ``zhetrd`` on a buffer the operator is assembled straight
+into, then ``dstevd`` with no eigenvectors, which runs the root-free QR
+numpy's ``eigvalsh`` runs too. So the finite volume calls one LAPACK,
+scipy's. These values may differ from the ``eigenvalues`` ones in the
+last bits. A spectral
 projection is held by its occupied eigenvectors V (N x k) and forms
 P = V V^* only when a caller reads ``matrix``; the windowed marker reads
 rows of P from V alone, and only the kernel-decay probe reads the
@@ -279,6 +282,16 @@ class FiniteOperator:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, from the one tridiagonal reduction."""
         return self._tridiagonal.values
+
+    def eigvalsh(self) -> np.ndarray:
+        """Ascending eigenvalues alone, from a values-only reduction.
+
+        For statistics that only count or locate eigenvalues: the
+        operator is assembled straight into the buffer ``zhetrd``
+        overwrites, no eigenvector is formed and nothing is cached. The
+        values may differ from ``eigenvalues`` in the last bits.
+        """
+        return _hetrd_stevd(self.entries.dense(self.potential, order="F"), vectors=False)[0]
 
     def eigenpairs(self, lo: float = -np.inf, hi: float = np.inf) -> SpectralSlice:
         """The eigenpairs with eigenvalues in (lo, hi].

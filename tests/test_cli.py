@@ -578,15 +578,47 @@ def test_console_script_entry_point(tmp_path, model_file):
     assert "RuntimeWarning" not in proc.stderr
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.stats", "scipy.sparse"])
+def _fresh(code: str) -> list[str]:
+    """The whitespace-separated words ``code`` prints in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["scipy", "scipy.optimize", "scipy.stats", "scipy.sparse"])
 def test_cli_import_leaves_scipy_module_unloaded(module):
     # at start-up scipy.optimize would cost every CLI process about 0.2 s
     # and 17 MB (the threshold's golden section lives in bounds),
     # scipy.stats about half a second; the resolvent is one dense LAPACK
-    # solve and needs no sparse stack
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import chernlab, chernlab.cli, sys; print({module!r} in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # solve and needs no sparse stack. No scipy module loads at all (any
+    # of them loads the package "scipy"): the layers that use it load on
+    # first use, and model, lattice and bloch need numpy alone
+    code = f"import chernlab, chernlab.cli, sys; print({module!r} in sys.modules)"
+    assert _fresh(code) == ["False"]
+
+
+def test_scipy_loads_only_in_commands_that_call_it(tmp_path):
+    # the clean phase diagram, band edges and Chern number never load
+    # scipy; a marker run solves with scipy's LAPACK
+    code = f"""
+import sys
+from chernlab.cli import main
+for argv in (["phase-diagram", "--grid", "3x3"], ["bloch"], ["chern"]):
+    assert main([*argv, "--out", {str(tmp_path)!r}]) == 0
+clean = any(m.startswith("scipy") for m in sys.modules)
+assert main(["marker", "--box-l", "4", "--out", {str(tmp_path)!r}]) == 0
+print(clean, "scipy.linalg" in sys.modules)
+"""
+    assert _fresh(code)[-2:] == ["False", "True"]
+
+
+def test_package_attribute_loads_its_layer():
+    code = """
+import chernlab
+print(chernlab.probes.__name__, "chernlab.probes" in __import__("sys").modules)
+try:
+    chernlab.nothing
+except AttributeError:
+    print("AttributeError")
+"""
+    assert _fresh(code) == ["chernlab.probes", "True", "AttributeError"]

@@ -125,13 +125,18 @@ def test_simple_spectrum_in_convex_hull():
 
 
 def test_eigvalsh_matches_eigensystem():
-    # the eigenvalue-only probes call eigvalsh; projections count the values
-    # of the tridiagonal reduction
+    # the eigenvalue-only probes read eigvalsh(), a values-only reduction
+    # that caches nothing; projections count the values of the full
+    # tridiagonal reduction
     m = haldane_model(TOPO)
     box = box_sites(8)
     sample = sample_potential(uniform(1.0), box, 2, seed=3, realization_index=1)
     op = add_potential(restrict_periodic(m, box), sample, 2.0)
+    values = op.eigvalsh()
+    assert "_tridiagonal" not in vars(op)
+    assert np.array_equal(values, finite_volume._eigvalsh(op.matrix))
     eig = op.eigenpairs()
+    assert np.max(np.abs(values - eig.values)) < 1e-12
     w, v = eig.values, eig.vectors
     assert np.array_equal(op.eigenvalues, w)
     assert np.max(np.abs(np.linalg.eigvalsh(op.matrix) - w)) < 1e-12

@@ -206,6 +206,26 @@ def test_suitability_solves_without_eigenvectors(model, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-12, 1.0 + 1e-8, 2.0, 1e8, np.inf])
+def test_spectral_norms_match_svd(ratio):
+    # the 2x2 closed form stays accurate to rounding down to equal
+    # singular values, where ||B||_F^2 - 2 |det B| cancels (ratio inf:
+    # rank one); 3x3 blocks take svd itself
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2)))
+    sigma = np.array([1.0, 0.0 if np.isinf(ratio) else 1.0 / ratio])
+    scale = 10.0 ** rng.uniform(-8, 8, (500, 1, 1))
+    blocks = scale * (u * sigma) @ v
+    expected = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    assert np.max(np.abs(probes._spectral_norms(blocks) / expected - 1.0)) < 4e-15
+    assert np.array_equal(probes._spectral_norms(np.zeros((3, 2, 2), dtype=complex)),
+                          np.zeros(3))
+    b3 = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
+    assert np.array_equal(probes._spectral_norms(b3),
+                          np.linalg.svd(b3, compute_uv=False)[..., 0])
+
+
 # ---------------------------------------------------------------- decay
 
 
@@ -253,6 +273,20 @@ def test_ids_rank_counts(model):
     assert vals[0] == (-5.0, 0.0, 0.0)
     assert vals[1] == (0.0, 1.0, 0.0)  # half filling at the internal gap
     assert vals[2] == (5.0, 2.0, 0.0)  # full rank: n states per cell
+
+
+def test_count_probes_reduce_without_eigenvectors(model, monkeypatch):
+    # eigenvalue statistics read the values-only reduction of scipy's
+    # LAPACK: no eigenvector reduction, no numpy eigvalsh
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(finite_volume, "_reduce", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=6,
+                         bc="periodic", n_realizations=3, master_seed=3)
+    assert [r.value for r in ids_estimate(cfg, [-5.0, 5.0])] == [0.0, 2.0]
+    assert wegner_empirical(cfg, 0.0, [10.0])[0].empirical == 1.0
 
 
 def test_ids_monotone_under_disorder(model):
