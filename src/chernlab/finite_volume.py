@@ -40,12 +40,17 @@ fixed, the one the shifted buffer kept at row 0. f2py then hands the
 reflectors and the columns to LAPACK as they are, and the eigenvectors
 come out in the rows of H.
 
-Statistics that only count or locate eigenvalues read ``eigvalsh()``
-instead: ``zhetrd`` on a buffer the operator is assembled straight
-into, then ``dstevd`` with no eigenvectors, which runs the root-free QR
-numpy's ``eigvalsh`` runs too. So the finite volume calls one LAPACK,
-scipy's. These values may differ from the ``eigenvalues`` ones in the
-last bits. A spectral
+Statistics that locate eigenvalues without eigenvectors read
+``eigvalsh()`` instead: ``zhetrd`` on a buffer the operator is assembled
+straight into, then ``dstevd`` with no eigenvectors, which runs the
+root-free QR numpy's ``eigvalsh`` runs too. So the finite volume calls
+one LAPACK, scipy's. These values may differ from the ``eigenvalues``
+ones in the last bits. Statistics that only count eigenvalues up to an
+energy x read ``inertia(x)``: one Bunch-Kaufman factor (``zhetrf``) of
+the assembled H - x, whose pivots count the eigenvalues below and at x
+by Sylvester's law of inertia, with no reduction at all. The shifted
+H - x of ``inertia`` and ``resolvent_columns`` is refused when its
+diagonal is not finite (lam v - x can overflow). A spectral
 projection is held by its occupied eigenvectors V (N x k) and forms
 P = V V^* only when a caller reads ``matrix``; the windowed marker reads
 rows of P from V alone, and only the kernel-decay probe reads the
@@ -89,6 +94,7 @@ __all__ = [
     "spectral_projection",
     "green_function",
     "resolvent_columns",
+    "ResonantEnergy",
 ]
 
 _HERM_TOL = 1e-12
@@ -140,6 +146,10 @@ class HermitianEntries:
         if diagonal is not None:
             H[np.diag_indices(N)] += np.roll(diagonal, shift)
         return H
+
+
+class ResonantEnergy(ValueError):
+    """The energy of a resolvent is an eigenvalue: H - E is singular."""
 
 
 class _Tridiagonal(NamedTuple):
@@ -293,6 +303,35 @@ class FiniteOperator:
         """
         return _hetrd_stevd(self.entries.dense(self.potential, order="F"), vectors=False)[0]
 
+    def inertia(self, x: float) -> tuple[int, int]:
+        """(below, at): how many eigenvalues are < x and how many == x.
+
+        By Sylvester's law of inertia, H - x = P L D L^* P^T has as many
+        negative and zero eigenvalues as D. ``zhetrf`` (Bunch-Kaufman,
+        lower) factors the assembled H - x in place. A 1 x 1 pivot of D
+        counts by its sign, and an exact zero is an eigenvalue at x (the
+        factor is then complete but singular). Each 2 x 2 block has a
+        negative determinant, so one eigenvalue of each sign. x = +-inf
+        needs no factor; a NaN x, a shifted diagonal that is not finite
+        or a factor whose pivots are not raises ValueError.
+        """
+        N = self.entries.size
+        if x == np.inf:
+            return N, 0
+        if x == -np.inf:
+            return 0, 0
+        a = _shifted(self, x)
+        work, info = lapack.zhetrf_lwork(N, lower=1)
+        _lapack_info("zhetrf_lwork", info)
+        ldu, ipiv, info = lapack.zhetrf(a, lower=1, lwork=int(work.real), overwrite_a=1)
+        _lapack_info("zhetrf", min(info, 0))  # info > 0: an exact zero pivot
+        d = ldu.diagonal().real
+        if not np.all(np.isfinite(d)):
+            raise ValueError(f"the factor of H - x is not finite at x = {x}")
+        one = ipiv > 0  # a 2 x 2 block has ipiv[k] = ipiv[k + 1] < 0
+        below = int(np.count_nonzero(d[one] < 0)) + (N - int(np.count_nonzero(one))) // 2
+        return below, int(np.count_nonzero(d[one] == 0))
+
     def eigenpairs(self, lo: float = -np.inf, hi: float = np.inf) -> SpectralSlice:
         """The eigenpairs with eigenvalues in (lo, hi].
 
@@ -436,23 +475,35 @@ def spectral_projection(source: FiniteOperator | SpectralSlice, E: float) -> Pro
     return ProjectionMatrix(source.eigenpairs(hi=E).vectors)
 
 
+def _shifted(op: FiniteOperator, x: float) -> np.ndarray:
+    """H - x for real x, assembled into a Fortran buffer for LAPACK to
+    overwrite; ValueError if its diagonal is not finite."""
+    x = float(x)
+    with np.errstate(over="ignore"):  # refused below
+        diagonal = np.full(op.entries.size, -x) if op.potential is None else op.potential - x
+        a = op.entries.dense(diagonal, order="F")
+    if not np.all(np.isfinite(a.diagonal())):
+        raise ValueError(f"H - x is not finite at x = {x}")
+    return a
+
+
 def resolvent_columns(op: FiniteOperator, E: float, cols: np.ndarray) -> np.ndarray:
     """Columns ``cols`` of (H - E)^(-1) for real E (N x k).
 
     ``zhesv`` factors the assembled H - E in place (Bunch-Kaufman,
     U D U^*) and solves for the unit columns in place. An exactly
-    singular D is a resonant energy and raises ValueError.
+    singular D is a resonant energy and raises ``ResonantEnergy``; an
+    H - E whose diagonal is not finite raises a plain ValueError.
     """
     N = op.entries.size
-    diagonal = np.full(N, -float(E)) if op.potential is None else op.potential - E
-    a = op.entries.dense(diagonal, order="F")
+    a = _shifted(op, E)
     b = np.zeros((N, len(cols)), dtype=complex, order="F")
     b[cols, np.arange(len(cols))] = 1.0
     work, info = lapack.zhesv_lwork(N)
     _lapack_info("zhesv_lwork", info)
     _, _, x, info = lapack.zhesv(a, b, lwork=int(work.real), overwrite_a=1, overwrite_b=1)
     if info > 0:
-        raise ValueError(f"resonant energy: the factor of H - E is singular at E = {E}")
+        raise ResonantEnergy(f"resonant energy: the factor of H - E is singular at E = {E}")
     _lapack_info("zhesv", info)
     return x
 
@@ -464,7 +515,7 @@ def green_function(op: FiniteOperator, z: complex) -> np.ndarray:
     w, v = eig.values, eig.vectors
     gap = np.min(np.abs(w - z))
     if gap <= 1e-12:
-        raise ValueError(f"resonant energy: dist(z, spectrum) = {gap:.3e}")
+        raise ResonantEnergy(f"resonant energy: dist(z, spectrum) = {gap:.3e}")
     G = _dot(v / (w - z), v, adjoint_b=True)
     G.flags.writeable = False
     return G

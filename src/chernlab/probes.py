@@ -29,6 +29,7 @@ import numpy as np
 from .bounds import wegner_bound
 from .disorder import DistributionSpec, sample_potential
 from .finite_volume import (
+    ResonantEnergy,
     SpectralSlice,
     _dot,
     add_potential,
@@ -188,11 +189,22 @@ class WegnerRow:
     n: int
 
 
-def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid) -> list[WegnerRow]:
-    """Frequency of an eigenvalue within eps of E, against the bound.
+def _in_window(op, lo: float, hi: float) -> bool:
+    """Whether op has an eigenvalue in the open interval (lo, hi)."""
+    below_hi, _ = op.inertia(hi)
+    below_lo, at_lo = op.inertia(lo)
+    return below_hi - below_lo - at_lo > 0
 
-    Counting is strict (dist < eps) so exact collisions land on the
-    closed complement. upper_99 is the Wilson 99% upper endpoint.
+
+def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid) -> list[WegnerRow]:
+    """Frequency of an eigenvalue in (E - eps, E + eps), against the bound.
+
+    Each realization is decided by counts, with no eigenvalue formed:
+    the inertia of H - (E + eps) and H - (E - eps), at the rounded ends
+    fl(E +- eps). The interval is open, so an eigenvalue exactly at an
+    end does not count. The grid is walked from the largest eps down,
+    and the first miss ends the walk, since every smaller window misses
+    too. upper_99 is the Wilson 99% upper endpoint.
     """
     if cfg.lam <= 0:
         raise ValueError("the comparison bound needs lam > 0")
@@ -201,15 +213,20 @@ def wegner_empirical(cfg: EnsembleConfig, E: float, eps_grid) -> list[WegnerRow]
         raise ValueError("eps_grid is empty")
     if not all(e > 0 for e in eps_values):
         raise ValueError(f"eps_grid values must be positive, got {eps_values}")
-    dists = np.array([np.min(np.abs(real(cfg.lam).eigvalsh() - E))
-                      for real in _realizations(cfg, box_sites(cfg.box_L))])
+    E = float(E)
+    hits = [0] * len(eps_values)
+    for real in _realizations(cfg, box_sites(cfg.box_L)):
+        op = real(cfg.lam)
+        for i in reversed(range(len(eps_values))):
+            if not _in_window(op, E - eps_values[i], E + eps_values[i]):
+                break
+            hits[i] += 1
     rows = []
-    for eps in eps_values:
-        hits = int(np.sum(dists < eps))
-        _, hi = wilson_interval(hits, cfg.n_realizations)
+    for eps, k in zip(eps_values, hits):
+        _, hi = wilson_interval(k, cfg.n_realizations)
         b = wegner_bound(cfg.model.n, cfg.spec.C_tau, cfg.spec.tau,
                          cfg.box_L, eps, cfg.lam)
-        rows.append(WegnerRow(eps=eps, empirical=hits / cfg.n_realizations,
+        rows.append(WegnerRow(eps=eps, empirical=k / cfg.n_realizations,
                               upper_99=hi, bound=b, n=cfg.n_realizations))
     return rows
 
@@ -246,9 +263,7 @@ def suitable_box_probability(cfg: EnsembleConfig, E: float, theta: float,
     def suitable(op) -> int:
         try:
             G = resolvent_columns(op, E, rows_shell)[rows_core]
-        except np.linalg.LinAlgError:  # a LAPACK failure, not a resonance
-            raise
-        except ValueError:  # resonant
+        except ResonantEnergy:
             return 0
         blocks = G.reshape(len(core.sites), n, len(shell), n).transpose(0, 2, 1, 3)
         return int(np.all(_spectral_norms(blocks) <= thresh))

@@ -552,6 +552,27 @@ def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, tg_fi
     assert draws == []
 
 
+def test_overflowing_shifts_are_refused_or_counted_exactly(tmp_path, model_file,
+                                                          uniform_file, capsys):
+    # lam v - E overflows to -inf on some sites: msa-probe refuses the
+    # H - E that is not finite instead of solving it and reporting 1
+    out = tmp_path / "run"
+    assert main(["msa-probe", "--model", model_file, "--dist", uniform_file,
+                 "--lambda", "1e308", "--energy=1e308", "--box-grid", "7",
+                 "--bc", "periodic", "--theta", "1", "--realizations", "4",
+                 "--out", str(out)]) == 1
+    assert "H - x is not finite at x = 1e+308" in capsys.readouterr().err
+    assert not (out / "msa_probe.csv").exists()
+    # wegner's window (-inf, 0) at E = -1e308, eps = 1e308 holds every
+    # eigenvalue below 0, so each realization hits; the lower end needs
+    # no factor
+    assert main(["wegner", "--model", model_file, "--dist", uniform_file,
+                 "--lambda", "2", "--box-l", "4", "--realizations", "3",
+                 "--energy=-1e308", "--eps-grid=1e308", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "wegner.csv")
+    assert [row[:2] for row in rows] == [["1e+308", "1"]]
+
+
 def test_cached_parser_parses_an_argv_alike_after_another_command():
     # main reuses one argparse tree per process, so a parse must leave
     # nothing behind that changes the next one

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chernlab import finite_volume
+from chernlab import finite_volume, probes
 from chernlab.bloch import bloch_matrix
 from chernlab.disorder import truncated_gaussian, uniform, sample_potential
 from chernlab.finite_volume import (
@@ -436,6 +436,91 @@ def test_resolvent_columns_refuse_a_resonant_energy():
             resolvent_columns(op, E, np.arange(4))
         assert suitable_box_probability(cfg, E, 1.0).probability == 0.0
     assert np.array_equal(resolvent_columns(op, 0.5, [0, 1])[:2], np.diag([2.0, -2.0 / 3.0]))
+
+
+def test_resolvent_columns_refuse_an_overflowing_shift():
+    # lam v - E overflows to -inf on some sites; the solve must not run on
+    # a matrix that is not finite
+    box = box_sites(7)
+    sample = sample_potential(uniform(1.0), box, 2, seed=1, realization_index=0)
+    op = add_potential(restrict_periodic(haldane_model(TOPO), box), sample, 1e308)
+    with pytest.raises(ValueError, match="not finite") as caught:
+        resolvent_columns(op, 1e308, np.arange(4))
+    assert not isinstance(caught.value, finite_volume.ResonantEnergy)
+
+
+def _spy_zhetrf(monkeypatch) -> list[np.ndarray]:
+    # the pivot vector of every zhetrf the operator runs
+    pivots, zhetrf = [], finite_volume.lapack.zhetrf
+
+    def spy(*args, **kwargs):
+        ldu, ipiv, info = zhetrf(*args, **kwargs)
+        pivots.append(ipiv.copy())
+        return ldu, ipiv, info
+
+    monkeypatch.setattr(finite_volume.lapack, "zhetrf", spy)
+    return pivots
+
+
+def test_inertia_counts_match_eigvalsh(monkeypatch):
+    # random dense Hermitian matrices: the counts below and at x equal
+    # those of the eigenvalues, at points away from the spectrum and
+    # halfway between neighbouring eigenvalues, and the factors use 2 x 2
+    # Bunch-Kaufman blocks
+    pivots = _spy_zhetrf(monkeypatch)
+    rng = np.random.default_rng(22)
+    for N in range(1, 61):
+        m = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        m = m + m.conj().T
+        op = FiniteOperator(_entries_of(m))
+        w = np.linalg.eigvalsh(m)
+        for x in [w[0] - 1.0, w[-1] + 1.0, *rng.uniform(w[0], w[-1], 3),
+                  *(0.5 * (w[1:] + w[:-1]))]:
+            assert op.inertia(x) == (np.sum(w < x), np.sum(w == x)), (N, x)
+    assert sum(int(np.sum(p < 0)) for p in pivots) > 1000
+    for p in pivots:  # a 2 x 2 block is a pair ipiv[k] = ipiv[k + 1] < 0
+        k = np.flatnonzero(p < 0)
+        assert len(k) % 2 == 0 and np.array_equal(p[k[::2]], p[k[1::2]])
+
+
+def test_inertia_counts_exact_eigenvalues_as_at():
+    # a diagonal operator with eigenvalues exactly at x: each exact zero
+    # pivot is an eigenvalue at x, and the Wegner window (E - eps,
+    # E + eps) is open at both ends
+    m = np.diag([-2.0, -0.5, -0.5, 0.5, 1.0, 3.0]).astype(complex)
+    op = FiniteOperator(_entries_of(m))
+    assert op.inertia(-0.5) == (1, 2)
+    assert op.inertia(0.5) == (3, 1)
+    assert op.inertia(0.0) == (3, 0)
+    assert op.inertia(-2.0) == (0, 1)
+    assert op.inertia(3.0) == (5, 1)
+    assert not probes._in_window(op, -0.5, 0.5)  # ends only
+    assert probes._in_window(op, -0.5, 0.75)  # 0.5 inside
+    assert probes._in_window(op, -0.75, 0.5)  # -0.5 inside
+    disordered = add_potential(FiniteOperator(_entries_of(np.zeros((3, 3), complex))),
+                               np.array([-1.0, 0.0, 1.0]), 0.25)
+    assert disordered.inertia(0.25) == (2, 1)
+    assert not probes._in_window(disordered, -0.25, 0.0)
+    assert probes._in_window(disordered, -0.25, 0.25)
+
+
+def test_inertia_at_infinite_and_nan_points(monkeypatch):
+    pivots = _spy_zhetrf(monkeypatch)
+    op = restrict_periodic(haldane_model(TOPO), box_sites(6))
+    assert op.inertia(np.inf) == (72, 0)
+    assert op.inertia(-np.inf) == (0, 0)
+    assert pivots == []  # no factor
+    with pytest.raises(ValueError, match="not finite"):
+        op.inertia(np.nan)
+    # a finite x whose shifted diagonal overflows is refused too
+    with pytest.raises(ValueError, match="not finite"):
+        add_potential(op, np.full(72, -1.0), 1e308).inertia(1e308)
+    assert pivots == []
+    # and so is a finite H - x whose elimination overflows
+    big = np.array([[1e-300, 1e308, 1e308], [1e308, 1.0, 1e308], [1e308, 1e308, 1.0]],
+                   dtype=complex)
+    with pytest.raises(ValueError, match="factor of H - x is not finite"):
+        FiniteOperator(_entries_of(big)).inertia(0.0)
 
 
 def test_green_function_diagonal_model():

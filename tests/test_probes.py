@@ -286,7 +286,29 @@ def test_count_probes_reduce_without_eigenvectors(model, monkeypatch):
     cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=6,
                          bc="periodic", n_realizations=3, master_seed=3)
     assert [r.value for r in ids_estimate(cfg, [-5.0, 5.0])] == [0.0, 2.0]
+    # the Wegner windows are decided by inertia counts, with no eigenvalue
+    monkeypatch.setattr(finite_volume.FiniteOperator, "eigvalsh", refuse)
+    monkeypatch.setattr(finite_volume.lapack, "zhetrd", refuse)
     assert wegner_empirical(cfg, 0.0, [10.0])[0].empirical == 1.0
+
+
+@pytest.mark.parametrize("bc", ["simple", "periodic"])
+@pytest.mark.parametrize("law", ["uniform", "gaussian"])
+def test_wegner_hits_match_eigenvalue_distances(model, law, bc):
+    # the inertia counts decide each realization as min |w - E| < eps on
+    # its eigenvalues does: 3 x 25 realizations per law and boundary
+    spec = uniform(1.0) if law == "uniform" else truncated_gaussian(2.0)
+    eps_grid = [1e-4, 1e-3, 1e-2, 5e-2, 1e-1, 3e-1]
+    partial = 0
+    for L, lam, E in ((5, 0.5, 0.7), (8, 2.0, 0.0), (10, 8.0, 2.5)):
+        cfg = EnsembleConfig(model=model, spec=spec, lam=lam, box_L=L, bc=bc,
+                             n_realizations=25, master_seed=L)
+        dists = np.array([np.min(np.abs(real(lam).eigvalsh() - E))
+                          for real in probes._realizations(cfg, box_sites(L))])
+        hits = [round(r.empirical * r.n) for r in wegner_empirical(cfg, E, eps_grid)]
+        assert hits == [int(np.sum(dists < eps)) for eps in eps_grid], (L, lam, E)
+        partial += sum(0 < k < 25 for k in hits)
+    assert partial >= 3
 
 
 def test_ids_monotone_under_disorder(model):
