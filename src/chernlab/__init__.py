@@ -7,7 +7,7 @@ Layers, from geometry to experiment:
 - bloch: torus spectra, band/gap intervals, Chern numbers.
 - disorder: single-site laws, Holder constants, reproducible sampling.
 - finite_volume: simple/periodic restrictions, projections, resolvents.
-- topology: real-space Chern marker, triple-kernel form, index pairing.
+- topology: real-space Chern marker and its triple-kernel test oracle.
 - bounds: resolvent-decay rates, fractional-moment constants, disorder
   thresholds.
 - probes: seeded Monte-Carlo estimators confronting the bounds.

@@ -2,10 +2,15 @@
 
 Each command is one entry of ``_COMMANDS``: its output file, its CSV
 header (none for a JSON report), its scan flags as (flag, parser, scan
-key), and its runner. A flag parser only turns text into the JSON value
-a config file would hold; the runner reads every scan value through
-one checking reader per kind, so a value from a flag and the same value
-from a config file pass the same checks.
+key), its runner, and the config sections beside the model that the
+runner reads. A command takes ``--dist`` only if its runner reads the
+distribution, and the ensemble flags (``--seed``, ``--realizations``,
+``--lambda``, ``--box-l``, ``--bc``) only if it reads the ensemble; a
+config file that sets a section the runner does not read is refused. A
+flag parser only turns text into the JSON value a config file would
+hold; the runner reads every scan value through one checking reader per
+kind, so a value from a flag and the same value from a config file pass
+the same checks.
 
 Output contract: every run writes a CSV (or JSON for scalar reports)
 plus a sidecar JSON carrying the fully resolved configuration, so any
@@ -270,7 +275,12 @@ def _run_thresholds(config: ExperimentConfig):
         salpha_overbound,
         strong_disorder_threshold,
     )
-    from .disorder import abs_moment, trunc_gauss_abs_moment_bound, trunc_gauss_power_moment_bound
+    from .disorder import (
+        _QUAD_POINTS,
+        abs_moment,
+        trunc_gauss_abs_moment_bound,
+        trunc_gauss_power_moment_bound,
+    )
     model = model_from_json(config.model)
     spec = _spec(config)
     if spec is None:
@@ -291,7 +301,7 @@ def _run_thresholds(config: ExperimentConfig):
         C_mom = trunc_gauss_power_moment_bound(q)
     else:
         B_mom = abs_moment(spec, 1.0)
-        x = np.linspace(-spec.a, spec.b, 4001)
+        x = np.linspace(-spec.a, spec.b, _QUAD_POINTS)
         C_mom = float(np.trapezoid(spec.pdf(x) ** (1.0 + q), x))
     K = d_s1_bound(B_mom, C_mom, s, t, q)
     alpha = alpha_for_gap(model, gap)
@@ -429,6 +439,11 @@ class _Command(NamedTuple):
     header: tuple[str, ...] | None  # None: a JSON report, not a CSV
     flags: tuple[tuple[str, Callable[[str], object], str], ...]  # (flag, parser, scan key)
     runner: Callable[[ExperimentConfig], object]
+    sections: tuple[str, ...] = ()  # of "distribution" and "ensemble": what the runner reads
+
+
+_LAW = ("distribution",)
+_DRAWS = ("distribution", "ensemble")
 
 
 _COMMANDS = {
@@ -439,35 +454,35 @@ _COMMANDS = {
                       _run_chern),
     "marker": _Command("marker.csv", ("energy", "lam", "mean", "stderr", "n"),
                        (("--energy", float, "energy"), ("--window-l", int, "window_L")),
-                       _run_marker),
+                       _run_marker, _DRAWS),
     "spectrum": _Command("spectrum.csv", ("lam", "band", "lower", "upper"),
                          (("--lambda-grid", _parse_range, "lambda_grid"),
                           ("--grid", int, "grid")),
-                         _run_spectrum),
+                         _run_spectrum, _LAW),
     "thresholds": _Command("thresholds.json", None,
                            (("--s", float, "s"), ("--t", float, "t"),
                             ("--q", float, "q"), ("--grid", int, "grid")),
-                           _run_thresholds),
+                           _run_thresholds, _LAW),
     "wegner": _Command("wegner.csv", ("eps", "empirical", "upper_99", "bound", "n"),
                        (("--energy", float, "energy"),
                         ("--eps-grid", _parse_floats, "eps_grid")),
-                       _run_wegner),
+                       _run_wegner, _DRAWS),
     "msa-probe": _Command("msa_probe.csv",
                           ("box_L", "theta", "probability", "ci_low", "ci_high", "n"),
                           (("--energy", float, "energy"), ("--theta", float, "theta"),
                            ("--range", int, "range"),
                            ("--box-grid", _parse_ints, "box_grid")),
-                          _run_msa_probe),
+                          _run_msa_probe, _DRAWS),
     "decay": _Command("decay.csv", ("distance", "mean", "stderr"),
                       (("--window", _parse_window, "window"),
                        ("--grid-points", int, "grid_points")),
-                      _run_decay),
+                      _run_decay, _DRAWS),
     "ids": _Command("ids.csv", ("energy", "value", "stderr", "n"),
-                    (("--energy-grid", _parse_range, "energy_grid"),), _run_ids),
+                    (("--energy-grid", _parse_range, "energy_grid"),), _run_ids, _DRAWS),
     "moments": _Command("moments.csv", ("T", "mean", "stderr", "n"),
                         (("--p", float, "p"), ("--window", _parse_window, "window"),
                          ("--t-grid", _parse_range, "t_grid")),
-                        _run_moments),
+                        _run_moments, _DRAWS),
     "phase-diagram": _Command("phase_diagram.csv",
                               ("phi", "m_over_t2", "chern_number", "status"),
                               (("--grid", _parse_dims, "grid"),), _run_phase_diagram),
@@ -508,21 +523,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "analytic thresholds, and Monte-Carlo probes.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name)
+        # no prefix matching: --lambda must not become spectrum's --lambda-grid
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="JSON experiment config; flags override it")
         p.add_argument("--model", help="model JSON file")
-        p.add_argument("--dist", help="distribution JSON file")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--realizations", type=int, default=None)
+        if "distribution" in command.sections:
+            p.add_argument("--dist", help="distribution JSON file")
+        if "ensemble" in command.sections:
+            p.add_argument("--seed", type=int, default=None, help="master seed")
+            p.add_argument("--realizations", type=int, default=None)
+            p.add_argument("--lambda", dest="lam", type=float, default=None,
+                           help="disorder strength")
+            p.add_argument("--box-l", type=int, default=None, help="box side length")
+            p.add_argument("--bc", choices=["simple", "periodic"], default=None)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and selects nothing: realizations run in "
                             "index order on the calling thread, and BLAS threads "
                             "parallelize each solve")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="disorder strength")
-        p.add_argument("--box-l", type=int, default=None, help="box side length")
-        p.add_argument("--bc", choices=["simple", "periodic"], default=None)
         for flag, _, key in command.flags:
             p.add_argument(flag, default=None, dest=f"scan_{key}")
     return parser
@@ -543,6 +561,8 @@ def _not_nan(flag: str, value):
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
+    command = _COMMANDS[args.command]
+    dist = getattr(args, "dist", None)  # only a command that reads a law takes --dist
     doc: dict = {}
     if args.config:
         doc = _load_json(args.config)
@@ -551,27 +571,32 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         if "command" in doc and doc["command"] != args.command:
             raise ConfigError(args.config, _key_line(args.config, "command"),
                               f"config is for {doc['command']!r}, invoked as {args.command!r}")
+        for key in ("distribution", "ensemble"):
+            # null and {} stand for an unset section, as a sidecar records it
+            if key not in command.sections and doc.get(key) not in (None, {}):
+                raise ConfigError(args.config, _key_line(args.config, key),
+                                  f"{args.command} reads no {key}, got {doc[key]!r}")
     doc["command"] = args.command
 
     if args.model:
         doc["model"] = _load_json(args.model)
-    if args.dist:
-        doc["distribution"] = _load_json(args.dist)
+    if dist:
+        doc["distribution"] = _load_json(dist)
     if args.out is not None:
         doc["output"] = args.out
 
-    ens = dict(doc.get("ensemble", {}))
+    ens = dict(doc.get("ensemble") or {})
     for flag, dest, key in (("--seed", "seed", "master_seed"),
                             ("--realizations", "realizations", "n_realizations"),
                             ("--lambda", "lam", "lam"), ("--box-l", "box_l", "box_L"),
                             ("--bc", "bc", "bc")):
-        value = getattr(args, dest)
+        value = getattr(args, dest, None)
         if value is not None:
             ens[key] = _not_nan(flag, value)
     doc["ensemble"] = ens
 
     scan = dict(doc.get("scan", {}))
-    for flag, parse, key in _COMMANDS[args.command].flags:
+    for flag, parse, key in command.flags:
         text = getattr(args, f"scan_{key}")
         if text is not None:
             try:
@@ -600,8 +625,8 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         try:
             spec_from_json(config.distribution)
         except (KeyError, ValueError) as e:
-            if args.dist:
-                raise ConfigError(args.dist, _key_line(args.dist, "kind"), str(e))
+            if dist:
+                raise ConfigError(dist, _key_line(dist, "kind"), str(e))
             raise ValueError(f"distribution: {e}")
     # round-trip guard: the resolved config must survive serialization
     rt = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))

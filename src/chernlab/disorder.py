@@ -38,6 +38,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
+# points of the fixed quadrature grid on the support [-a, b], for
+# abs_moment and the thresholds report's integral of the density power
+_QUAD_POINTS = 4001
+
 
 def _splitmix(z: int) -> int:
     z = (z + _GAMMA) & _MASK
@@ -220,11 +224,11 @@ def sample_potential(spec: DistributionSpec, box: Box, n: int, seed: int,
     return vals
 
 
-def abs_moment(spec: DistributionSpec, s: float, quad_points: int = 4001) -> float:
+def abs_moment(spec: DistributionSpec, s: float) -> float:
     """integral of |v|^s against the law, by fixed-grid quadrature."""
     if spec.pdf is None:
         raise ValueError("distribution has no density")
-    v = np.linspace(-spec.a, spec.b, quad_points)
+    v = np.linspace(-spec.a, spec.b, _QUAD_POINTS)
     return float(np.trapezoid(np.abs(v) ** s * spec.pdf(v), v))
 
 

@@ -188,11 +188,6 @@ def _hetrd_stevd(a: np.ndarray, vectors: bool):
     return w, z, a, tau
 
 
-def _eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a dense Hermitian matrix, by the same reduction."""
-    return _hetrd_stevd(np.array(m, dtype=complex, order="F"), vectors=False)[0]
-
-
 def _reduce(entries: HermitianEntries, potential: np.ndarray | None) -> _Tridiagonal:
     """Reduce the operator once, on the index-shifted buffer, and move the
     reflectors up one row."""
@@ -368,10 +363,6 @@ class ProjectionMatrix:
         if k and np.max(np.abs(np.triu(blas.zherk(1.0, v, trans=2)) - np.eye(k))) > _ORTHO_TOL:
             raise ValueError("projection vectors are not orthonormal")
         v.flags.writeable = False
-
-    @property
-    def rank(self) -> int:
-        return self.vectors.shape[1]
 
     @cached_property
     def matrix(self) -> np.ndarray:

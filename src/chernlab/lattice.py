@@ -1,4 +1,4 @@
-"""Bravais lattice geometry: coefficient norms, wedge product, centered boxes.
+"""Bravais lattice geometry: the coefficient sup-norm and centered boxes.
 
 All distances are measured in lattice coefficients (the integer
 coordinates w.r.t. the basis a1, a2), never in Cartesian embedding.
@@ -13,25 +13,11 @@ import numpy as np
 
 __all__ = [
     "Box",
-    "wedge",
-    "norm",
     "norm_inf",
     "box_sites",
     "inner_boundary",
     "core_sites",
 ]
-
-
-def wedge(gamma, xi) -> int:
-    """Wedge of two coefficient pairs: g2*x1 - g1*x2.
-
-    Sign convention: wedge((1,0), (0,1)) == -1.
-    """
-    return gamma[1] * xi[0] - gamma[0] * xi[1]
-
-
-def norm(gamma) -> float:
-    return float(np.hypot(gamma[0], gamma[1]))
 
 
 def norm_inf(gamma) -> int:
@@ -64,9 +50,6 @@ class Box:
         if 0 <= i < self.L and 0 <= j < self.L:
             return i * self.L + j
         return -1
-
-    def contains(self, g1: int, g2: int) -> bool:
-        return self.index_of(g1, g2) >= 0
 
 
 def box_sites(L: int) -> Box:

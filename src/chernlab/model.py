@@ -5,6 +5,8 @@ displacement delta with sup-norm at most r, plus a flux parameter B.
 Kernels at nonzero flux carry the covariance phase exp(iB (gamma ^ xi)),
 which is the unique wedge-linear gauge commuting with the magnetic
 translations T_gamma: (T_gamma psi)(xi) = exp(-iB (gamma ^ xi)) psi(xi - gamma).
+The wedge of two coefficient pairs is gamma ^ xi = gamma2 xi1 - gamma1 xi2,
+so (1, 0) ^ (0, 1) = -1.
 """
 
 from __future__ import annotations
@@ -12,21 +14,19 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .lattice import Box, box_sites, norm_inf, wedge
+from .lattice import Box, box_sites, norm_inf
 
 __all__ = [
     "HoppingModel",
     "HaldaneParams",
     "haldane_model",
-    "kernel",
     "hopping_entries",
     "dense_from_entries",
-    "build_dense",
     "check_magnetic_periodicity",
     "hopping_norm_sum",
     "model_from_json",
@@ -48,7 +48,6 @@ class HoppingModel:
     r: int
     hoppings: Mapping[tuple[int, int], np.ndarray]
     flux: float = 0.0
-    _zero: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.r < 1:
@@ -65,7 +64,6 @@ class HoppingModel:
             m.flags.writeable = False
             clean[delta] = m
         zero = np.zeros((self.n, self.n), dtype=complex)
-        zero.flags.writeable = False
         # every block against its partner's adjoint in one comparison; a
         # missing partner stands in as zero and is reported first
         blocks = np.array(list(clean.values())).reshape(-1, self.n, self.n)
@@ -79,11 +77,6 @@ class HoppingModel:
             if bad:
                 raise ValueError(f"hoppings for {delta} and {neg} are not Hermitian partners")
         object.__setattr__(self, "hoppings", clean)
-        object.__setattr__(self, "_zero", zero)
-
-    @property
-    def displacements(self) -> list[tuple[int, int]]:
-        return sorted(self.hoppings.keys())
 
 
 @dataclass(frozen=True)
@@ -144,17 +137,6 @@ def haldane_model(p: HaldaneParams) -> HoppingModel:
     return HoppingModel(n=2, r=1, hoppings=hop, flux=0.0)
 
 
-def kernel(model: HoppingModel, gamma, xi) -> np.ndarray:
-    """H0(gamma, xi) including the flux phase exp(iB (gamma ^ xi))."""
-    delta = (xi[0] - gamma[0], xi[1] - gamma[1])
-    h = model.hoppings.get(delta)
-    if h is None:
-        return model._zero
-    if model.flux == 0.0:
-        return h
-    return np.exp(1j * model.flux * wedge(gamma, xi)) * h
-
-
 def hopping_entries(model: HoppingModel, box: Box,
                     periodic: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entries (rows, cols, vals) of H0 on the box, site-major ordering.
@@ -213,11 +195,6 @@ def dense_from_entries(size: int, rows: np.ndarray, cols: np.ndarray, vals: np.n
     return H
 
 
-def build_dense(model: HoppingModel, box: Box, periodic: bool = False) -> np.ndarray:
-    """The dense matrix of H0 on the box: the ``hopping_entries`` added to zeros."""
-    return dense_from_entries(box.size * model.n, *hopping_entries(model, box, periodic))
-
-
 def check_magnetic_periodicity(model: HoppingModel, L: int, matrix: np.ndarray | None = None) -> bool:
     """Check flux-twisted translation covariance of the dense kernel on a box.
 
@@ -228,7 +205,10 @@ def check_magnetic_periodicity(model: HoppingModel, L: int, matrix: np.ndarray |
     externally built operator; default is the model's own dense kernel.
     """
     box = box_sites(L)
-    H = build_dense(model, box) if matrix is None else np.asarray(matrix)
+    if matrix is None:
+        H = dense_from_entries(box.size * model.n, *hopping_entries(model, box))
+    else:
+        H = np.asarray(matrix)
     n = model.n
     if H.shape != (box.size * n, box.size * n):
         raise ValueError("matrix shape does not match the box")

@@ -5,16 +5,8 @@ sums is an exact finite-matrix identity and is tested as such. The
 windowed marker reads only the window rows of P from the occupied
 eigenvectors V: idempotency gives P[[X1,P],[X2,P]]P = V [A1, A2] V^*
 with A_i = V^* X_i V, so its window trace costs O(rows N k) and never
-forms the N x N projection. The triple form and the pair index read the
-full matrix.
-
-The index of a pair of projections needs one finite-volume repair: on a
-finite box the spectrum of P - U P U* away from +-1 pairs as +-mu and
-its trace vanishes, so the raw eigenvalue count at the edges cancels
-identically. Restricting the difference to a concentric window first
-breaks that cancellation and recovers the charge transported around the
-flux point, which is the quantity the infinite-volume index measures.
-The flux unitary U is diagonal; ``flux_unitary`` returns its phases.
+forms the N x N projection. The triple form, the test oracle of the
+windowed one, reads the full matrix.
 """
 
 from __future__ import annotations
@@ -23,14 +15,12 @@ from math import pi
 
 import numpy as np
 
-from .finite_volume import ProjectionMatrix, _dot, _eigvalsh
+from .finite_volume import ProjectionMatrix, _dot
 from .lattice import Box
 
 __all__ = [
     "chern_marker",
     "chern_marker_triple",
-    "flux_unitary",
-    "index_pair",
 ]
 
 
@@ -109,32 +99,3 @@ def chern_marker_triple(P: ProjectionMatrix, box: Box, center_window: int) -> fl
         total += 2.0 * pi * float(np.trace(d).imag)
     return total / len(centers)
 
-
-def flux_unitary(p: tuple[float, float], box: Box, n: int) -> np.ndarray:
-    """Diagonal phases e^{-i Arg(g - p)} per (site, orbital)."""
-    if abs(p[0] - round(p[0])) < 1e-12 and abs(p[1] - round(p[1])) < 1e-12:
-        raise ValueError(f"flux point {p} sits on a lattice point")
-    x1, x2 = _positions(box, n)
-    theta = np.arctan2(x2 - p[1], x1 - p[0])
-    return np.exp(-1j * theta)
-
-
-def index_pair(P: ProjectionMatrix, box: Box, p: tuple[float, float],
-               tol_window: float = 0.1) -> int:
-    """Eigenvalue count of the pair difference near +1 minus near -1.
-
-    The difference U P U* - P is restricted to a concentric window of
-    side box.L/2 (at least 2) before counting; see the module docstring
-    for why the unrestricted count is identically zero. An eigenvalue within
-    1e-6 of a tolerance edge makes the count ill-defined and is an error.
-    """
-    m = P.matrix
-    n = m.shape[0] // box.size
-    u = flux_unitary(p, box, n)
-    D = (u[:, None] * m) * np.conj(u)[None, :] - m
-    rows, _ = _window_rows(box, n, max(2, box.L // 2))
-    ev = _eigvalsh(D[np.ix_(rows, rows)])
-    hi, lo = 1.0 - tol_window, -1.0 + tol_window
-    if np.any(np.abs(ev - hi) < 1e-6) or np.any(np.abs(ev - lo) < 1e-6):
-        raise ValueError("ambiguous index: eigenvalue at a tolerance-window edge")
-    return int(np.sum(ev >= hi)) - int(np.sum(ev <= lo))

@@ -6,6 +6,7 @@ carries its derivation inline. Cross-module checks exercise the bounds
 against actual resolvents of small boxes.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from chernlab import bounds
 from chernlab.bloch import band_structure
+from chernlab.cli import main
 from chernlab.disorder import (
     truncated_gaussian,
     trunc_gauss_abs_moment_bound,
@@ -237,6 +239,28 @@ def test_weak_disorder_monotone_in_density_constant(reference_geometry,
     vals = [bounds.weak_disorder_upper(0.0, reference_geometry, 0.25, alpha, S, D, 2)
             for D in (0.5, 1.0, 2.0)]
     assert vals[0] > vals[1] > vals[2]
+
+
+@pytest.mark.parametrize("flags", [[], ["--q", "3"], ["--s", "0.1"]],
+                         ids=["default", "q3", "s0.1"])
+@pytest.mark.parametrize("law", [{"kind": "uniform", "a": 1.0},
+                                 {"kind": "uniform", "a": 0.5, "b": 2.0},
+                                 {"kind": "truncated_gaussian", "a": 1.0},
+                                 {"kind": "truncated_gaussian", "a": 2.5}],
+                         ids=["uniform", "uniform-skew", "tgauss1", "tgauss2.5"])
+def test_thresholds_report_is_the_weak_disorder_ceiling_at_mid_gap(tmp_path, reference_bands,
+                                                                   law, flags):
+    # at mid-gap dist(E, spectrum) = |G|/2, so the ceiling
+    # (|G|/2)^(1+2/s) / (C_{s,alpha} K)^(1/s) is the report's |G| / (2 a0)
+    dist = tmp_path / "law.json"
+    dist.write_text(json.dumps(law))
+    assert main(["thresholds", "--dist", str(dist), *flags, "--out", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "thresholds.json").read_text())["results"]
+    lo, hi = reference_bands.gaps[0]
+    gaps = bounds.GapGeometry(reference_bands, law["a"], law.get("b", law["a"]))
+    ceiling = bounds.weak_disorder_upper((lo + hi) / 2, gaps, res["s"], res["alpha"],
+                                         res["S_alpha"], res["K"], 2)
+    assert ceiling == pytest.approx(res["gap_over_2a0"], rel=1e-12, abs=0.0)
 
 
 def test_a_zero_pipeline_frozen(reference_model, reference_bands):

@@ -299,6 +299,10 @@ def test_config_scalar_and_list_values_are_checked(tmp_path, model_file, capsys,
     # right kind stops the run naming its key: no truncation, no TypeError
     doc = {"command": command, "distribution": {"kind": "uniform", "a": 1.0},
            "ensemble": {"lam": 1.0, "box_L": 4}, "scan": {}}
+    if command in ("bloch", "chern", "spectrum", "thresholds"):
+        del doc["ensemble"]  # these commands read none
+    if command in ("bloch", "chern"):
+        del doc["distribution"]
     doc[section].update(values)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -479,12 +483,75 @@ def test_command_mismatch_and_runtime_errors(tmp_path, model_file, uniform_file,
 
     # and so is a Bloch grid side below 1, where it used to become grid 8
     for command in ("bloch", "chern", "spectrum", "thresholds"):
+        law = ["--dist", uniform_file] if command in ("spectrum", "thresholds") else []
         for side in ("0", "-5"):
-            assert main([command, "--model", model_file, "--dist", uniform_file,
+            assert main([command, "--model", model_file, *law,
                          f"--grid={side}", "--out", str(out)]) == 1
             assert f"grid side {side} must be at least 1" in capsys.readouterr().err
     # no failed run above wrote an output, a sidecar or the directory
     assert not out.exists()
+
+
+ENSEMBLE_FLAGS = (["--seed", "1"], ["--realizations", "2"], ["--lambda", "1"],
+                  ["--box-l", "6"], ["--bc", "simple"])
+
+
+def test_commands_take_only_the_shared_flags_their_runner_reads(tmp_path, uniform_file,
+                                                                capsys):
+    # bloch, chern and phase-diagram read no distribution and no ensemble,
+    # spectrum and thresholds no ensemble: argparse refuses those flags
+    out = tmp_path / "run"
+    cases = [(command, flags) for command in ("bloch", "chern", "phase-diagram")
+             for flags in (["--dist", uniform_file], *ENSEMBLE_FLAGS)]
+    cases += [(command, flags) for command in ("spectrum", "thresholds")
+              for flags in ENSEMBLE_FLAGS]
+    for command, flags in cases:
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *flags, "--out", str(out)])
+        assert exit_.value.code == 2, (command, flags)
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_sections_a_command_does_not_read_are_refused(tmp_path, model_file,
+                                                             uniform_file, capsys):
+    law = {"kind": "uniform", "a": 1.0}
+    out = tmp_path / "run"
+    for command, key, value in [("bloch", "distribution", law),
+                                ("chern", "ensemble", {"master_seed": 3}),
+                                ("phase-diagram", "distribution", law),
+                                ("phase-diagram", "ensemble", {"lam": 1.0}),
+                                ("spectrum", "ensemble", {"lam": 1.0}),
+                                ("thresholds", "ensemble", {"box_L": 6})]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": command, "scan": {}, key: value}, indent=2))
+        line = 1 + [f'"{key}"' in text for text in cfg.read_text().splitlines()].index(True)
+        assert main([command, "--config", str(cfg), "--model", model_file,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}:{line}: {command} reads no "
+                                           f"{key}, got {value!r}\n")
+    assert not out.exists()
+
+    # null and {} stand for an unset section, as every sidecar records
+    # one: each such command replays its own sidecar to the same outputs
+    replay = tmp_path / "replay"
+    for args, name in [(["bloch", "--grid", "8"], "bloch.csv"),
+                       (["chern", "--grid", "8"], "chern.csv"),
+                       (["phase-diagram", "--grid", "2x3"], "phase_diagram.csv"),
+                       (["spectrum", "--dist", uniform_file, "--grid", "8"], "spectrum.csv"),
+                       (["thresholds", "--dist", uniform_file, "--grid", "21"],
+                        "thresholds.json")]:
+        assert main([*args, "--model", model_file, "--out", str(out)]) == 0
+        sidecar = (out / name).with_suffix(".json")
+        doc = json.loads(sidecar.read_text())
+        assert doc["config"]["ensemble"] == {}
+        assert main([args[0], "--config", str(sidecar), "--out", str(replay)]) == 0
+        again = json.loads((replay / sidecar.name).read_text())
+        assert again["config"].pop("output") == str(replay)
+        assert doc["config"].pop("output") == str(out)
+        assert again == doc
+        if name != sidecar.name:  # a CSV; a JSON report is its own sidecar
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, tg_file, capsys,
@@ -516,9 +583,11 @@ def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, tg_fi
                                ("decay", {"window": 0.3}, "window"),
                                ("decay", {"window": [1, 2, 3]}, "window")]:
         cfg = tmp_path / f"{command}-{len(cases)}.json"
-        cfg.write_text(json.dumps({
-            "command": command, "distribution": {"kind": "uniform", "a": 1.0},
-            "ensemble": {"lam": 1.0, "box_L": 4}, "scan": scan}))
+        doc = {"command": command, "distribution": {"kind": "uniform", "a": 1.0},
+               "ensemble": {"lam": 1.0, "box_L": 4}, "scan": scan}
+        if command == "spectrum":
+            del doc["ensemble"]  # spectrum reads no ensemble
+        cfg.write_text(json.dumps(doc))
         cases.append(([command, "--config", str(cfg)], key, f"{command}.csv"))
     cases += [
         (["ids", "--energy-grid=1:2"], "--energy-grid:", "ids.csv"),

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from chernlab.finite_volume import restrict_periodic, restrict_simple
 from chernlab.lattice import box_sites
 from chernlab.model import (
     HaldaneParams,
     HoppingModel,
-    build_dense,
     check_magnetic_periodicity,
     haldane_model,
     hopping_norm_sum,
-    kernel,
     model_from_json,
 )
 
@@ -73,7 +72,7 @@ def test_dimerizations_are_spectrally_equivalent():
     evs = []
     for nu in ("d1", "d2", "d3"):
         m = std_model(dimerization=nu)
-        H = build_dense(m, box_sites(6), periodic=True)
+        H = restrict_periodic(m, box_sites(6)).matrix
         evs.append(np.linalg.eigvalsh(H))
     np.testing.assert_allclose(evs[0], evs[1], atol=1e-10)
     np.testing.assert_allclose(evs[0], evs[2], atol=1e-10)
@@ -119,19 +118,39 @@ def test_constructor_rejects_out_of_range_displacement():
         )
 
 
+def _kernel(H, box, gamma, xi):
+    # the n x n block H0(gamma, xi) of a box matrix
+    n = H.shape[0] // box.size
+    i, j = box.index_of(*gamma), box.index_of(*xi)
+    return H[n * i:n * i + n, n * j:n * j + n]
+
+
 def test_kernel_matches_hoppings_at_zero_flux():
     m = std_model()
-    for d in m.displacements:
-        np.testing.assert_allclose(kernel(m, (3, -2), (3 + d[0], -2 + d[1])), m.hoppings[d])
-    assert np.all(kernel(m, (0, 0), (2, 0)) == 0.0)
-    assert np.all(kernel(m, (0, 0), (1, -1)) == 0.0)  # inside range but not a stored bond
+    box = box_sites(9)
+    H = restrict_simple(m, box).matrix
+    for d in m.hoppings:
+        np.testing.assert_allclose(_kernel(H, box, (3, -2), (3 + d[0], -2 + d[1])),
+                                   m.hoppings[d])
+    assert np.all(_kernel(H, box, (0, 0), (2, 0)) == 0.0)
+    assert np.all(_kernel(H, box, (0, 0), (1, -1)) == 0.0)  # inside range but not a stored bond
 
 
 def test_kernel_hermitian_pairs_any_flux():
+    # at flux B the box matrix holds exp(iB (gamma ^ xi)) H0(0, xi - gamma),
+    # with gamma ^ xi = gamma2 xi1 - gamma1 xi2, and its blocks pair as adjoints
     m = std_model()
-    mf = HoppingModel(n=2, r=1, hoppings=dict(m.hoppings), flux=2 * np.pi / 5)
-    for g, x in [((0, 0), (1, 0)), ((2, 1), (1, 0)), ((-1, 3), (-2, 2)), ((1, 1), (1, 1))]:
-        np.testing.assert_allclose(kernel(mf, g, x), kernel(mf, x, g).conj().T, atol=1e-14)
+    B = 2 * np.pi / 5
+    mf = HoppingModel(n=2, r=1, hoppings=dict(m.hoppings), flux=B)
+    box = box_sites(9)
+    H = restrict_simple(mf, box).matrix
+    for g, x in [((0, 0), (1, 0)), ((2, 1), (1, 0)), ((-1, 3), (-2, 2)), ((1, 1), (1, 1)),
+                 ((1, 0), (1, 1))]:
+        phase = np.exp(1j * B * (g[1] * x[0] - g[0] * x[1]))
+        np.testing.assert_allclose(_kernel(H, box, g, x),
+                                   phase * m.hoppings[(x[0] - g[0], x[1] - g[1])], atol=1e-14)
+        np.testing.assert_allclose(_kernel(H, box, g, x),
+                                   _kernel(H, box, x, g).conj().T, atol=1e-14)
 
 
 def test_magnetic_periodicity_haldane_zero_flux():
@@ -140,7 +159,7 @@ def test_magnetic_periodicity_haldane_zero_flux():
 
 def test_magnetic_periodicity_detects_perturbation():
     m = std_model()
-    H = build_dense(m, box_sites(9))
+    H = restrict_simple(m, box_sites(9)).matrix
     H[4, 10] += 1e-6
     assert not check_magnetic_periodicity(m, 9, matrix=H)
 
@@ -150,15 +169,15 @@ def test_magnetic_periodicity_rational_flux():
     m = std_model()
     m3 = HoppingModel(n=2, r=1, hoppings=dict(m.hoppings), flux=2 * np.pi / 3)
     assert check_magnetic_periodicity(m3, 9)
-    H = build_dense(m3, box_sites(9))
+    H = restrict_simple(m3, box_sites(9)).matrix
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
 
 
 def test_dense_spectral_radius_bound():
     m = std_model()
     bound = hopping_norm_sum(m)  # includes the on-site block
-    for periodic in (False, True):
-        H = build_dense(m, box_sites(7), periodic=periodic)
+    for restrict in (restrict_simple, restrict_periodic):
+        H = restrict(m, box_sites(7)).matrix
         ev = np.linalg.eigvalsh(H)
         assert np.max(np.abs(ev)) <= bound + 1e-12
 
@@ -166,14 +185,14 @@ def test_dense_spectral_radius_bound():
 def test_spectrum_symmetric_at_zero_mass_half_flux():
     for phi in (np.pi / 2, -np.pi / 2):
         m = haldane_model(HaldaneParams(t1=1.0, t2=T2, phi=phi, M=0.0))
-        ev = np.linalg.eigvalsh(build_dense(m, box_sites(8), periodic=True))
+        ev = np.linalg.eigvalsh(restrict_periodic(m, box_sites(8)).matrix)
         np.testing.assert_allclose(ev, -ev[::-1], atol=1e-10)
 
 
 def test_model_from_json_haldane():
     m = model_from_json({"type": "haldane", "t1": 1.0, "t2": T2, "phi": np.pi / 2, "M": 0.0})
     ref = std_model()
-    for d in ref.displacements:
+    for d in sorted(ref.hoppings):
         np.testing.assert_allclose(m.hoppings[d], ref.hoppings[d])
 
 

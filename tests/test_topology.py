@@ -19,8 +19,6 @@ from chernlab.topology import (
     _window_rows,
     chern_marker,
     chern_marker_triple,
-    flux_unitary,
-    index_pair,
 )
 
 T2 = 1.0 / (3.0 * math.sqrt(3.0))
@@ -146,53 +144,3 @@ def test_marker_equals_triple_windowed(proj_plus):
     assert abs(a - b) < 1e-6
     assert b == pytest.approx(-1.0, abs=0.15)
 
-
-def test_flux_unitary_phases():
-    box = box_sites(10)
-    U = flux_unitary((0.5, 0.5), box, 2)
-    i = box.index_of(1, 1)
-    assert -np.angle(U[2 * i]) == pytest.approx(math.pi / 4, abs=1e-12)
-    assert np.allclose(np.abs(U), 1.0, atol=1e-15)
-    assert np.allclose(U * np.conj(U), 1.0, atol=1e-15)
-
-
-def test_flux_unitary_rejects_lattice_point():
-    with pytest.raises(ValueError):
-        flux_unitary((1.0, -2.0), box_sites(6), 2)
-
-
-def test_index_diagonal_projection_zero():
-    box = box_sites(10)
-    N = 2 * box.size
-    P = ProjectionMatrix(np.eye(N, dtype=complex)[:, ::2])
-    assert index_pair(P, box, (0.3, 0.2)) == 0
-
-
-def test_index_matches_chern_sign(proj_plus, proj_minus):
-    assert index_pair(proj_plus, BOX16, (0.1, 0.1)) == -1
-    assert index_pair(proj_minus, BOX16, (0.1, 0.1)) == +1
-
-
-def test_index_stable_under_flux_point_shift(proj_plus):
-    assert index_pair(proj_plus, BOX16, (0.2, 0.03)) == -1
-    assert index_pair(proj_plus, BOX16, (0.5, 0.5)) == -1
-
-
-def test_index_trivial_phase_zero():
-    m = haldane_model(HaldaneParams(t1=1.0, t2=0.0, phi=0.0, M=1.0))
-    P = spectral_projection(restrict_periodic(m, BOX16), 0.0)
-    assert index_pair(P, BOX16, (0.1, 0.1)) == 0
-
-
-def test_index_ambiguous_window_errors(proj_plus):
-    # pick the tolerance so a real eigenvalue of the windowed difference
-    # lands exactly on the window edge
-    u = flux_unitary((0.1, 0.1), BOX16, 2)
-    m = proj_plus.matrix
-    D = (u[:, None] * m) * np.conj(u)[None, :] - m
-    rows = np.array([2 * i + o for i, (a, b) in enumerate(BOX16.sites)
-                     if -4 <= a <= 3 and -4 <= b <= 3 for o in range(2)])
-    ev = np.linalg.eigvalsh(D[np.ix_(rows, rows)])
-    mid = ev[(ev > 0.05) & (ev < 0.95)][0]
-    with pytest.raises(ValueError, match="ambiguous"):
-        index_pair(proj_plus, BOX16, (0.1, 0.1), tol_window=float(1.0 - mid))
