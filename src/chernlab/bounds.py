@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BandStructure
-from .disorder import DistributionSpec
+from .disorder import DistributionSpec, _check_support
 from .model import HoppingModel, hopping_norm_sum
 
 __all__ = [
@@ -61,8 +61,7 @@ class GapGeometry:
     b: float
 
     def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0 or self.a + self.b <= 0:
-            raise ValueError("support [-a, b] needs a, b >= 0 and a+b > 0")
+        _check_support(self.a, self.b)
 
     def gap_size(self, i: int) -> float:
         return self.bands.gap_sizes[i]

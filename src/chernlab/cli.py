@@ -571,6 +571,12 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         if "command" in doc and doc["command"] != args.command:
             raise ConfigError(args.config, _key_line(args.config, "command"),
                               f"config is for {doc['command']!r}, invoked as {args.command!r}")
+        for key in ("scan", "ensemble"):
+            # a section is a JSON object; a sidecar records an unset ensemble as null
+            if key in doc and not (isinstance(doc[key], dict)
+                                   or (key == "ensemble" and doc[key] is None)):
+                raise ConfigError(args.config, _key_line(args.config, key),
+                                  f"{key} must be a JSON object, got {doc[key]!r}")
         for key in ("distribution", "ensemble"):
             # null and {} stand for an unset section, as a sidecar records it
             if key not in command.sections and doc.get(key) not in (None, {}):

@@ -169,35 +169,30 @@ def custom_density(points: np.ndarray, density: np.ndarray) -> DistributionSpec:
                             C_tau=float(np.max(den)), pdf=pdf, cdf=cdf)
 
 
+def _bisect(f, target: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The x in [lo, hi] with f(x) = target, entrywise, for an increasing f.
+
+    A fixed iteration count shrinks the interval hi - lo below 1e-14.
+    """
+    iters = int(math.ceil(math.log2((hi - lo) / 1e-14)))
+    lo, hi = np.full_like(target, lo), np.full_like(target, hi)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def _ppf(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     if spec.kind == "uniform":
         return -spec.a + (spec.a + spec.b) * u
     if spec.kind == "truncated_gaussian":
         a = spec.a
-        lo = np.full_like(u, -a)
-        hi = np.full_like(u, a)
-        base = ndtr(-a)
-        Z = _gauss_mass(a)
-        target = base + u * Z
-        # fixed iteration count: interval 2a shrinks below 1e-14
-        iters = int(math.ceil(math.log2(2.0 * a / 1e-14)))
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            below = ndtr(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        return _bisect(ndtr, ndtr(-a) + u * _gauss_mass(a), -a, a)
     if spec.kind == "custom_density":
-        # numeric CDF inversion by bisection on the tabulated law
-        lo = np.full_like(u, -spec.a)
-        hi = np.full_like(u, spec.b)
-        iters = int(math.ceil(math.log2((spec.a + spec.b) / 1e-14)))
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            below = spec.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        # numeric CDF inversion on the tabulated law
+        return _bisect(spec.cdf, u, -spec.a, spec.b)
     raise ValueError(f"cannot sample kind {spec.kind!r}")
 
 

@@ -13,10 +13,11 @@ LAPACK's ``zhetrd`` overwrites a freshly assembled Fortran buffer with
 its Householder reflectors, and divide and conquer on the tridiagonal
 (``dstevd``; Cuppen, Gu and Eisenstat) gives every eigenvalue and every
 eigenvector of the tridiagonal form. ``eigenpairs(lo, hi)``, the one
-way to read eigenvectors, back-transforms (``zunmqr``) only the columns
-of the eigenvalues in (lo, hi], all N by default. The eigenvalues and
-every slice come from that one reduction, so an energy read from
-``eigenvalues`` sits exactly on the state a projection counts. At
+way to read eigenvectors, returns the pair (values, vectors) of the
+eigenvalues in (lo, hi], all N by default, and back-transforms
+(``zunmqr``) only their columns. The eigenvalues and every such read
+come from that one reduction, so an energy read from ``eigenvalues``
+sits exactly on the state a projection counts. At
 N = 648 on 2 vCPUs (side 18, truncated Gaussian a = 2 at lam = 0.1 and
 62.8, medians of 7) ``zhetrd`` took 58-69 ms, ``dstevd`` 22-24 ms and
 the occupied half's back-transform 20-21 ms: 121-128 ms in all, against
@@ -51,12 +52,11 @@ the assembled H - x, whose pivots count the eigenvalues below and at x
 by Sylvester's law of inertia, with no reduction at all. The shifted
 H - x of ``inertia`` and ``resolvent_columns`` is refused when its
 diagonal is not finite (lam v - x can overflow). A spectral
-projection is held by its occupied eigenvectors V (N x k) and forms
-P = V V^* only when a caller reads ``matrix``; the windowed marker reads
-rows of P from V alone, and only the kernel-decay probe reads the
-raw N x N matrix V V^* (``fermi_matrix``). Both take an operator or a
-``SpectralSlice`` of one, so a probe scanning energies back-transforms
-once, up to its top energy, and reads leading columns below it.
+projection (``ProjectionMatrix``) is held by its occupied eigenvectors
+V (N x k) and forms P = V V^* only when a caller reads ``matrix``; the
+windowed marker reads rows of P from V alone. A probe scanning energies
+reads ``eigenpairs`` once, up to its top energy, and takes the leading
+columns below each energy of its grid.
 Gap-membership arguments should use the periodic restriction: open
 boundaries of a topologically nontrivial model carry in-gap edge modes.
 
@@ -86,12 +86,9 @@ __all__ = [
     "FiniteOperator",
     "HermitianEntries",
     "ProjectionMatrix",
-    "SpectralSlice",
     "add_potential",
     "restrict_simple",
     "restrict_periodic",
-    "fermi_matrix",
-    "spectral_projection",
     "green_function",
     "resolvent_columns",
     "ResonantEnergy",
@@ -222,33 +219,6 @@ def _back_transform(z: np.ndarray, reflectors: np.ndarray, tau: np.ndarray) -> n
     return out
 
 
-@dataclass(frozen=True)
-class SpectralSlice:
-    """The eigenpairs of an operator with eigenvalues in (lo, hi].
-
-    ``values`` ascend; column j of ``vectors`` (N x k) is the eigenvector
-    of ``values[j]``. ``eigenpairs`` takes any narrower slice of it.
-    """
-
-    lo: float
-    hi: float
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty energy range ({self.lo}, {self.hi}]")
-        for a in (self.values, self.vectors):
-            a.flags.writeable = False
-
-    def eigenpairs(self, lo: float = -np.inf, hi: float = np.inf) -> SpectralSlice:
-        """The eigenpairs in (lo, hi], which must lie inside this slice."""
-        if lo < self.lo or hi > self.hi:
-            raise ValueError(f"({lo}, {hi}] is not inside the slice ({self.lo}, {self.hi}]")
-        a, b = np.searchsorted(self.values, [lo, hi], side="right")
-        return SpectralSlice(lo, hi, self.values[a:b], self.vectors[:, a:b])
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteOperator:
     """H0 + diag(potential) on a box, held without any N x N matrix.
@@ -327,12 +297,17 @@ class FiniteOperator:
         below = int(np.count_nonzero(d[one] < 0)) + (N - int(np.count_nonzero(one))) // 2
         return below, int(np.count_nonzero(d[one] == 0))
 
-    def eigenpairs(self, lo: float = -np.inf, hi: float = np.inf) -> SpectralSlice:
-        """The eigenpairs with eigenvalues in (lo, hi].
+    def eigenpairs(self, lo: float = -np.inf,
+                   hi: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+        """(values, vectors): the ascending eigenvalues in (lo, hi] and
+        their eigenvectors, column j of the read-only N x k ``vectors``
+        belonging to ``values[j]``.
 
-        Back-transforms only those columns, on every call; an empty slice
-        transforms nothing.
+        Back-transforms only those columns, on every call; an empty range
+        of eigenvalues transforms nothing. lo > hi raises ValueError.
         """
+        if not lo <= hi:
+            raise ValueError(f"empty energy range ({lo}, {hi}]")
         w = self.eigenvalues
         a, b = np.searchsorted(w, [lo, hi], side="right")
         if a >= b:
@@ -340,7 +315,8 @@ class FiniteOperator:
         else:
             t = self._tridiagonal
             v = _back_transform(t.z[:, a:b], t.reflectors, t.tau)
-        return SpectralSlice(lo, hi, w[a:b], v)
+        v.flags.writeable = False
+        return w[a:b], v
 
 
 @dataclass(frozen=True)
@@ -445,27 +421,6 @@ def restrict_periodic(model: HoppingModel, box: Box) -> FiniteOperator:
     return _clean(model, box, periodic=True)
 
 
-def fermi_matrix(source: FiniteOperator | SpectralSlice, E: float) -> np.ndarray:
-    """Raw chi_(-inf, E] of the operator, V_k V_k^* (N x N), unsymmetrized.
-
-    For ``projection_decay``, the one probe that reduces the kernel
-    itself, taking its block norms at each energy of a grid. E exactly
-    at an eigenvalue is included. ``source`` is the operator or a slice
-    of it that covers (-inf, E].
-    """
-    vk = source.eigenpairs(hi=E).vectors
-    return _dot(vk, vk, adjoint_b=True)
-
-
-def spectral_projection(source: FiniteOperator | SpectralSlice, E: float) -> ProjectionMatrix:
-    """P = chi_(-inf, E] of the operator, held by its occupied eigenvectors.
-
-    E exactly at an eigenvalue is included. No N x N product is formed.
-    ``source`` is the operator or a slice of it that covers (-inf, E].
-    """
-    return ProjectionMatrix(source.eigenpairs(hi=E).vectors)
-
-
 def _shifted(op: FiniteOperator, x: float) -> np.ndarray:
     """H - x for real x, assembled into a Fortran buffer for LAPACK to
     overwrite; ValueError if its diagonal is not finite."""
@@ -502,8 +457,7 @@ def resolvent_columns(op: FiniteOperator, E: float, cols: np.ndarray) -> np.ndar
 def green_function(op: FiniteOperator, z: complex) -> np.ndarray:
     """(H - z)^(-1) through the eigendecomposition; the test oracle of
     ``resolvent_columns``."""
-    eig = op.eigenpairs()
-    w, v = eig.values, eig.vectors
+    w, v = op.eigenpairs()
     gap = np.min(np.abs(w - z))
     if gap <= 1e-12:
         raise ResonantEnergy(f"resonant energy: dist(z, spectrum) = {gap:.3e}")

@@ -54,8 +54,6 @@ class Box:
 
 def box_sites(L: int) -> Box:
     """Build the centered box of side L (L^2 sites)."""
-    if L < 1:
-        raise ValueError(f"box side must be >= 1, got {L}")
     off = L // 2
     vals = np.arange(L) - off
     g1, g2 = np.meshgrid(vals, vals, indexing="ij")

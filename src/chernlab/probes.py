@@ -29,15 +29,13 @@ import numpy as np
 from .bounds import wegner_bound
 from .disorder import DistributionSpec, sample_potential
 from .finite_volume import (
+    ProjectionMatrix,
     ResonantEnergy,
-    SpectralSlice,
     _dot,
     add_potential,
-    fermi_matrix,
     resolvent_columns,
     restrict_periodic,
     restrict_simple,
-    spectral_projection,
 )
 from .lattice import Box, box_sites, core_sites, inner_boundary
 from .model import HoppingModel
@@ -357,16 +355,17 @@ def projection_decay(cfg: EnsembleConfig, E_window: tuple[float, float],
     classes = _DisplacementClasses(box, cfg.bc, cfg.model.n)
     energies = np.linspace(lo, hi, grid_points)
 
-    def class_means(occupied: SpectralSlice) -> np.ndarray:
+    def class_means(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # the raw kernel V_k V_k^* (N x N) of chi_(-inf, E] at each energy
         sup = None
-        for E in energies:
-            norms = classes.block_norms(fermi_matrix(occupied, E))
+        for k in np.searchsorted(w, energies, side="right"):
+            norms = classes.block_norms(_dot(v[:, :k], v[:, :k], adjoint_b=True))
             sup = norms if sup is None else np.maximum(sup, norms)
         return classes.means(sup)
 
-    # the operator, and with it its reduction, is dropped once its slice
-    # is read
-    means, stderrs = _mean_stderr([class_means(real(cfg.lam).eigenpairs(hi=energies[-1]))
+    # the operator, and with it its reduction, is dropped once its
+    # eigenpairs are read
+    means, stderrs = _mean_stderr([class_means(*real(cfg.lam).eigenpairs(hi=energies[-1]))
                                    for real in _realizations(cfg, box)])
 
     distances = classes.distances
@@ -436,14 +435,14 @@ def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
     energies = [float(E) for E in E_grid]
     lams = [float(x) for x in lam_grid]
 
-    def markers(occupied: SpectralSlice) -> list[float]:
-        return [chern_marker(spectral_projection(occupied, E), box, window_L)
-                for E in energies]
+    def markers(w: np.ndarray, v: np.ndarray) -> list[float]:
+        return [chern_marker(ProjectionMatrix(v[:, :k]), box, window_L)
+                for k in np.searchsorted(w, energies, side="right")]
 
     # one disordered operator alive at a time: each, with its reduction,
-    # is dropped once its slice is read
+    # is dropped once its eigenpairs are read
     top = max(energies, default=-np.inf)
-    means, stderrs = _mean_stderr([[markers(real(lam).eigenpairs(hi=top)) for lam in lams]
+    means, stderrs = _mean_stderr([[markers(*real(lam).eigenpairs(hi=top)) for lam in lams]
                                    for real in _realizations(cfg, box, lams)])
     return [MarkerScanRow(E=E, lam=lam, mean=float(means[i, j]), stderr=float(stderrs[i, j]),
                           n=cfg.n_realizations)
@@ -485,7 +484,7 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
     weight 2/(2 - i T (E_a - E_b)). The position weight is the diagonal
     (1+|site|^2)^(p/2); the initial state is the n-orbital indicator of
     the origin cell. Only eigenpairs inside the window contribute, so
-    the pair sums run over the windowed spectral slice, the only
+    the pair sums run over the window's eigenpairs, the only
     eigenvectors back-transformed; a realization whose window holds none
     contributes 0, transforms nothing and is counted in every row's
     ``empty_windows``.
@@ -508,14 +507,13 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
     weight = np.repeat(weight, cfg.model.n)
     rows0 = box.index_of(0, 0) * cfg.model.n + np.arange(cfg.model.n)
 
-    def moments(window: SpectralSlice) -> np.ndarray | None:
+    def moments(w: np.ndarray, v: np.ndarray) -> np.ndarray | None:
         """The moment at every time, or None when the window holds no eigenpair."""
-        w = window.values
         gv = g(w)
         idx = np.flatnonzero(gv > 0)
         if idx.size == 0:
             return None
-        vs = window.vectors[:, idx]
+        vs = v[:, idx]
         D = _dot(vs, weight[:, None] * vs, adjoint_a=True)
         C = vs[rows0, :]
         B = _dot(C, C, adjoint_a=True)
@@ -526,7 +524,7 @@ def time_averaged_moment(cfg: EnsembleConfig, p: float,
             out[j] = float(np.real(np.sum(2.0 * F / (2.0 - 1j * T * dE))))
         return out
 
-    per_real = [moments(real(cfg.lam).eigenpairs(center - half_width, center + half_width))
+    per_real = [moments(*real(cfg.lam).eigenpairs(center - half_width, center + half_width))
                 for real in _realizations(cfg, box)]
     empty = sum(m is None for m in per_real)
     means, stderrs = _mean_stderr([np.zeros(len(times)) if m is None else m for m in per_real])

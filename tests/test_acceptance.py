@@ -29,9 +29,9 @@ from chernlab.disorder import (
     uniform,
 )
 from chernlab.finite_volume import (
+    ProjectionMatrix,
     restrict_periodic,
     restrict_simple,
-    spectral_projection,
 )
 from chernlab.lattice import box_sites, inner_boundary
 from chernlab.model import HaldaneParams, haldane_model
@@ -115,7 +115,7 @@ def test_criterion_04_marker_tracks_chern_number_and_sign():
     for phi, expect in ((math.pi / 2.0, -1), (-math.pi / 2.0, +1)):
         m = haldane_model(HaldaneParams(phi=phi))
         assert chern_number(m).value == expect
-        P = spectral_projection(restrict_periodic(m, box), 0.0)
+        P = ProjectionMatrix(restrict_periodic(m, box).eigenpairs(hi=0.0)[1])
         markers[expect] = chern_marker(P, box, 8)
         assert abs(markers[expect] - expect) <= 0.15
     assert markers[-1] < 0.0 < markers[+1]
@@ -124,7 +124,7 @@ def test_criterion_04_marker_tracks_chern_number_and_sign():
 def test_criterion_05_exact_identities(model):
     # (a) windowed trace formula == triple-commutator form on the full box
     box = box_sites(10)
-    P = spectral_projection(restrict_simple(model, box), 0.0)
+    P = ProjectionMatrix(restrict_simple(model, box).eigenpairs(hi=0.0)[1])
     a = chern_marker(P, box, 10)
     b = chern_marker_triple(P, box, 10)
     assert abs(a - b) <= 1e-6

@@ -220,7 +220,7 @@ def test_weak_disorder_ceiling_midgap_form(reference_geometry, reference_model,
     got = bounds.weak_disorder_upper(0.0, reference_geometry, s, alpha, S, D, 2)
     C = bounds.c_s_alpha(2, gap, s, alpha)
     want = gap ** (1.0 + 2.0 / s) / (2.0 * (4.0 * C * D) ** (1.0 / s))
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_weak_disorder_requires_small_salpha(reference_geometry):
@@ -274,7 +274,7 @@ def test_a_zero_pipeline_frozen(reference_model, reference_bands):
                           s=0.25, t=1.0, q=2.0).value
     a0 = bounds.a_zero(gap, 0.25, C, K)
     assert a0 == pytest.approx(2.2986155750464074e30, rel=1e-6)
-    assert gap / (2.0 * a0) == pytest.approx(4.3501854733946225e-31, rel=1e-6)
+    assert gap / (2.0 * a0) == pytest.approx(4.3501854733946225e-31, rel=1e-6, abs=0)
 
 
 def test_a_zero_validation():

@@ -63,7 +63,7 @@ def test_thresholds_pipeline_json(tmp_path, model_file, tg_file):
     r = doc["results"]
     assert r["K"] == pytest.approx(22.963798680773785, rel=1e-12)
     assert r["a_zero"] == pytest.approx(2.2986155750464074e30, rel=1e-9)
-    assert r["gap_over_2a0"] == pytest.approx(4.3501854733946225e-31, rel=1e-9)
+    assert r["gap_over_2a0"] == pytest.approx(4.3501854733946225e-31, rel=1e-9, abs=0)
     assert r["lambda_rho_coefficient"] == pytest.approx(39.97427732805992, rel=1e-9)
     assert r["lambda_rho_coefficient"] <= 39.98
     assert doc["schema_version"] == 2
@@ -552,6 +552,32 @@ def test_config_sections_a_command_does_not_read_are_refused(tmp_path, model_fil
         assert again == doc
         if name != sidecar.name:  # a CSV; a JSON report is its own sidecar
             assert (replay / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_config_sections_must_be_json_objects(tmp_path, model_file, uniform_file, capsys):
+    # scan and ensemble are JSON objects: a number, a string or a list of
+    # pairs is refused on the key's line (exit 2) before anything runs
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    for command, key, value in [("ids", "scan", 5), ("bloch", "scan", "x"),
+                                ("ids", "scan", [["energy_grid", [-1.0, 1.0, 3]]]),
+                                ("ids", "ensemble", 5), ("ids", "ensemble", [["lam", 1.0]]),
+                                ("ids", "scan", None)]:
+        cfg.write_text(json.dumps({"command": command, key: value}, indent=2))
+        line = 1 + [f'"{key}"' in text for text in cfg.read_text().splitlines()].index(True)
+        law = ["--dist", uniform_file] if command == "ids" else []
+        assert main([command, "--config", str(cfg), "--model", model_file, *law,
+                     "--out", str(out)]) == 2, (command, key, value)
+        assert capsys.readouterr().err == (f"error: {cfg}:{line}: {key} must be a JSON "
+                                           f"object, got {value!r}\n")
+    assert not out.exists()
+
+    # a null ensemble is an unset one, as a sidecar records it
+    cfg.write_text(json.dumps({"command": "ids", "ensemble": None,
+                               "scan": {"energy_grid": [-1.0, 1.0, 3]}}))
+    assert main(["ids", "--config", str(cfg), "--model", model_file, "--dist", uniform_file,
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "ids.json").read_text())["config"]["ensemble"] == {}
 
 
 def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, tg_file, capsys,

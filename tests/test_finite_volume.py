@@ -11,14 +11,12 @@ from chernlab.disorder import truncated_gaussian, uniform, sample_potential
 from chernlab.finite_volume import (
     FiniteOperator,
     HermitianEntries,
-    SpectralSlice,
+    ProjectionMatrix,
     add_potential,
-    fermi_matrix,
     green_function,
     resolvent_columns,
     restrict_periodic,
     restrict_simple,
-    spectral_projection,
 )
 from chernlab.lattice import box_sites, inner_boundary
 from chernlab.model import (
@@ -135,9 +133,8 @@ def test_eigvalsh_matches_eigensystem():
     assert "_tridiagonal" not in vars(op)
     dense = np.array(op.matrix, order="F")
     assert np.array_equal(values, finite_volume._hetrd_stevd(dense, vectors=False)[0])
-    eig = op.eigenpairs()
-    assert np.max(np.abs(values - eig.values)) < 1e-12
-    w, v = eig.values, eig.vectors
+    w, v = op.eigenpairs()
+    assert np.max(np.abs(values - w)) < 1e-12
     assert np.array_equal(op.eigenvalues, w)
     assert np.max(np.abs(np.linalg.eigvalsh(op.matrix) - w)) < 1e-12
     assert np.max(np.abs(op.matrix @ v - v * w)) < 1e-11
@@ -152,13 +149,12 @@ def test_eigensystem_on_degenerate_spectra(model, L):
     # where divide and conquer on the tridiagonal form must still return
     # orthonormal eigenvectors
     op = restrict_periodic(model, box_sites(L))
-    eig = op.eigenpairs()
-    w, v = eig.values, eig.vectors
+    w, v = op.eigenpairs()
     assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-11
     assert np.max(np.abs(op.matrix @ v - v * w)) <= 1e-12
     if L == 18:
         rank = int(np.searchsorted(np.linalg.eigvalsh(op.matrix), 0.0, side="right"))
-        assert spectral_projection(op, 0.0).vectors.shape[1] == rank == 324
+        assert ProjectionMatrix(op.eigenpairs(hi=0.0)[1]).vectors.shape[1] == rank == 324
 
 
 def test_add_potential_equals_dense_diagonal_sum():
@@ -235,15 +231,14 @@ def test_eigensystem_matches_evr_oracle(case):
                                       realization_index=3)
             op = add_potential(op, sample, 62.8)
     w_evr, v_evr = scipy.linalg.eigh(op.matrix, driver="evr")
-    eig = op.eigenpairs()
-    w, v = eig.values, eig.vectors
+    w, v = op.eigenpairs()
     assert np.max(np.abs(w - w_evr)) <= 1e-15 * len(w) * max(1.0, np.max(np.abs(w)))
     for k in _gap_splits(w, 3):
         P_evr = v_evr[:, :k] @ v_evr[:, :k].conj().T
         assert np.max(np.abs(v[:, :k] @ v[:, :k].conj().T - P_evr)) <= 1e-12
         # a slice back-transformed on its own, on a fresh operator
         fresh = FiniteOperator(op.entries, op.potential)
-        vk = fresh.eigenpairs(hi=0.5 * (w[k - 1] + w[k])).vectors
+        vk = fresh.eigenpairs(hi=0.5 * (w[k - 1] + w[k]))[1]
         assert vk.shape[1] == k
         assert np.max(np.abs(vk @ vk.conj().T - P_evr)) <= 1e-12
 
@@ -259,34 +254,30 @@ def test_slices_come_from_one_reduction(monkeypatch):
                         lambda z, *a: transforms.append(z.shape[1]) or transform(z, *a))
     op = restrict_periodic(haldane_model(TOPO), box_sites(6))
     w = op.eigenvalues
-    lower = op.eigenpairs(hi=0.0)
-    window = op.eigenpairs(-2.0, -1.0)
+    _, lower = op.eigenpairs(hi=0.0)
+    window, _ = op.eigenpairs(-2.0, -1.0)
     assert transforms == [36, int(np.sum((w > -2.0) & (w <= -1.0)))]
-    assert np.array_equal(window.values, w[(w > -2.0) & (w <= -1.0)])
-    again = op.eigenpairs(hi=0.0)
+    assert np.array_equal(window, w[(w > -2.0) & (w <= -1.0)])
+    _, again = op.eigenpairs(hi=0.0)
     assert len(transforms) == 3 and reductions == [1]
-    assert np.max(np.abs(again.vectors - lower.vectors)) <= 1e-12
+    assert np.max(np.abs(again - lower)) <= 1e-12
     assert op.eigenvalues is w
 
 
 def test_one_site_and_empty_slices():
     # N = 1 has no reflectors; k = 0 transforms nothing
     op = FiniteOperator(_entries_of(np.array([[0.5 + 0.0j]])))
-    eig = op.eigenpairs()
-    w, v = eig.values, eig.vectors
+    w, v = op.eigenpairs()
     assert w.tolist() == [0.5] and v.tolist() == [[1.0]]
-    assert spectral_projection(op, 0.0).vectors.shape[1] == 0
-    assert spectral_projection(op, 0.5).vectors.shape[1] == 1
+    assert ProjectionMatrix(op.eigenpairs(hi=0.0)[1]).vectors.shape[1] == 0
+    assert ProjectionMatrix(op.eigenpairs(hi=0.5)[1]).vectors.shape[1] == 1
     two = restrict_simple(_onsite_model(1.0), box_sites(1))
-    assert two.eigenpairs(hi=-2.0).vectors.shape == (2, 0)
-    assert fermi_matrix(two, -2.0).tolist() == [[0.0, 0.0], [0.0, 0.0]]
-    assert np.array_equal(np.abs(two.eigenpairs(lo=0.0).vectors), [[1.0], [0.0]])
+    _, none = two.eigenpairs(hi=-2.0)
+    assert none.shape == (2, 0)
+    assert finite_volume._dot(none, none, adjoint_b=True).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert np.array_equal(np.abs(two.eigenpairs(lo=0.0)[1]), [[1.0], [0.0]])
     with pytest.raises(ValueError, match="empty"):
         two.eigenpairs(1.0, 0.0)
-    below = two.eigenpairs(hi=0.0)
-    assert isinstance(below, SpectralSlice)
-    with pytest.raises(ValueError, match="inside"):
-        spectral_projection(below, 1.0)
 
 
 def test_non_finite_operator_is_rejected():
@@ -355,8 +346,8 @@ def test_periodic_rejects_irrational_flux():
 
 def test_projection_extremes():
     op = restrict_periodic(haldane_model(TOPO), box_sites(6))
-    empty = spectral_projection(op, -10.0)
-    full = spectral_projection(op, 10.0)
+    empty = ProjectionMatrix(op.eigenpairs(hi=-10.0)[1])
+    full = ProjectionMatrix(op.eigenpairs(hi=10.0)[1])
     assert empty.vectors.shape[1] == 0 and not np.any(empty.matrix)
     assert full.vectors.shape[1] == 72 and np.allclose(full.matrix, np.eye(72), atol=1e-12)
 
@@ -364,9 +355,9 @@ def test_projection_extremes():
 def test_projection_half_filling():
     # symmetric spectrum at M=0, so E=0 fills exactly half the states
     op = restrict_periodic(haldane_model(TOPO), box_sites(11))
-    P = spectral_projection(op, 0.0)
+    P = ProjectionMatrix(op.eigenpairs(hi=0.0)[1])
     assert P.vectors.shape[1] == 121
-    F = fermi_matrix(op, 0.0)
+    F = finite_volume._dot(P.vectors, P.vectors, adjoint_b=True)
     assert P.matrix.tobytes() == (0.5 * (F + F.conj().T)).tobytes()
     assert np.max(np.abs(P.matrix @ P.matrix - P.matrix)) < 1e-9
     assert np.max(np.abs(P.matrix - P.matrix.conj().T)) < 1e-10
@@ -375,16 +366,16 @@ def test_projection_half_filling():
 def test_projection_rank_right_continuous():
     op = restrict_simple(haldane_model(TOPO), box_sites(4))
     w = op.eigenvalues
-    ranks = [spectral_projection(op, E).vectors.shape[1] for E in w]
+    ranks = [ProjectionMatrix(op.eigenpairs(hi=E)[1]).vectors.shape[1] for E in w]
     assert ranks == [int(np.searchsorted(w, E, side="right")) for E in w]
     assert all(b >= a for a, b in zip(ranks, ranks[1:]))
     # E exactly at an eigenvalue includes that state
-    assert spectral_projection(op, w[0]).vectors.shape[1] >= 1
+    assert ProjectionMatrix(op.eigenpairs(hi=w[0])[1]).vectors.shape[1] >= 1
 
 
 def test_projection_kernel_block_symmetry():
     op = restrict_simple(haldane_model(TOPO), box_sites(5))
-    P = spectral_projection(op, 0.3).matrix
+    P = ProjectionMatrix(op.eigenpairs(hi=0.3)[1]).matrix
     n = 2
     for i in (0, 7, 13):
         for j in (2, 11, 24):

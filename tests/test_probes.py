@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from chernlab import finite_volume, probes
+from chernlab import finite_volume, probes, topology
 from chernlab.bounds import (
     alpha_for_gap,
     combes_thomas_rate,
@@ -23,10 +23,10 @@ from chernlab.bounds import (
 from chernlab.bloch import band_structure
 from chernlab.disorder import sample_potential, truncated_gaussian, uniform
 from chernlab.finite_volume import (
+    ProjectionMatrix,
     add_potential,
     green_function,
     restrict_periodic,
-    spectral_projection,
 )
 from chernlab.lattice import box_sites, core_sites, inner_boundary
 from chernlab.model import HaldaneParams, haldane_model
@@ -352,7 +352,7 @@ def test_marker_scan_topological_vs_strong_disorder(model):
 def test_marker_scan_clean_column_equals_marker(model):
     box = box_sites(10)
     op = restrict_periodic(model, box)
-    P = spectral_projection(op, 0.0)
+    P = ProjectionMatrix(op.eigenpairs(hi=0.0)[1])
     direct = chern_marker(P, box, 3)
     row, = averaged_marker_scan(clean_cfg(model, 10), [0.0], [0.0], window_L=3)
     assert row.mean == pytest.approx(direct, abs=1e-12)
@@ -361,19 +361,26 @@ def test_marker_scan_clean_column_equals_marker(model):
 
 def test_marker_scan_never_forms_projection(model, monkeypatch):
     # the scan reads window rows from the occupied vectors: no realization
-    # may build an N x N projection, lazily or raw
-    formed = []
+    # may build an N x N projection, lazily or by a raw product
+    formed, shapes = [], []
+    dot = finite_volume._dot
+
+    def spy(*args, **kwargs):
+        out = dot(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
     monkeypatch.setattr(finite_volume.ProjectionMatrix, "matrix",
                         property(lambda P: formed.append("matrix")))
-    monkeypatch.setattr(finite_volume, "fermi_matrix",
-                        lambda *a: formed.append("fermi_matrix"))
-    monkeypatch.setattr(probes, "fermi_matrix",
-                        lambda *a: formed.append("fermi_matrix"))
+    for module in (finite_volume, topology, probes):
+        monkeypatch.setattr(module, "_dot", spy)
     cfg = EnsembleConfig(model=model, spec=truncated_gaussian(2.0), lam=0.1,
                          box_L=8, bc="periodic", n_realizations=2, master_seed=3)
     rows = averaged_marker_scan(cfg, [0.0, -1.3], [0.0, 0.1], window_L=3)
     assert len(rows) == 4 and all(np.isfinite(r.mean) for r in rows)
     assert formed == []
+    N = 2 * 8 * 8
+    assert shapes and (N, N) not in shapes
 
 
 def _spy_back_transform(monkeypatch) -> list[int]:

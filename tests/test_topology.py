@@ -10,7 +10,6 @@ from chernlab.finite_volume import (
     add_potential,
     restrict_periodic,
     restrict_simple,
-    spectral_projection,
 )
 from chernlab.lattice import box_sites
 from chernlab.model import HaldaneParams, haldane_model
@@ -27,7 +26,7 @@ BOX16 = box_sites(16)
 
 def _gap_projection(phi, box):
     m = haldane_model(HaldaneParams(t1=1.0, t2=T2, phi=phi, M=0.0))
-    return spectral_projection(restrict_periodic(m, box), 0.0)
+    return ProjectionMatrix(restrict_periodic(m, box).eigenpairs(hi=0.0)[1])
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +119,7 @@ def test_marker_rows_match_dense_reference(restrict, strength):
     op = add_potential(restrict(m, box), sample, lam)
     # E = 0 in the clean gap, E = -1.3 in the lower clean band
     for E in (0.0, -1.3):
-        P = spectral_projection(op, E)
+        P = ProjectionMatrix(op.eigenpairs(hi=E)[1])
         for window_L, center in ((4, (0, 0)), (3, (2, -1))):
             ref = _reference_marker(P.matrix, box, window_L, center)
             assert abs(chern_marker(P, box, window_L, center) - ref) <= 1e-12
@@ -132,7 +131,7 @@ def test_marker_equals_triple_full_box():
     # could hide a discrepancy
     box = box_sites(10)
     m = haldane_model(HaldaneParams(t1=1.0, t2=T2, phi=math.pi / 2, M=0.0))
-    P = spectral_projection(restrict_simple(m, box), 0.0)
+    P = ProjectionMatrix(restrict_simple(m, box).eigenpairs(hi=0.0)[1])
     a = chern_marker(P, box, 10)
     b = chern_marker_triple(P, box, 10)
     assert abs(a - b) < 1e-6
