@@ -184,14 +184,16 @@ def hopping_entries(model: HoppingModel, box: Box,
 
 def dense_from_entries(size: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                        order: str = "C") -> np.ndarray:
-    """A size x size complex matrix of zeros plus each value added at its
-    (row, col), in entry order, so repeated pairs accumulate.
+    """A size x size complex matrix of zeros with each value at its (row, col).
 
-    ``order`` is the memory layout, "C" or "F" (the layout LAPACK
-    overwrites in place).
+    No (row, col) pair may repeat: the values are written by one
+    assignment, so a repeated pair would keep only one of its values.
+    Adding 0.0 turns a -0.0 part into +0.0, so the matrix equals zeros
+    plus each value bit for bit. ``order`` is the memory layout, "C" or
+    "F" (the layout LAPACK overwrites in place).
     """
     H = np.zeros((size, size), dtype=complex, order=order)
-    np.add.at(H, (rows, cols), vals)
+    H[rows, cols] = vals + 0.0
     return H
 
 

@@ -397,11 +397,20 @@ class IdsRow:
 
 
 def ids_estimate(cfg: EnsembleConfig, E_grid) -> list[IdsRow]:
-    """Per-site state count below E: mean of rank/|box| over the ensemble."""
+    """Per-site state count up to E: mean of rank/|box| over the ensemble.
+
+    Each realization is one ``counts`` call: a values-only reduction and
+    one Sturm count per energy of ``E_grid``, with no eigenvalue formed.
+    A count costs a few O(N) passes, so the grid is cheaper than forming
+    all N eigenvalues while it holds fewer than about N/2 energies: on
+    2 vCPUs the two cost the same at about 40-60 energies at side 8
+    (N = 128), 140 at side 12 and 300-330 at side 18. The reduction
+    itself, O(N^3), costs the same either way.
+    """
     box = box_sites(cfg.box_L)
     energies = [float(E) for E in E_grid]
     means, stderrs = _mean_stderr([
-        np.searchsorted(real(cfg.lam).eigvalsh(), energies, side="right") / box.size
+        real(cfg.lam).counts(energies) / box.size
         for real in _realizations(cfg, box)])
     return [IdsRow(E=E, value=float(m), stderr=float(s), n=cfg.n_realizations)
             for E, m, s in zip(energies, means, stderrs)]

@@ -1,11 +1,13 @@
 """Runner tests: output format, determinism, overrides, error paths.
 
-Tests call main() in-process with tmp_path outputs; one subprocess test
-covers the console-script wiring.
+Tests call main() in-process with tmp_path outputs; subprocess tests
+cover the console-script wiring, what the CLI imports, and reruns under
+another BLAS thread count.
 """
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -187,6 +189,29 @@ def test_wegner_and_ids_csv_bodies_are_pinned(tmp_path, uniform_file):
                  "--out", str(tmp_path / "i")]) == 0
     assert (tmp_path / "w" / "wegner.csv").read_text() == WEGNER_PINNED
     assert (tmp_path / "i" / "ids.csv").read_text() == IDS_PINNED
+
+
+def test_count_probes_are_exact_across_blas_threads(tmp_path, uniform_file):
+    # at side 8 (N = 128) every LAPACK stage of the count probes is bit
+    # for bit the same on one and on two OpenBLAS threads
+    common = ["--dist", uniform_file, "--lambda", "2", "--box-l", "8",
+              "--bc", "periodic", "--realizations", "25", "--seed", "7"]
+    runs = (("wegner", ["--energy", "0", "--eps-grid", "1e-1,1e-2,1e-3"]),
+            ("ids", ["--energy-grid=-4:4:17"]))
+    outs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        for command, extra in runs:
+            out = tmp_path / f"{command}{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "chernlab.cli", command, *common, *extra,
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs[command, threads] = (out / f"{command}.csv").read_bytes()
+    for command, _ in runs:
+        assert outs[command, "1"] == outs[command, "2"], command
+    assert outs["ids", "1"].decode() == IDS_PINNED
 
 
 def test_sidecar_round_trips_and_reproduces(tmp_path, model_file, uniform_file):

@@ -121,23 +121,104 @@ def test_simple_spectrum_in_convex_hull():
     assert np.all(w <= 3.0 + lam * spec.b + 1e-9)
 
 
-def test_eigvalsh_matches_eigensystem():
-    # the eigenvalue-only probes read eigvalsh(), a values-only reduction
-    # that caches nothing; projections count the values of the full
-    # tridiagonal reduction
+def test_counts_read_a_values_only_reduction(monkeypatch):
+    # the counting probes read counts(), one values-only zhetrd and a
+    # Sturm count per energy: no tridiagonal eigensolve, nothing cached;
+    # projections count the values of the full tridiagonal reduction
     m = haldane_model(TOPO)
     box = box_sites(8)
     sample = sample_potential(uniform(1.0), box, 2, seed=3, realization_index=1)
     op = add_potential(restrict_periodic(m, box), sample, 2.0)
-    values = op.eigvalsh()
+    xs = np.linspace(-5.0, 5.0, 17)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    with monkeypatch.context() as patch:
+        for name in ("dstevd", "dsterf"):
+            patch.setattr(finite_volume.lapack, name, refuse)
+        counts = op.counts(xs)
     assert "_tridiagonal" not in vars(op)
-    dense = np.array(op.matrix, order="F")
-    assert np.array_equal(values, finite_volume._hetrd_stevd(dense, vectors=False)[0])
     w, v = op.eigenpairs()
-    assert np.max(np.abs(values - w)) < 1e-12
+    assert np.array_equal(counts, np.searchsorted(w, xs, side="right"))
     assert np.array_equal(op.eigenvalues, w)
     assert np.max(np.abs(np.linalg.eigvalsh(op.matrix) - w)) < 1e-12
     assert np.max(np.abs(op.matrix @ v - v * w)) < 1e-11
+
+
+@pytest.mark.parametrize("bc", ["simple", "periodic"])
+@pytest.mark.parametrize("law", ["uniform", "gaussian"])
+def test_counts_match_eigenvalue_ranks(law, bc):
+    # 7 sides x 8 realizations per law and boundary, 224 in all: each
+    # count of a 17-energy grid spanning the spectrum is the rank of the
+    # energy among numpy's eigenvalues
+    spec = uniform(1.0) if law == "uniform" else truncated_gaussian(2.0)
+    m = haldane_model(TOPO)
+    for L in range(6, 13):
+        lam = 0.5 + 0.3 * L
+        cfg = EnsembleConfig(model=m, spec=spec, lam=lam, box_L=L, bc=bc,
+                             n_realizations=8, master_seed=L)
+        for real in probes._realizations(cfg, box_sites(L)):
+            op = real(lam)
+            w = np.linalg.eigvalsh(op.matrix)
+            xs = np.linspace(w[0] - 0.5, w[-1] + 0.5, 17)
+            assert np.array_equal(op.counts(xs), np.searchsorted(w, xs, side="right")), L
+
+
+def test_counts_edge_cases(monkeypatch):
+    box = box_sites(6)
+    sample = sample_potential(uniform(1.0), box, 2, seed=5, realization_index=0)
+    op = add_potential(restrict_periodic(haldane_model(TOPO), box), sample, 1.5)
+    N = op.entries.size
+    w = op.eigenvalues
+    # an unsorted grid keeps its order
+    xs = [2.0, -1.0, 0.5, -3.0, 0.0]
+    assert np.array_equal(op.counts(xs), np.searchsorted(w, xs, side="right"))
+    assert op.counts([]).shape == (0,)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    # outside the Gershgorin interval of T, and at +-inf, no count runs
+    monkeypatch.setattr(finite_volume.lapack, "dstebz", refuse)
+    assert op.counts([-1e3, 1e3, -np.inf, np.inf]).tolist() == [0, N, 0, N]
+    with pytest.raises(ValueError, match="NaN"):
+        op.counts([0.0, np.nan])
+
+
+def _add_at_reference(entries: HermitianEntries, diagonal, order: str,
+                      shift: int) -> np.ndarray:
+    # the assembly as np.add.at on zeros, then a fancy-indexed diagonal
+    N = entries.size
+    H = np.zeros((N, N), dtype=complex, order=order)
+    np.add.at(H, ((entries.rows + shift) % N, (entries.cols + shift) % N), entries.vals)
+    if diagonal is not None:
+        H[np.diag_indices(N)] += np.roll(diagonal, shift)
+    return H
+
+
+@pytest.mark.parametrize("restrict", [restrict_simple, restrict_periodic])
+@pytest.mark.parametrize("params", [TOPO, HaldaneParams(t1=1.0, t2=0.2, phi=-1.1, M=0.7)],
+                         ids=["topo", "massive"])
+def test_dense_equals_add_at_reference(restrict, params):
+    # one assignment of the entries and a strided diagonal give the bytes
+    # np.add.at gives, also where an entry or the diagonal holds -0.0
+    for L in (4, 7):
+        box = box_sites(L)
+        clean = restrict(haldane_model(params), box).entries
+        # the conjugate (transposed) matrix turns every +0.0 imaginary part
+        # of a real entry into -0.0
+        conj = HermitianEntries(clean.size, clean.rows, clean.cols, clean.vals.conj())
+        assert np.any(np.signbit(conj.vals.imag) & (conj.vals.imag == 0.0))
+        sample = sample_potential(uniform(1.0), box, 2, seed=L, realization_index=0)
+        for entries in (clean, conj):
+            for diagonal in (None, 1.3 * sample, np.full(clean.size, -0.0)):
+                for order in ("C", "F"):
+                    for shift in (0, 1):
+                        H = entries.dense(diagonal, order=order, shift=shift)
+                        ref = _add_at_reference(entries, diagonal, order, shift)
+                        assert H.flags.f_contiguous == (order == "F")
+                        assert H.tobytes(order="A") == ref.tobytes(order="A"), (L, order, shift)
 
 
 @pytest.mark.parametrize("model, L", [(haldane_model(TOPO), 6), (haldane_model(TOPO), 12),

@@ -20,7 +20,7 @@ from chernlab.bounds import (
     combes_thomas_salpha,
     strong_disorder_threshold,
 )
-from chernlab.bloch import band_structure
+from chernlab.bloch import band_structure, bloch_grid
 from chernlab.disorder import sample_potential, truncated_gaussian, uniform
 from chernlab.finite_volume import (
     ProjectionMatrix,
@@ -276,18 +276,21 @@ def test_ids_rank_counts(model):
 
 
 def test_count_probes_reduce_without_eigenvectors(model, monkeypatch):
-    # eigenvalue statistics read the values-only reduction of scipy's
-    # LAPACK: no eigenvector reduction, no numpy eigvalsh
+    # the IDS reads Sturm counts of the values-only reduction of scipy's
+    # LAPACK: no eigenvector reduction and no eigenvalue at all
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
     monkeypatch.setattr(finite_volume, "_reduce", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for name in ("dstevd", "dsterf"):
+        monkeypatch.setattr(finite_volume.lapack, name, refuse)
     cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=6,
                          bc="periodic", n_realizations=3, master_seed=3)
-    assert [r.value for r in ids_estimate(cfg, [-5.0, 5.0])] == [0.0, 2.0]
+    values = [r.value for r in ids_estimate(cfg, [-5.0, 0.0, 5.0])]
+    assert values[0] == 0.0 and values[2] == 2.0
     # the Wegner windows are decided by inertia counts, with no eigenvalue
-    monkeypatch.setattr(finite_volume.FiniteOperator, "eigvalsh", refuse)
+    monkeypatch.setattr(finite_volume.FiniteOperator, "counts", refuse)
     monkeypatch.setattr(finite_volume.lapack, "zhetrd", refuse)
     assert wegner_empirical(cfg, 0.0, [10.0])[0].empirical == 1.0
 
@@ -303,7 +306,7 @@ def test_wegner_hits_match_eigenvalue_distances(model, law, bc):
     for L, lam, E in ((5, 0.5, 0.7), (8, 2.0, 0.0), (10, 8.0, 2.5)):
         cfg = EnsembleConfig(model=model, spec=spec, lam=lam, box_L=L, bc=bc,
                              n_realizations=25, master_seed=L)
-        dists = np.array([np.min(np.abs(real(lam).eigvalsh() - E))
+        dists = np.array([np.min(np.abs(real(lam).eigenvalues - E))
                           for real in probes._realizations(cfg, box_sites(L))])
         hits = [round(r.empirical * r.n) for r in wegner_empirical(cfg, E, eps_grid)]
         assert hits == [int(np.sum(dists < eps)) for eps in eps_grid], (L, lam, E)
@@ -319,6 +322,21 @@ def test_ids_monotone_under_disorder(model):
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     assert vals[0] == 0.0 and vals[-1] == 2.0
     assert vals[4] == pytest.approx(1.0, abs=1e-12)  # E=0, particle-hole pair
+
+
+def test_clean_periodic_ids_counts_the_bloch_levels(model):
+    # the clean periodic box of side 8 is the Bloch operator on the 8 x 8
+    # momentum grid: between its levels the IDS is the exact level count
+    # per site (at a level, +-1 and +-3 among them, a count is rounding)
+    L = 8
+    levels = np.sort(np.linalg.eigvalsh(bloch_grid(model, L)).ravel())
+    distinct = levels[np.concatenate([[True], np.diff(levels) > 1e-9])]
+    energies = [distinct[0] - 1.0, *(0.5 * (distinct[1:] + distinct[:-1])),
+                distinct[-1] + 1.0]
+    assert min(np.min(np.abs(levels - E)) for E in energies) > 1e-3
+    rows = ids_estimate(clean_cfg(model, L), energies)
+    assert [r.value for r in rows] == [
+        np.count_nonzero(levels <= E) / L ** 2 for E in energies]
 
 
 @pytest.mark.parametrize("probe", [
