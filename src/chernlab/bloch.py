@@ -9,15 +9,14 @@ Every grid is the uniform N x N torus grid, built as one matrix product
 over all displacements, and grid N/2 is the even sublattice [::2, ::2]
 of grid N bit for bit. So each analysis solves a grid side at most once:
 the coarse (N/2) band extrema of a Richardson pair are read off the fine
-(N) eigenvalues, and ``chern_number`` shares one solve per side between
-its gap check and its curvature loop.
+(N) eigenvalues, and ``chern_number`` climbs one doubling ladder whose
+every solve serves both its gap check and its curvature loop.
 
-``chern_numbers`` runs those ladders over a list of models, such as one
-row of the phase diagram: each rung builds and solves the grids of every
-model still on it in one call, at most ``_MAX_GRID``^2 k-points at a
-time, and drops them once read. ``chern_number`` is the list of one. The
-plaquette field's links are overlap determinants, and for the one band
-below the first gap the overlap itself, with no determinant.
+``chern_numbers`` climbs that ladder with a list of models, such as one
+row of the phase diagram, at most ``_MAX_GRID``^2 k-points a solve;
+``chern_number`` is the list of one. The plaquette field's links are
+overlap determinants, and for the one band below the first gap the
+overlap itself, with no determinant.
 
 Two-orbital models, the Haldane model among them, are solved in closed
 form by ``_eigh``, elementwise over the grid and with no LAPACK call, so
@@ -48,13 +47,12 @@ __all__ = [
 # Chern number -1 for the lower-band Fermi projection.
 _ORIENTATION = 1.0
 
-# chern_number's doubling ladder grid * 2^k climbs while its rung is
-# below this side: the gap check calls the point gapless after the first
-# rung at or above it, and the curvature loop accepts that rung as final.
-# 768 = 24 * 2^5 is a multiple of 3, so the default ladder ends exactly
-# here, on a grid that holds the Dirac points, where a small gap is seen
-# at its true size. Each side is solved once per call, shared by both
-# ladders, so the gap check's climb costs the curvature loop nothing.
+# chern_number's doubling ladder climbs while its rung is below this
+# side: the gap check calls the point gapless after the first rung at or
+# above it, and the curvature loop accepts that rung as final. 768 =
+# 24 * 2^5 is a multiple of 3, so the default ladder ends exactly here,
+# on a grid that holds the Dirac points, where a small gap is seen at its
+# true size.
 _MAX_GRID = 768
 
 # Absolute floor of every gap's open tolerance (times a band scale >= 1),
@@ -256,38 +254,19 @@ def plaquette_field(psi: np.ndarray) -> np.ndarray:
     return np.angle(loop)
 
 
-def _on_ladder(side: int, start: int) -> bool:
-    """Whether side is start * 2^k for some k >= 0."""
-    ratio, rest = divmod(side, start)
-    return rest == 0 and ratio & (ratio - 1) == 0
-
-
-def _curvature_rung(fields: dict, side: int) -> tuple[int, bool]:
-    """First rung from ``side`` up whose plaquette field is unseen or final,
-    and whether it is final: at most 1 radian everywhere, or at or above
-    ``_MAX_GRID``. ``fields`` maps each seen side to (max |F|, sum F)."""
-    while side in fields:
-        if fields[side][0] <= 1.0 or side >= _MAX_GRID:
-            return side, True
-        side *= 2
-    return side, False
-
-
 def chern_numbers(models, gap_index: int = 1, grid: int = 24) -> list:
     """``chern_number`` of each model: a list in the models' order holding
     a ChernResult per gapped model and, per gapless one, the ValueError
     that ``chern_number`` raises for it.
 
-    Each model walks the ladders of ``chern_number``, with the same rungs,
-    verdict, grid and message as alone, but each rung solves the grids of
-    every model still on it together, in batches of at most
-    ``_MAX_GRID``^2 k-points (one model a batch on a larger side). A batch
-    is dropped once its rung is read: its eigenvalues advance the gap
+    Every unfinished model sits on the same rung of ``chern_number``'s
+    ladder, so each model gets the same verdict, grid and message as
+    alone. A rung solves the grids of all of them together, in batches of
+    at most ``_MAX_GRID``^2 k-points (one model a batch on a larger side),
+    and drops each batch once read: its eigenvalues advance the open gap
     checks, and its frames give the plaquette field of each model whose
-    curvature loop meets that side, of which only max |F| and the sum are
-    kept. A curvature rung met while the gap check climbs is read then,
-    unless the gap check has just called the model gapless. The models
-    must share one orbital count.
+    curvature is not yet final, of which only the sum of the final one is
+    kept. The models must share one orbital count.
     """
     models = list(models)
     if len({m.n for m in models}) > 1:
@@ -295,64 +274,51 @@ def chern_numbers(models, gap_index: int = 1, grid: int = 24) -> list:
     if models and not (1 <= gap_index <= models[0].n - 1):
         raise ValueError(f"gap index must be in 1..{models[0].n - 1}")
     j = gap_index - 1
-    first = _even_grid(grid)
-    start = max(int(grid), 4)
     results: list = [None] * len(models)
-    gap_rung = dict.fromkeys(range(len(models)), first)  # open gap checks
-    coarse: dict = {}
-    fields: list[dict] = [{} for _ in models]  # side -> (max |F|, sum F)
-
-    def read(batch, N):
-        # one batch's solve lives only in this call
-        w, v = _eigh(_bloch_grids([models[p] for p in batch], N))
-        if any(p in gap_rung for p in batch):
-            lo_f, hi_f = _extrema(w)
-            lo_c, hi_c = _extrema(w[::2, ::2])  # the first rung's coarse extrema
-            for i, p in enumerate(batch):
-                if p in coarse:
-                    lo_c[i], hi_c[i] = coarse.pop(p)
-            _, _, width, tol = _richardson((lo_f, hi_f), (lo_c, hi_c))
-            opened = width[:, j] > tol[:, j]
-            touching = lo_f[:, j + 1] - hi_f[:, j] <= _GAP_FLOOR
-        del w  # before the plaquette field's temporaries
-        for i, p in enumerate(batch):
-            if p not in gap_rung:
-                continue
-            if opened[i]:
-                del gap_rung[p]
-            elif touching[i] or N >= _MAX_GRID:
-                del gap_rung[p]
-                results[p] = ValueError(f"gapless: gap {gap_index} is not open on a {N}x{N} grid")
-            else:
-                coarse[p], gap_rung[p] = (lo_f[i], hi_f[i]), 2 * N
-        keep = [i for i, p in enumerate(batch) if results[p] is None
-                and _on_ladder(N, start) and not _curvature_rung(fields[p], start)[1]]
-        if keep:
-            F = plaquette_field((v if len(keep) == len(batch) else v[:, :, keep])[..., :gap_index])
-            peaks = np.abs(F).max(axis=(0, 1))
-            sums = np.moveaxis(F, 2, 0).copy().sum(axis=(1, 2))  # each model's own contiguous sum
-            for i, peak, total in zip(keep, peaks, sums):
-                fields[batch[i]][N] = (peak, total)
-
-    while True:
-        rungs: dict[int, list[int]] = {}
-        for p, result in enumerate(results):
-            if result is None:
-                side = gap_rung[p] if p in gap_rung else _curvature_rung(fields[p], start)[0]
-                rungs.setdefault(side, []).append(p)
-        if not rungs:
-            return results
-        N = min(rungs)
+    # open gap checks, each with the rung below's fine extrema (None on the first rung)
+    coarse: dict = dict.fromkeys(range(len(models)))
+    curvature: dict = {}  # the ChernResult of each model whose curvature is final
+    N = _even_grid(grid)
+    while pending := [p for p, result in enumerate(results) if result is None]:
         step = max(1, _MAX_GRID**2 // N**2)
-        for at in range(0, len(rungs[N]), step):
-            read(rungs[N][at:at + step], N)
-        for p, result in enumerate(results):
-            if result is None and p not in gap_rung:
-                side, final = _curvature_rung(fields[p], start)
-                if final:
-                    total = _ORIENTATION * float(fields[p][side][1]) / (2.0 * np.pi)
-                    results[p] = ChernResult(value=int(np.rint(total)), curvature_sum=total,
-                                             grid=side)
+        for at in range(0, len(pending), step):
+            batch = pending[at:at + step]
+            w, v = _eigh(_bloch_grids([models[p] for p in batch], N))
+            if any(p in coarse for p in batch):
+                lo_f, hi_f = _extrema(w)
+                lo_c, hi_c = _extrema(w[::2, ::2])  # the first rung's coarse extrema
+                for i, p in enumerate(batch):
+                    if coarse.get(p) is not None:
+                        lo_c[i], hi_c[i] = coarse[p]
+                _, _, width, tol = _richardson((lo_f, hi_f), (lo_c, hi_c))
+                opened = width[:, j] > tol[:, j]
+                touching = lo_f[:, j + 1] - hi_f[:, j] <= _GAP_FLOOR
+            del w  # before the plaquette field's temporaries
+            for i, p in enumerate(batch):
+                if p not in coarse:
+                    continue
+                if opened[i]:
+                    del coarse[p]
+                elif touching[i] or N >= _MAX_GRID:
+                    del coarse[p]
+                    results[p] = ValueError(f"gapless: gap {gap_index} is not open on a {N}x{N} grid")
+                else:
+                    coarse[p] = (lo_f[i], hi_f[i])
+            keep = [i for i, p in enumerate(batch) if results[p] is None and p not in curvature]
+            if keep:
+                F = plaquette_field((v if len(keep) == len(batch) else v[:, :, keep])[..., :gap_index])
+                peaks = np.abs(F).max(axis=(0, 1))
+                sums = np.moveaxis(F, 2, 0).copy().sum(axis=(1, 2))  # each model's own contiguous sum
+                for i, peak, total in zip(keep, peaks, sums):
+                    if peak <= 1.0 or N >= _MAX_GRID:
+                        total = _ORIENTATION * float(total) / (2.0 * np.pi)
+                        curvature[batch[i]] = ChernResult(value=int(np.rint(total)),
+                                                          curvature_sum=total, grid=N)
+            for p in batch:
+                if results[p] is None and p not in coarse:
+                    results[p] = curvature.get(p)
+        N *= 2
+    return results
 
 
 def chern_number(
@@ -362,33 +328,33 @@ def chern_number(
 ) -> ChernResult:
     """Chern number of the Fermi projection below the ``gap_index``-th gap.
 
-    The gap is certified first, on one doubling ladder: rungs grid * 2^k
-    (grid rounded up to an even side >= 8) up to the first one at or
-    above ``_MAX_GRID``, each judged like ``band_structure`` at that
-    side. The first rung's coarse extrema are its fine grid's even
-    sublattice, and each later rung's are the rung below. The check
-    raises ValueError ("gapless") when no rung opens the gap, and at
-    once when a rung's raw fine width lo_f[j+1] - hi_f[j] is at most
+    Both the gap check and the curvature loop climb one doubling ladder:
+    rungs N * 2^k, with the grid rounded up like ``band_structure`` to an
+    even side N >= 8, up to the first one at or above ``_MAX_GRID``. Each
+    rung is one solve (``_eigh``: closed form for two orbitals, numpy
+    ``eigh`` otherwise), its eigenvalues read by the gap check and its
+    vectors by the curvature loop, until each has its answer.
+
+    The gap check judges each rung like ``band_structure`` at that side.
+    The first rung's coarse extrema are its fine grid's even sublattice,
+    and each later rung's are the rung below. The check raises
+    ValueError ("gapless") when no rung opens the gap, and at once when
+    a rung's raw fine width lo_f[j+1] - hi_f[j] is at most
     ``_GAP_FLOOR``. That early exit cannot change a verdict: grid 2N
     holds grid N bit for bit, so the fine extrema only spread as the
     ladder climbs; the Richardson edges lie outside the fine ones
     (lo <= lo_f, hi >= hi_f); and every open tolerance is at least
     ``_GAP_FLOOR``. No later width can then exceed its tolerance.
 
-    The plaquette link-variable discretization then runs on the grids
-    grid * 2^k (grid raised to at least 4), doubling while any plaquette
-    field strength exceeds 1 radian and stopping at the first rung at or
-    above ``_MAX_GRID``, which keeps the rounded sum an exact integer on
+    The curvature loop sums the plaquette field (``plaquette_field``) of
+    the first rung whose field strength stays within 1 radian everywhere,
+    or of the last rung, which keeps the rounded sum an exact integer on
     gapped models. At the default gap index 1 each link is the one-band
-    overlap itself, with no determinant.
+    overlap itself, with no determinant. So a point that certifies on
+    the first rung and needs no doubling costs one solve.
 
-    This is ``chern_numbers`` on one model: both ladders read one solve
-    per grid side (``_eigh``: closed form for two orbitals, numpy
-    ``eigh`` otherwise), made at most once per call: its eigenvalues give
-    the gap check's extrema, its vectors the plaquette field. For an even
-    grid >= 8 both ladders walk the same sides, so a point that certifies
-    on the first rung and needs no doubling costs one solve. Raises
-    ValueError for a grid below 1.
+    This is ``chern_numbers`` on one model. Raises ValueError for a grid
+    below 1.
     """
     result = chern_numbers([model], gap_index, grid)[0]
     if isinstance(result, ValueError):

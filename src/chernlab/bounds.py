@@ -201,17 +201,17 @@ def _golden(f, xa: float, xb: float, xc: float, xtol: float):
 
 
 def strong_disorder_threshold(model: HoppingModel, spec: DistributionSpec) -> ThresholdReport:
-    """Grid infimum of [C_{s,tau} * sup-row-sum(s, mu)]^{1/s} over s and mu.
+    """Grid infimum of [C_{s,tau} * sup-row-sum(s)]^{1/s} over s.
 
     C_{s,tau} = tau (2^tau C_tau)^{s/tau} / (tau - s), the 2^tau being
-    the one-sided-to-two-sided window conversion. The row sum weighs
-    each hopping block by e^{mu |delta|} >= 1, so for every s the
-    infimum over mu >= 0 sits at mu = 0, and only s is scanned, on 64
-    geometric points of [0.01 tau, 0.99 tau]. The block magnitudes are
-    taken once, and the row sums of the whole grid are one array
-    expression. The best s cell gets one golden-section refinement
-    (``_golden``, in this module), which is skipped when its bracket is
-    flat or monotone: the grid point is then already optimal.
+    the one-sided-to-two-sided window conversion. The row sum is the
+    mu = 0 one: a weight e^{mu |delta|} >= 1 on each hopping block could
+    only raise it, so mu is not scanned. s is scanned on 64 geometric
+    points of [0.01 tau, 0.99 tau]. The block magnitudes are taken once,
+    and the row sums of the whole grid are one array expression. The
+    best s cell gets one golden-section refinement (``_golden``, in this
+    module), which is skipped when its bracket is flat or monotone: the
+    grid point is then already optimal.
     """
     tau, C2 = spec.tau, 2.0 ** spec.tau * spec.C_tau
     s_grid = np.geomspace(0.01 * tau, 0.99 * tau, 64)

@@ -30,40 +30,35 @@ def _positions(box: Box, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-def _window_rows(box: Box, n: int, window_L: int,
-                 center: tuple[int, int] = (0, 0)) -> tuple[np.ndarray, int]:
+def _window_rows(box: Box, n: int, window_L: int) -> tuple[np.ndarray, int]:
     if window_L < 1:
         raise ValueError(f"window side {window_L} must be at least 1")
     if window_L > box.L:
         raise ValueError(f"window side {window_L} exceeds box side {box.L}")
-    off = window_L // 2
-    lo1, hi1 = center[0] - off, center[0] + (window_L - 1 - off)
-    lo2, hi2 = center[1] - off, center[1] + (window_L - 1 - off)
+    # centered like the box, so a window no wider than the box lies inside it
+    lo, hi = -(window_L // 2), window_L - 1 - window_L // 2
     g = box.sites
-    sel = np.nonzero((g[:, 0] >= lo1) & (g[:, 0] <= hi1)
-                     & (g[:, 1] >= lo2) & (g[:, 1] <= hi2))[0]
-    if len(sel) != window_L * window_L:
-        raise ValueError("window (with its center offset) leaves the box")
+    sel = np.nonzero((g[:, 0] >= lo) & (g[:, 0] <= hi) & (g[:, 1] >= lo) & (g[:, 1] <= hi))[0]
     rows = (n * sel[:, None] + np.arange(n)[None, :]).ravel()
     return rows, len(sel)
 
 
-def chern_marker(P: ProjectionMatrix, box: Box, window_L: int,
-                 center: tuple[int, int] = (0, 0)) -> float:
+def chern_marker(P: ProjectionMatrix, box: Box, window_L: int) -> float:
     """Windowed trace of 2*pi*i P[[X1,P],[X2,P]]P per site.
 
     Position operators are diagonal in lattice coefficients. The window
-    should sit well inside the box (margin of about box.L/4) to keep
-    boundary artifacts out of the average. With P_r = V_r V^* the window
-    rows of P and L_i = (P_r X_i) V, the window trace is
-    tr(L1 L2^*) - tr(L2 L1^*), each trace one product of the flattened
-    L_i. Every product runs through scipy's BLAS, as the eigensolve
-    does (see ``finite_volume``). That difference is imaginary for any
-    vectors, so the marker is real and its real part is returned.
+    is centered at the origin, like the box, and should sit well inside
+    it (margin of about box.L/4) to keep boundary artifacts out of the
+    average. With P_r = V_r V^* the window rows of P and
+    L_i = (P_r X_i) V, the window trace is tr(L1 L2^*) - tr(L2 L1^*),
+    each trace one product of the flattened L_i. Every product runs
+    through scipy's BLAS, as the eigensolve does (see ``finite_volume``).
+    That difference is imaginary for any vectors, so the marker is real
+    and its real part is returned.
     """
     v = P.vectors
     n = v.shape[0] // box.size
-    rows, nsites = _window_rows(box, n, window_L, center)
+    rows, nsites = _window_rows(box, n, window_L)
     x1, x2 = _positions(box, n)
     Pr = _dot(v[rows], v, adjoint_b=True)
     L1 = _dot(Pr * x1, v).reshape(-1, 1, order="F")

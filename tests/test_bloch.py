@@ -144,6 +144,17 @@ def test_chern_ladder_solves_each_grid_once_up_to_max(monkeypatch):
     assert seen == [20, 40, 80, 160, 320]
 
 
+def test_odd_or_small_grid_walks_one_rounded_ladder(monkeypatch):
+    seen = spy_grids(monkeypatch)
+    # the curvature loop reads the gap check's rungs, rounded like
+    # band_structure: 25 -> 26, and 5 -> 8 doubling to 32
+    for model, grid, sides in ((PINNED_MODELS["deep"], 25, [26]),
+                               (PINNED_MODELS["near"], 5, [8, 16, 32])):
+        seen.clear()
+        chern_number(model, 1, grid)
+        assert seen == sides
+
+
 def phase_row(phi_index, rows, cols):
     """Models of one phase-diagram row, as ``phase-diagram --grid rowsxcols`` builds them."""
     phi = float(np.linspace(-np.pi, np.pi, rows)[phi_index])
@@ -273,12 +284,13 @@ def three_orbital_model():
 
 def test_three_orbital_model_keeps_numpy_path():
     # captured before the closed-form 2x2 solve, with the float sums and
-    # edges re-captured for the one-product grid; n = 3 still goes to numpy
+    # edges re-captured for the one-product grid, and the grid-25 rows again
+    # once the curvature loop rounded grid 25 up to 26; n = 3 still goes to numpy
     m = three_orbital_model()
     for grid, gap_index, want in ((24, 1, (-1, -1.0000000000000002, 24)),
                                   (24, 2, (0, -1.1085645875407238e-16, 24)),
-                                  (25, 1, (-1, -1.0, 25)),
-                                  (25, 2, (0, -1.7195555451769061e-16, 25))):
+                                  (25, 1, (-1, -1.0, 26)),
+                                  (25, 2, (0, -1.0876115722299675e-16, 26))):
         res = chern_number(m, gap_index, grid)
         assert (res.value, res.curvature_sum, res.grid) == want, (grid, gap_index)
     bs = band_structure(m, 25)
@@ -300,9 +312,11 @@ def test_chern_certifies_gap_near_curve(m):
 # from before the gap check and the curvature loop shared their solves;
 # the curvature sums were re-captured with the closed-form 2x2 solve,
 # which moved 15 of them in the last bits, and again with the one-product
-# grid and the one-band link, which moved 10. Grids 1, 4 and 5 start the gap
-# ladder (8) and the curvature loop (4 or 5) on different sides, and 25
-# starts them on 26 and 25.
+# grid and the one-band link, which moved 10. Grids 5 and 25 were
+# re-captured once the curvature loop stopped starting on the raw grid (5
+# or 25) and started on the gap check's rounded rung (8 or 26), which moved
+# their grids and sums but no value; grids 1 and 4 already ended on the
+# gap check's rungs.
 PINNED_MODELS = {
     "deep": std_model(),
     "near": std_model(M=(3.0 * np.sqrt(3.0) - 0.5) * T2),
@@ -312,24 +326,24 @@ PINNED_MODELS = {
 CHERN_PINNED = {
     ("deep", 1): (-1, -1.0, 8),
     ("deep", 4): (-1, -1.0, 8),
-    ("deep", 5): (-1, -1.0000000000000002, 10),
+    ("deep", 5): (-1, -1.0, 8),
     ("deep", 20): (-1, -1.0, 20),
     ("deep", 24): (-1, -1.0, 24),
-    ("deep", 25): (-1, -1.0, 25),
+    ("deep", 25): (-1, -1.0, 26),
     ("deep", 32): (-1, -1.0, 32),
     ("near", 1): (-1, -1.0000000000000002, 32),
     ("near", 4): (-1, -1.0000000000000002, 32),
-    ("near", 5): (-1, -1.0000000000000002, 40),
+    ("near", 5): (-1, -1.0000000000000002, 32),
     ("near", 20): (-1, -1.0000000000000002, 40),
     ("near", 24): (-1, -1.0, 24),
-    ("near", 25): (-1, -1.0, 50),
+    ("near", 25): (-1, -1.0, 52),
     ("near", 32): (-1, -1.0000000000000002, 32),
     ("trivial", 1): (0, 3.533949646070574e-17, 8),
     ("trivial", 4): (0, 3.533949646070574e-17, 8),
-    ("trivial", 5): (0, 4.417437057588218e-17, 5),
+    ("trivial", 5): (0, 3.533949646070574e-17, 8),
     ("trivial", 20): (0, -5.300924469105861e-17, 20),
     ("trivial", 24): (0, -3.533949646070574e-17, 24),
-    ("trivial", 25): (0, -7.067899292141149e-17, 25),
+    ("trivial", 25): (0, 0.0, 26),
     ("trivial", 32): (0, -5.300924469105861e-17, 32),
 }
 # (bands, gaps, gap_sizes, gap_open, grid) per (model, grid). gap_open and

@@ -56,10 +56,19 @@ def test_marker_haldane_signs(proj_plus, proj_minus):
     assert rm == pytest.approx(+1.0, abs=0.15)
 
 
-def test_marker_center_translation_stability(proj_plus):
-    base = chern_marker(proj_plus, BOX16, 6)
-    for center in ((1, 0), (0, 1), (-1, -1)):
-        assert abs(chern_marker(proj_plus, BOX16, 6, center) - base) < 0.05
+def test_marker_center_translation_stability():
+    # the window stays at the origin; translating a disordered periodic
+    # sample by c moves the window to -c relative to the sample (a clean
+    # sample would not change)
+    m = haldane_model(HaldaneParams(t1=1.0, t2=T2, phi=math.pi / 2, M=0.0))
+    sample = sample_potential(truncated_gaussian(2.0), BOX16, m.n, 3, 0)
+    v = add_potential(restrict_periodic(m, BOX16), sample, 0.3).eigenpairs(hi=0.0)[1]
+    base = chern_marker(ProjectionMatrix(v), BOX16, 6)
+    sites = np.arange(BOX16.size).reshape(BOX16.L, BOX16.L)
+    for c in ((1, 0), (0, 1), (-1, -1)):
+        moved = np.roll(sites, (-c[0], -c[1]), axis=(0, 1)).ravel()
+        rows = (m.n * moved[:, None] + np.arange(m.n)).ravel()
+        assert abs(chern_marker(ProjectionMatrix(v[rows]), BOX16, 6) - base) < 0.05
 
 
 def test_marker_rank_one_localized_vanishes():
@@ -85,9 +94,6 @@ def test_projection_rejects_non_orthonormal_vectors():
 def test_marker_window_validation(proj_plus):
     with pytest.raises(ValueError):
         chern_marker(proj_plus, BOX16, 17)
-    with pytest.raises(ValueError):
-        # window legal by size but pushed out of the box by its center
-        chern_marker(proj_plus, BOX16, 8, center=(7, 0))
     for side in (0, -1):
         with pytest.raises(ValueError, match=f"window side {side} must be at least 1"):
             chern_marker(proj_plus, BOX16, side)
@@ -95,14 +101,14 @@ def test_marker_window_validation(proj_plus):
             chern_marker_triple(proj_plus, BOX16, side)
 
 
-def _reference_marker(m, box, window_L, center=(0, 0)):
+def _reference_marker(m, box, window_L):
     """The dense O(N^3) evaluation of the windowed marker from the matrix P."""
     n = m.shape[0] // box.size
     x1, x2 = _positions(box, n)
     A1 = x1[:, None] * m - m * x1[None, :]
     A2 = x2[:, None] * m - m * x2[None, :]
     core = m @ (A1 @ A2 - A2 @ A1) @ m
-    rows, nsites = _window_rows(box, n, window_L, center)
+    rows, nsites = _window_rows(box, n, window_L)
     raw = 2j * math.pi * np.sum(np.diagonal(core)[rows]) / nsites
     return float(raw.real)
 
@@ -120,9 +126,9 @@ def test_marker_rows_match_dense_reference(restrict, strength):
     # E = 0 in the clean gap, E = -1.3 in the lower clean band
     for E in (0.0, -1.3):
         P = ProjectionMatrix(op.eigenpairs(hi=E)[1])
-        for window_L, center in ((4, (0, 0)), (3, (2, -1))):
-            ref = _reference_marker(P.matrix, box, window_L, center)
-            assert abs(chern_marker(P, box, window_L, center) - ref) <= 1e-12
+        for window_L in (4, 3):
+            ref = _reference_marker(P.matrix, box, window_L)
+            assert abs(chern_marker(P, box, window_L) - ref) <= 1e-12
 
 
 def test_marker_equals_triple_full_box():
