@@ -577,6 +577,9 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
                                    or (key == "ensemble" and doc[key] is None)):
                 raise ConfigError(args.config, _key_line(args.config, key),
                                   f"{key} must be a JSON object, got {doc[key]!r}")
+        if "output" in doc and not isinstance(doc["output"], str):
+            raise ConfigError(args.config, _key_line(args.config, "output"),
+                              f"output must be a JSON string, got {doc['output']!r}")
         for key in ("distribution", "ensemble"):
             # null and {} stand for an unset section, as a sidecar records it
             if key not in command.sections and doc.get(key) not in (None, {}):

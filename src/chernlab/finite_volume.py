@@ -10,14 +10,14 @@ N x N matrix: ``matrix`` assembles one when read.
 
 Each operator is reduced once, lazily, to real tridiagonal form:
 LAPACK's ``zhetrd`` overwrites a freshly assembled Fortran buffer with
-its Householder reflectors, and divide and conquer on the tridiagonal
-(``dstevd``; Cuppen, Gu and Eisenstat) gives every eigenvalue and every
-eigenvector of the tridiagonal form. ``eigenpairs(lo, hi)``, the one
-way to read eigenvectors, returns the pair (values, vectors) of the
-eigenvalues in (lo, hi], all N by default, and back-transforms
-(``zunmqr``) only their columns. The eigenvalues and every such read
-come from that one reduction, so an energy read from ``eigenvalues``
-sits exactly on the state a projection counts. At
+its Householder reflectors. On the first read of eigenvalues, divide and
+conquer on the tridiagonal (``dstevd``; Cuppen, Gu and Eisenstat) gives
+every eigenvalue and every eigenvector of the tridiagonal form.
+``eigenpairs(lo, hi)``, the one way to read eigenvectors, returns the
+pair (values, vectors) of the eigenvalues in (lo, hi], all N by default,
+and back-transforms (``zunmqr``) only their columns. The eigenvalues and
+every such read come from that one reduction, so an energy read from
+``eigenvalues`` sits exactly on the state a projection counts. At
 N = 648 on 2 vCPUs (side 18, truncated Gaussian a = 2 at lam = 0.1 and
 62.8, medians of 7) ``zhetrd`` took 58-69 ms, ``dstevd`` 22-24 ms and
 the occupied half's back-transform 20-21 ms: 121-128 ms in all, against
@@ -30,37 +30,35 @@ all N eigenvectors. ``green_function`` is its test oracle. The raw
 LAPACK calls check nothing; the finiteness checks of ``HermitianEntries``
 and ``FiniteOperator`` stand in for scipy's ``check_finite``.
 
-The lower reduction leaves row 0 fixed: its reflectors act on rows
-1..N-1, stored one row below the rows they act on, and that offset
-would make f2py copy both them and the columns they act on. So the
-operator is assembled with every index advanced by one (mod N), row
-and column i of H sitting at row and column i + 1 of the buffer, and
-the reduced buffer is moved up one row in place. The reflectors then
-act on rows 0..N-2, which are rows 0..N-2 of H, and leave row N-1 of H
-fixed, the one the shifted buffer kept at row 0. f2py then hands the
-reflectors and the columns to LAPACK as they are, and the eigenvectors
-come out in the rows of H.
+The lower reduction leaves row 0 fixed, and its reflectors act on rows
+1..N-1, stored one row below the rows they act on. In the flat Fortran
+buffer the N x (N-1) view that starts one element in holds them in the
+rows they act on; its last row is row 0 of the buffer right of the
+diagonal, which the lower reduction never reads and which is cleared.
+The columns they act on are the same view of the output buffer, one
+element longer than the vectors. So f2py hands both to LAPACK as they
+are, and the eigenvectors come out in the rows of H.
 
 Statistics that count eigenvalues form none. ``counts(xs)`` reads the
-number of eigenvalues <= x for a grid of energies from one values-only
-``zhetrd`` of a buffer the operator is assembled straight into, caching
-nothing, and one Sturm count of the tridiagonal per energy
-(``dstebz``; Barth, Martin and Wilkinson): a few O(N) passes each,
-against O(N^2) for every eigenvalue. At N = 128 (side 8, 2 vCPUs) a
-count took 5-8 us and the root-free QR of all eigenvalues 0.31 ms.
+number of eigenvalues <= x for a grid of energies from the same
+reduction, with no tridiagonal eigensolve, and one Sturm count of the
+tridiagonal per energy (``dstebz``; Barth, Martin and Wilkinson): a
+few O(N) passes each, against O(N^2) for every eigenvalue. At N = 128
+(side 8, 2 vCPUs) a count took 5-8 us and the root-free QR of all
+eigenvalues 0.31 ms.
 A count may differ from one read off ``eigenvalues`` only at an
 eigenvalue within rounding of x. Statistics that count eigenvalues
 below and at one energy x read ``inertia(x)``: one Bunch-Kaufman factor
 (``zhetrf``) of the assembled H - x, whose pivots count the eigenvalues
 below and at x by Sylvester's law of inertia, with no reduction at all.
-So the finite volume calls one LAPACK, scipy's. The shifted
-H - x of ``inertia`` and ``resolvent_columns`` is refused when its
-diagonal is not finite (lam v - x can overflow). A spectral
-projection (``ProjectionMatrix``) is held by its occupied eigenvectors
-V (N x k) and forms P = V V^* only when a caller reads ``matrix``; the
-windowed marker reads rows of P from V alone. A probe scanning energies
-reads ``eigenpairs`` once, up to its top energy, and takes the leading
-columns below each energy of its grid.
+So the finite volume calls one LAPACK, scipy's. Every LAPACK path
+assembles H - x through one helper, at x = 0 for the reduction, and
+refuses it when its diagonal is not finite (lam v - x can overflow).
+A spectral projection (``ProjectionMatrix``) is held by its occupied
+eigenvectors V (N x k) and forms P = V V^* only when a caller reads
+``matrix``; the windowed marker reads rows of P from V alone. A probe
+scanning energies reads ``eigenpairs`` once, up to its top energy, and
+takes the leading columns below each energy of its grid.
 Gap-membership arguments should use the periodic restriction: open
 boundaries of a topologically nontrivial model carry in-gap edge modes.
 
@@ -110,9 +108,9 @@ class HermitianEntries:
     Checked once, when built: each entry is compared with the conjugate
     of its partner at (col, row), or with 0 if there is none, which are
     the |m - m^*| values of the dense matrix m. Because no pair repeats,
-    ``dense`` assembles m with ``model.dense_from_entries`` by one
-    assignment of every entry, and adds a diagonal through a strided
-    view of the buffer.
+    ``dense`` assembles m, in the order of its indices, with
+    ``model.dense_from_entries`` by one assignment of every entry, and
+    adds a diagonal through a strided view of the buffer.
     """
 
     size: int
@@ -137,18 +135,10 @@ class HermitianEntries:
         for a in (self.rows, self.cols, self.vals):
             a.flags.writeable = False
 
-    def dense(self, diagonal: np.ndarray | None = None, order: str = "C",
-              shift: int = 0) -> np.ndarray:
-        """The matrix plus diag(``diagonal``), added after every entry.
-
-        With ``shift`` s, entry (i, j) lands at ((i + s) mod N, (j + s) mod N).
-        """
+    def dense(self, diagonal: np.ndarray | None = None, order: str = "C") -> np.ndarray:
+        """The matrix plus diag(``diagonal``), added after every entry."""
         N = self.size
-        rows, cols = self.rows, self.cols
-        if shift:
-            rows, cols = (rows + shift) % N, (cols + shift) % N
-            diagonal = None if diagonal is None else np.roll(diagonal, shift)
-        H = dense_from_entries(N, rows, cols, self.vals, order)
+        H = dense_from_entries(N, self.rows, self.cols, self.vals, order)
         if diagonal is not None:
             # entries (i, i) are N + 1 apart in either layout
             H.reshape(-1, order="A")[::N + 1] += diagonal
@@ -159,18 +149,19 @@ class ResonantEnergy(ValueError):
     """The energy of a resolvent is an eigenvalue: H - E is singular."""
 
 
-class _Tridiagonal(NamedTuple):
-    """An operator H reduced to a real tridiagonal T.
+class _Reduction(NamedTuple):
+    """An operator H reduced to a real tridiagonal T = Q^* H Q.
 
-    ``values`` are the ascending eigenvalues and the columns of ``z`` the
-    eigenvectors of T. ``reflectors`` (N x (N - 1)) and ``tau`` hold a
-    unitary Q as Householder reflectors on rows 0..N-2 of H; with z' a
-    column of z whose row 0 is moved last, Q z' is an eigenvector of H
-    (see the module docstring).
+    ``d`` and ``e`` are the diagonal and off-diagonal of T, e padded to
+    one zero for N = 1, where the tridiagonal drivers still read one
+    value. ``reflectors`` (N x (N - 1)) and ``tau`` hold Q as Householder
+    reflectors on rows 0..N-2 of their N rows, which are rows 1..N-1 of
+    H; their last row is zero (see the module docstring). For an
+    eigenvector z of T, Q z is an eigenvector of H.
     """
 
-    values: np.ndarray
-    z: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
 
@@ -180,50 +171,36 @@ def _lapack_info(name: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info}")
 
 
-def _hetrd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a, d, e, tau): ``zhetrd`` (lower) on the Hermitian Fortran buffer a,
-    which it overwrites with its reflectors, and the diagonal d and
-    off-diagonal e of the real tridiagonal T; e is padded to one zero
-    for N = 1, where the tridiagonal drivers still read one value."""
-    N = a.shape[0]
+def _reduce(op: FiniteOperator) -> _Reduction:
+    """``zhetrd`` (lower) on the operator assembled in its own index
+    order, which it overwrites with its reflectors."""
+    N = op.entries.size
     work, info = lapack.zhetrd_lwork(N, lower=1)
     _lapack_info("zhetrd_lwork", info)
-    a, d, e, tau, info = lapack.zhetrd(a, lower=1, lwork=int(work.real), overwrite_a=1)
+    a, d, e, tau, info = lapack.zhetrd(_shifted(op, 0.0), lower=1, lwork=int(work.real),
+                                       overwrite_a=1)
     _lapack_info("zhetrd", info)
-    return a, d, e if N > 1 else np.zeros(1), tau
-
-
-def _reduce(entries: HermitianEntries, potential: np.ndarray | None) -> _Tridiagonal:
-    """Reduce the operator once, on the index-shifted buffer, solve the
-    tridiagonal by ``dstevd`` and move the reflectors up one row."""
-    N = entries.size
-    a, d, e, tau = _hetrd(entries.dense(potential, order="F", shift=1))
-    w, z, info = lapack.dstevd(d, e, compute_v=1)
-    _lapack_info("dstevd", info)
-    # move every column up one row in place (a 1-D shift of the
-    # column-major buffer) and clear the last row; the diagonal, now in
-    # the previous column's last row, is not read
-    flat = a.reshape(-1, order="F")
-    flat[:-1] = flat[1:]
-    a[-1] = 0.0
-    w.flags.writeable = False
-    return _Tridiagonal(w, z, a[:, :N - 1], tau)
+    a[0, 1:] = 0.0  # the last row of the reflectors' view
+    reflectors = a.reshape(-1, order="F")[1:1 + N * (N - 1)].reshape(N, N - 1, order="F")
+    return _Reduction(d, e if N > 1 else np.zeros(1), reflectors, tau)
 
 
 def _back_transform(z: np.ndarray, reflectors: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The eigenvectors Q z' of H for the tridiagonal eigenvector columns z.
+    """The eigenvectors Q z of H for the tridiagonal eigenvector columns z.
 
-    z' is z with row 0 moved last, the rows of H in the order the
-    reflectors act on; ``zunmqr`` overwrites a copy of it in place.
+    ``zunmqr`` overwrites a copy of z in place, through the view of its
+    flat Fortran buffer that starts one element in: the rows 1..N-1 of
+    each column that the reflectors act on, and a row they leave fixed.
     """
     N, k = z.shape
-    out = np.empty((N, k), dtype=complex, order="F")
-    out[:N - 1] = z[1:]
-    out[N - 1] = z[0]
+    flat = np.empty(N * k + 1, dtype=complex)
+    out = flat[:N * k].reshape(N, k, order="F")
+    out[:] = z
     if N > 1 and k:
-        _, work, info = lapack.zunmqr("L", "N", reflectors, tau, out, -1, overwrite_c=1)
+        c = flat[1:].reshape(N, k, order="F")
+        _, work, info = lapack.zunmqr("L", "N", reflectors, tau, c, -1, overwrite_c=1)
         _lapack_info("zunmqr", info)
-        _, _, info = lapack.zunmqr("L", "N", reflectors, tau, out, int(work[0].real),
+        _, _, info = lapack.zunmqr("L", "N", reflectors, tau, c, int(work[0].real),
                                    overwrite_c=1)
         _lapack_info("zunmqr", info)
     return out
@@ -260,22 +237,31 @@ class FiniteOperator:
         return self.entries.dense(self.potential)
 
     @cached_property
-    def _tridiagonal(self) -> _Tridiagonal:
-        return _reduce(self.entries, self.potential)
+    def _reduction(self) -> _Reduction:
+        return _reduce(self)
 
     @cached_property
+    def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, z): the ascending eigenvalues and eigenvectors of T."""
+        t = self._reduction
+        w, z, info = lapack.dstevd(t.d, t.e, compute_v=1)
+        _lapack_info("dstevd", info)
+        w.flags.writeable = False
+        return w, z
+
+    @property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, from the one tridiagonal reduction."""
-        return self._tridiagonal.values
+        return self._tridiagonal[0]
 
     def counts(self, xs) -> np.ndarray:
         """The number of eigenvalues <= x for each x of ``xs``, in its order.
 
-        The operator is assembled straight into the buffer a values-only
-        ``zhetrd`` overwrites (nothing is cached). An x below T's
-        Gershgorin interval [lo, hi] counts 0 and an x >= hi counts N,
-        x = +-inf among them, with no call; any other x is one Sturm
-        count of the tridiagonal T: ``dstebz`` over (gl, x], with gl
+        The counts read the tridiagonal T of the operator's one
+        reduction, and no eigenvalue of it. An x below T's Gershgorin
+        interval [lo, hi] counts 0 and an x >= hi counts N, x = +-inf
+        among them, with no call; any other x is one Sturm count of the
+        tridiagonal T: ``dstebz`` over (gl, x], with gl
         below lo, so that nothing lies at or below it, and an infinite
         tolerance, so that bisection stops after its first halving. A
         NaN x raises ValueError. A count may differ from one of
@@ -285,7 +271,7 @@ class FiniteOperator:
         if np.any(np.isnan(xs)):
             raise ValueError("cannot count eigenvalues up to NaN")
         N = self.entries.size
-        _, d, e, _ = _hetrd(self.entries.dense(self.potential, order="F"))
+        d, e = self._reduction.d, self._reduction.e
         radii = np.zeros(N)
         radii[:-1] += np.abs(e[:N - 1])
         radii[1:] += np.abs(e[:N - 1])
@@ -348,8 +334,8 @@ class FiniteOperator:
         if a >= b:
             v = np.empty((len(w), 0), dtype=complex)
         else:
-            t = self._tridiagonal
-            v = _back_transform(t.z[:, a:b], t.reflectors, t.tau)
+            t = self._reduction
+            v = _back_transform(self._tridiagonal[1][:, a:b], t.reflectors, t.tau)
         v.flags.writeable = False
         return w[a:b], v
 
@@ -457,8 +443,10 @@ def restrict_periodic(model: HoppingModel, box: Box) -> FiniteOperator:
 
 
 def _shifted(op: FiniteOperator, x: float) -> np.ndarray:
-    """H - x for real x, assembled into a Fortran buffer for LAPACK to
-    overwrite; ValueError if its diagonal is not finite."""
+    """H - x for real x, assembled in its own index order into a Fortran
+    buffer for LAPACK to overwrite; ValueError if its diagonal is not
+    finite. Every LAPACK path assembles here, the reduction at x = 0,
+    where the buffer holds the bytes of ``matrix``."""
     x = float(x)
     with np.errstate(over="ignore"):  # refused below
         diagonal = np.full(op.entries.size, -x) if op.potential is None else op.potential - x

@@ -39,7 +39,7 @@ from .finite_volume import (
 )
 from .lattice import Box, box_sites, core_sites, inner_boundary
 from .model import HoppingModel
-from .topology import chern_marker
+from .topology import _check_window, chern_marker
 
 __all__ = [
     "EnsembleConfig",
@@ -399,13 +399,13 @@ class IdsRow:
 def ids_estimate(cfg: EnsembleConfig, E_grid) -> list[IdsRow]:
     """Per-site state count up to E: mean of rank/|box| over the ensemble.
 
-    Each realization is one ``counts`` call: a values-only reduction and
-    one Sturm count per energy of ``E_grid``, with no eigenvalue formed.
-    A count costs a few O(N) passes, so the grid is cheaper than forming
-    all N eigenvalues while it holds fewer than about N/2 energies: on
-    2 vCPUs the two cost the same at about 40-60 energies at side 8
-    (N = 128), 140 at side 12 and 300-330 at side 18. The reduction
-    itself, O(N^3), costs the same either way.
+    Each realization is one ``counts`` call: a reduction with no
+    tridiagonal eigensolve and one Sturm count per energy of ``E_grid``,
+    with no eigenvalue formed. A count costs a few O(N) passes, so the
+    grid is cheaper than forming all N eigenvalues while it holds fewer
+    than about N/2 energies: on 2 vCPUs the two cost the same at about
+    40-60 energies at side 8 (N = 128), 140 at side 12 and 300-330 at
+    side 18. The reduction itself, O(N^3), costs the same either way.
     """
     box = box_sites(cfg.box_L)
     energies = [float(E) for E in E_grid]
@@ -434,13 +434,15 @@ def averaged_marker_scan(cfg: EnsembleConfig, E_grid, lam_grid,
 
     Realization k reuses the same potential draw across the whole lam
     grid (coupled columns), so the lam = 0 column is exactly the clean
-    marker. Window defaults to a third of the box. Each operator
+    marker. Window defaults to a third of the box; a side below 1 or
+    above the box side is refused before the first draw. Each operator
     back-transforms its eigenvectors once, up to the top energy of the
     grid.
     """
     box = box_sites(cfg.box_L)
     if window_L is None:
         window_L = max(2, cfg.box_L // 3)
+    _check_window(cfg.box_L, window_L)
     energies = [float(E) for E in E_grid]
     lams = [float(x) for x in lam_grid]
 

@@ -30,11 +30,16 @@ def _positions(box: Box, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-def _window_rows(box: Box, n: int, window_L: int) -> tuple[np.ndarray, int]:
+def _check_window(L: int, window_L: int) -> None:
+    """Refuse a window side below 1 or above the box side L."""
     if window_L < 1:
         raise ValueError(f"window side {window_L} must be at least 1")
-    if window_L > box.L:
-        raise ValueError(f"window side {window_L} exceeds box side {box.L}")
+    if window_L > L:
+        raise ValueError(f"window side {window_L} exceeds box side {L}")
+
+
+def _window_rows(box: Box, n: int, window_L: int) -> tuple[np.ndarray, int]:
+    _check_window(box.L, window_L)
     # centered like the box, so a window no wider than the box lies inside it
     lo, hi = -(window_L // 2), window_L - 1 - window_L // 2
     g = box.sites

@@ -605,6 +605,26 @@ def test_config_sections_must_be_json_objects(tmp_path, model_file, uniform_file
     assert json.loads((out / "ids.json").read_text())["config"]["ensemble"] == {}
 
 
+def test_config_output_must_be_a_json_string(tmp_path, model_file, uniform_file, capsys,
+                                             monkeypatch):
+    # an output that is not a string is refused on its line (exit 2)
+    # before anything runs, with or without --out
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "cfg.json"
+    for value in (5, None, ["run"]):
+        cfg.write_text(json.dumps({"command": "ids", "output": value,
+                                   "scan": {"energy_grid": [-1.0, 1.0, 3]}}, indent=2))
+        line = 1 + ['"output"' in text for text in cfg.read_text().splitlines()].index(True)
+        for out in ([], ["--out", str(tmp_path / "run")]):
+            assert main(["ids", "--config", str(cfg), "--model", model_file,
+                         "--dist", uniform_file, *out]) == 2, (value, out)
+            assert capsys.readouterr().err == (f"error: {cfg}:{line}: output must be a "
+                                               f"JSON string, got {value!r}\n")
+    assert not any(work.iterdir()) and not (tmp_path / "run").exists()
+
+
 def test_empty_scan_grids_are_rejected(tmp_path, model_file, uniform_file, tg_file, capsys,
                                        monkeypatch):
     # an empty grid is an error, not a header-only CSV; a config file's

@@ -122,9 +122,9 @@ def test_simple_spectrum_in_convex_hull():
 
 
 def test_counts_read_a_values_only_reduction(monkeypatch):
-    # the counting probes read counts(), one values-only zhetrd and a
-    # Sturm count per energy: no tridiagonal eigensolve, nothing cached;
-    # projections count the values of the full tridiagonal reduction
+    # the counting probes read counts(), the operator's one zhetrd and a
+    # Sturm count per energy: no tridiagonal eigensolve; projections count
+    # the values of the same reduction
     m = haldane_model(TOPO)
     box = box_sites(8)
     sample = sample_potential(uniform(1.0), box, 2, seed=3, realization_index=1)
@@ -138,7 +138,7 @@ def test_counts_read_a_values_only_reduction(monkeypatch):
         for name in ("dstevd", "dsterf"):
             patch.setattr(finite_volume.lapack, name, refuse)
         counts = op.counts(xs)
-    assert "_tridiagonal" not in vars(op)
+    assert "_reduction" in vars(op) and "_tridiagonal" not in vars(op)
     w, v = op.eigenpairs()
     assert np.array_equal(counts, np.searchsorted(w, xs, side="right"))
     assert np.array_equal(op.eigenvalues, w)
@@ -186,14 +186,13 @@ def test_counts_edge_cases(monkeypatch):
         op.counts([0.0, np.nan])
 
 
-def _add_at_reference(entries: HermitianEntries, diagonal, order: str,
-                      shift: int) -> np.ndarray:
+def _add_at_reference(entries: HermitianEntries, diagonal, order: str) -> np.ndarray:
     # the assembly as np.add.at on zeros, then a fancy-indexed diagonal
     N = entries.size
     H = np.zeros((N, N), dtype=complex, order=order)
-    np.add.at(H, ((entries.rows + shift) % N, (entries.cols + shift) % N), entries.vals)
+    np.add.at(H, (entries.rows, entries.cols), entries.vals)
     if diagonal is not None:
-        H[np.diag_indices(N)] += np.roll(diagonal, shift)
+        H[np.diag_indices(N)] += diagonal
     return H
 
 
@@ -214,11 +213,10 @@ def test_dense_equals_add_at_reference(restrict, params):
         for entries in (clean, conj):
             for diagonal in (None, 1.3 * sample, np.full(clean.size, -0.0)):
                 for order in ("C", "F"):
-                    for shift in (0, 1):
-                        H = entries.dense(diagonal, order=order, shift=shift)
-                        ref = _add_at_reference(entries, diagonal, order, shift)
-                        assert H.flags.f_contiguous == (order == "F")
-                        assert H.tobytes(order="A") == ref.tobytes(order="A"), (L, order, shift)
+                    H = entries.dense(diagonal, order=order)
+                    ref = _add_at_reference(entries, diagonal, order)
+                    assert H.flags.f_contiguous == (order == "F")
+                    assert H.tobytes(order="A") == ref.tobytes(order="A"), (L, order)
 
 
 @pytest.mark.parametrize("model, L", [(haldane_model(TOPO), 6), (haldane_model(TOPO), 12),
@@ -343,6 +341,55 @@ def test_slices_come_from_one_reduction(monkeypatch):
     assert len(transforms) == 3 and reductions == [1]
     assert np.max(np.abs(again - lower)) <= 1e-12
     assert op.eigenvalues is w
+
+
+def test_counts_values_and_slices_read_one_zhetrd(monkeypatch):
+    # counts, eigenvalues and two slices of one operator share one
+    # reduction and one tridiagonal eigensolve; the reduction's buffer is
+    # the operator assembled in its own index order, the bytes of
+    # matrix, and so is the buffer of every shifted factor at x = 0
+    calls = []
+    for name in ("zhetrd", "dstevd"):
+        f = getattr(finite_volume.lapack, name)
+        monkeypatch.setattr(finite_volume.lapack, name,
+                            lambda *a, name=name, f=f, **k: calls.append(name) or f(*a, **k))
+    box = box_sites(6)
+    sample = sample_potential(uniform(1.0), box, 2, seed=2, realization_index=0)
+    for op in (restrict_periodic(haldane_model(TOPO), box),
+               add_potential(restrict_periodic(haldane_model(TOPO), box), sample, 1.5)):
+        assert finite_volume._shifted(op, 0.0).tobytes(order="F") == op.matrix.tobytes(order="F")
+        # energies mid-gap, away from the clean box's degenerate levels
+        w0 = np.linalg.eigvalsh(op.matrix)
+        xs = 0.5 * (w0[1:] + w0[:-1])[np.diff(w0) > 1e-3]
+        calls.clear()
+        counts = op.counts(xs)
+        w = op.eigenvalues
+        _, lower = op.eigenpairs(hi=0.0)
+        _, upper = op.eigenpairs(lo=0.0)
+        assert calls == ["zhetrd", "dstevd"]
+        assert np.array_equal(counts, np.searchsorted(w, xs, side="right"))
+        v = np.hstack([lower, upper])
+        assert np.max(np.abs(op.matrix @ v - v * w)) <= 1e-12
+
+
+def test_back_transform_hands_lapack_its_buffers(monkeypatch):
+    # zunmqr reads F-contiguous reflectors and overwrites a view of the
+    # returned vectors, so f2py copies neither
+    seen = []
+    zunmqr = finite_volume.lapack.zunmqr
+
+    def spy(side, trans, a, tau, c, *args, **kwargs):
+        out = zunmqr(side, trans, a, tau, c, *args, **kwargs)
+        seen.append((a.flags.f_contiguous, a.dtype, c, out[0]))
+        return out
+
+    monkeypatch.setattr(finite_volume.lapack, "zunmqr", spy)
+    op = restrict_periodic(haldane_model(TOPO), box_sites(6))
+    _, v = op.eigenpairs(hi=0.0)
+    assert len(seen) == 2  # a workspace query and the transform
+    for f_contiguous, dtype, c, cq in seen:
+        assert f_contiguous and dtype == complex
+        assert np.shares_memory(c, cq) and np.shares_memory(c, v)
 
 
 def test_one_site_and_empty_slices():

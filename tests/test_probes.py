@@ -276,12 +276,12 @@ def test_ids_rank_counts(model):
 
 
 def test_count_probes_reduce_without_eigenvectors(model, monkeypatch):
-    # the IDS reads Sturm counts of the values-only reduction of scipy's
-    # LAPACK: no eigenvector reduction and no eigenvalue at all
+    # the IDS reads Sturm counts of the reduction of scipy's LAPACK: no
+    # tridiagonal eigensolve, no back-transform and no eigenvalue at all
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(finite_volume, "_reduce", refuse)
+    monkeypatch.setattr(finite_volume, "_back_transform", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     for name in ("dstevd", "dsterf"):
         monkeypatch.setattr(finite_volume.lapack, name, refuse)
@@ -399,6 +399,23 @@ def test_marker_scan_never_forms_projection(model, monkeypatch):
     assert formed == []
     N = 2 * 8 * 8
     assert shapes and (N, N) not in shapes
+
+
+def test_marker_scan_refuses_a_window_before_the_first_draw(model, monkeypatch):
+    # a window side below 1 or above the box side stops the scan before
+    # any draw or reduction
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(probes, "sample_potential", refuse)
+    monkeypatch.setattr(finite_volume.lapack, "zhetrd", refuse)
+    cfg = EnsembleConfig(model=model, spec=uniform(1.0), lam=1.0, box_L=6,
+                         bc="periodic", n_realizations=2, master_seed=1)
+    for side, message in ((0, "window side 0 must be at least 1"),
+                          (-2, "window side -2 must be at least 1"),
+                          (7, "window side 7 exceeds box side 6")):
+        with pytest.raises(ValueError, match=message):
+            averaged_marker_scan(cfg, [0.0], [0.0, 1.0], window_L=side)
 
 
 def _spy_back_transform(monkeypatch) -> list[int]:
@@ -636,13 +653,13 @@ def test_mean_stderr_matches_numpy_per_entry():
 # ---------------------------------------------------------------- pins
 # Exact reruns at nine realizations, for a fixed BLAS thread count: the
 # eigenvector probes (marker scan, moments, decay) move in the last bits
-# with OpenBLAS's threads. With OPENBLAS_NUM_THREADS=1 on a 2-vCPU
-# x86-64 machine the marker scan's (2.0, 0.0) stderr reads
-# 0.057186382499826195; these pins hold at the default thread count
-# there. The decay profile reduces each
-# distance class as one contiguous vector (pairwise summation); summing
-# realizations in sequence instead puts entry 2 of the means 0.3e-16
-# higher, at 0.11956450501676308.
+# with OpenBLAS's threads. These pins hold at the default thread count
+# of a 2-vCPU x86-64 machine. With OPENBLAS_NUM_THREADS=1 there the
+# moments and the decay profile read the same bits, and the marker
+# scan's stderrs at (2.0, 0.0) and (2.0, -1.0) read 0.05718638249982643
+# and 0.04599800550398923. The decay profile reduces each distance class
+# as one contiguous vector (pairwise summation); summing realizations in
+# sequence instead puts entry 1 of the means at 0.30991276927589123.
 
 
 def pin_cfg(model, spec, lam, L, seed):
@@ -662,16 +679,16 @@ PINNED = {
         lambda m: [(r.lam, r.E, r.mean, r.stderr) for r in averaged_marker_scan(
             pin_cfg(m, truncated_gaussian(2.0), 0.1, 8, 14), [0.0, -1.0], [0.5, 2.0],
             window_L=3)],
-        [(0.5, 0.0, -0.9771933505038226, 0.0017063234741142173),
-         (0.5, -1.0, -0.4243873796295448, 0.04065393787010068),
-         (2.0, 0.0, -0.513874741697609, 0.05718638249982621),
-         (2.0, -1.0, -0.2145664350894697, 0.0459980055039892)]),
+        [(0.5, 0.0, -0.9771933505038221, 0.0017063234741141688),
+         (0.5, -1.0, -0.42438737962954504, 0.04065393787010046),
+         (2.0, 0.0, -0.513874741697609, 0.0571863824998264),
+         (2.0, -1.0, -0.2145664350894691, 0.04599800550398924)]),
     "time_averaged_moment": (
         lambda m: [(r.mean, r.stderr) for r in time_averaged_moment(
             pin_cfg(m, uniform(1.0), 1.0, 8, 5), 2.0, (2.0, 0.5), [0.0, 1.0, 10.0])],
-        [(0.7432273357603024, 0.07694538363838832),
-         (0.7478433291081811, 0.07745437007539399),
-         (0.9281254328378734, 0.10544460673259631)]),
+        [(0.7432273357603016, 0.07694538363838839),
+         (0.7478433291081803, 0.07745437007539405),
+         (0.9281254328378714, 0.10544460673259598)]),
     "wegner_empirical": (
         lambda m: [(r.empirical, r.upper_99, r.bound) for r in wegner_empirical(
             pin_cfg(m, uniform(1.0), 2.0, 6, 1), 0.0, [0.002, 0.02, 0.1])],
@@ -689,10 +706,10 @@ PINNED = {
         lambda m: (lambda p: [p.fit_amplitude, p.fit_rate, p.r_squared, len(p.means),
                               p.means[:4].tolist(), p.stderrs[:4].tolist()])(
             projection_decay(pin_cfg(m, uniform(1.0), 1.0, 8, 3), (-0.2, 0.2))),
-        [0.2800447749302071, 0.9141713822761597, 0.8096887338917824, 15,
-         [1.0, 0.3099127692758912, 0.11956450501676305, 0.03915443127907149],
-         [5.703228632848237e-17, 0.00035033397808003513, 0.0001843508596009264,
-          0.00022781046555230702]]),
+        [0.2800447749302076, 0.9141713822761599, 0.8096887338917828, 15,
+         [1.0, 0.3099127692758912, 0.1195645050167631, 0.039154431279071505],
+         [6.136988677158579e-17, 0.0003503339780800482, 0.00018435085960092525,
+          0.0002278104655523067]]),
 }
 
 
