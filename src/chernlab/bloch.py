@@ -12,11 +12,13 @@ the coarse (N/2) band extrema of a Richardson pair are read off the fine
 (N) eigenvalues, and ``chern_number`` climbs one doubling ladder whose
 every solve serves both its gap check and its curvature loop.
 
-``chern_numbers`` climbs that ladder with a list of models, such as one
-row of the phase diagram, at most ``_MAX_GRID``^2 k-points a solve;
-``chern_number`` is the list of one. The plaquette field's links are
-overlap determinants, and for the one band below the first gap the
-overlap itself, with no determinant.
+``chern_ladder`` climbs that ladder with a hopping stack: the
+displacements of P models and their (D, P, n, n) blocks, such as the
+whole phase diagram, built at once by ``model.haldane_blocks``, at most
+``_MAX_GRID``^2 k-points a solve. ``chern_numbers`` stacks a list of
+models once and climbs it, and ``chern_number`` is the list of one. The
+plaquette field's links are overlap determinants, and for the one band
+below the first gap the overlap itself, with no determinant.
 
 Two-orbital models, the Haldane model among them, are solved in closed
 form by ``_eigh``, elementwise over the grid and with no LAPACK call, so
@@ -41,6 +43,7 @@ __all__ = [
     "plaquette_field",
     "chern_number",
     "chern_numbers",
+    "chern_ladder",
 ]
 
 # Fixed so that the half-flux honeycomb point phi=+pi/2, M=0 lands on
@@ -74,30 +77,40 @@ def bloch_matrix(model: HoppingModel, k) -> np.ndarray:
 
 def bloch_grid(model: HoppingModel, N: int) -> np.ndarray:
     """Stacked H(k) over the N x N uniform torus grid, shape (N, N, n, n)."""
-    return _bloch_grids([model], N)[:, :, 0]
+    return _bloch_grids(*_stack([model]), N)[:, :, 0]
 
 
-def _bloch_grids(models, N: int) -> np.ndarray:
-    """Stacked H(k) of models sharing one orbital count n over the N x N
-    uniform torus grid, shape (N, N, P, n, n) for P models.
-
-    One product: the (N, D) table exp(i k1 d1) times the (D, N P n^2)
-    stack of hopping blocks, each block already times exp(i k2 d2), over
-    the D displacements any of the models holds (a model without one
-    contributes a zero block). Unlike an (N^2, D) table of full phases,
-    no operand grows with N^2 (one would take 66 MB at side 768).
-    """
+def _stack(models) -> tuple[np.ndarray, np.ndarray]:
+    """The hopping stack of zero-flux models sharing one orbital count n:
+    the sorted displacements any of them holds, shape (D, 2), and the
+    (D, P, n, n) blocks of the P models, a zero block where a model lacks
+    one."""
     if any(m.flux != 0.0 for m in models):
         raise ValueError("Bloch analysis requires zero flux")
-    n, P = models[0].n, len(models)
+    if len({m.n for m in models}) > 1:
+        raise ValueError("models must share one orbital count")
+    n = models[0].n
     deltas = sorted(set().union(*(m.hoppings for m in models)))
-    D = len(deltas)
     zero = np.zeros((n, n), dtype=complex)
     blocks = np.array([[m.hoppings.get(d, zero) for m in models] for d in deltas], dtype=complex)
+    D, P = len(deltas), len(models)
+    return np.array(deltas, dtype=int).reshape(D, 2), blocks.reshape(D, P, n, n)
+
+
+def _bloch_grids(d: np.ndarray, blocks: np.ndarray, N: int) -> np.ndarray:
+    """Stacked H(k) of a hopping stack over the N x N uniform torus grid,
+    shape (N, N, P, n, n) for the (D, P, n, n) blocks at the D
+    displacements d, shape (D, 2).
+
+    One product: the (N, D) table exp(i k1 d1) times the (D, N P n^2)
+    stack of hopping blocks, each block already times exp(i k2 d2).
+    Unlike an (N^2, D) table of full phases, no operand grows with N^2
+    (one would take 66 MB at side 768).
+    """
+    D, P, n = blocks.shape[0], blocks.shape[1], blocks.shape[-1]
     ks = 2.0 * np.pi * np.arange(N) / N
-    d1, d2 = np.array(deltas, dtype=int).reshape(D, 2).T
-    rows = np.exp(1j * np.multiply.outer(ks, d1))
-    cols = np.exp(1j * np.multiply.outer(d2, ks))[:, :, None] * blocks.reshape(D, 1, P * n * n)
+    rows = np.exp(1j * np.multiply.outer(ks, d[:, 0]))
+    cols = np.exp(1j * np.multiply.outer(d[:, 1], ks))[:, :, None] * blocks.reshape(D, 1, P * n * n)
     H = rows @ cols.reshape(D, N * P * n * n)
     return H.reshape(N, N, P, n, n)
 
@@ -255,10 +268,20 @@ def plaquette_field(psi: np.ndarray) -> np.ndarray:
 
 
 def chern_numbers(models, gap_index: int = 1, grid: int = 24) -> list:
-    """``chern_number`` of each model: a list in the models' order holding
-    a ChernResult per gapped model and, per gapless one, the ValueError
-    that ``chern_number`` raises for it.
+    """``chern_number`` of each model: ``chern_ladder`` on the hopping stack
+    of the models, built once. The models must share one orbital count."""
+    models = list(models)
+    return chern_ladder(*_stack(models), gap_index, grid) if models else []
 
+
+def chern_ladder(deltas, blocks, gap_index: int = 1, grid: int = 24) -> list:
+    """``chern_number`` of each model of a hopping stack: a list in the
+    models' order holding a ChernResult per gapped model and, per gapless
+    one, the ValueError that ``chern_number`` raises for it.
+
+    The stack holds the zero-flux blocks of P models at D distinct
+    displacements ``deltas`` (any order; each grid sums them in ascending
+    order), shape (D, P, n, n), block [:, p] the hoppings of model p.
     Every unfinished model sits on the same rung of ``chern_number``'s
     ladder, so each model gets the same verdict, grid and message as
     alone. A rung solves the grids of all of them together, in batches of
@@ -266,24 +289,25 @@ def chern_numbers(models, gap_index: int = 1, grid: int = 24) -> list:
     and drops each batch once read: its eigenvalues advance the open gap
     checks, and its frames give the plaquette field of each model whose
     curvature is not yet final, of which only the sum of the final one is
-    kept. The models must share one orbital count.
+    kept.
     """
-    models = list(models)
-    if len({m.n for m in models}) > 1:
-        raise ValueError("models must share one orbital count")
-    if models and not (1 <= gap_index <= models[0].n - 1):
-        raise ValueError(f"gap index must be in 1..{models[0].n - 1}")
+    d = np.array(deltas, dtype=int).reshape(-1, 2)
+    order = np.lexsort((d[:, 1], d[:, 0]))
+    d, blocks = d[order], np.asarray(blocks, dtype=complex)[order]
+    P, n = blocks.shape[1], blocks.shape[-1]
+    if not 1 <= gap_index <= n - 1:
+        raise ValueError(f"gap index must be in 1..{n - 1}")
     j = gap_index - 1
-    results: list = [None] * len(models)
+    results: list = [None] * P
     # open gap checks, each with the rung below's fine extrema (None on the first rung)
-    coarse: dict = dict.fromkeys(range(len(models)))
+    coarse: dict = dict.fromkeys(range(P))
     curvature: dict = {}  # the ChernResult of each model whose curvature is final
     N = _even_grid(grid)
     while pending := [p for p, result in enumerate(results) if result is None]:
         step = max(1, _MAX_GRID**2 // N**2)
         for at in range(0, len(pending), step):
             batch = pending[at:at + step]
-            w, v = _eigh(_bloch_grids([models[p] for p in batch], N))
+            w, v = _eigh(_bloch_grids(d, blocks[:, batch], N))
             if any(p in coarse for p in batch):
                 lo_f, hi_f = _extrema(w)
                 lo_c, hi_c = _extrema(w[::2, ::2])  # the first rung's coarse extrema

@@ -40,9 +40,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .bloch import band_structure, chern_number, chern_numbers
+from .bloch import band_structure, chern_ladder, chern_number
 from .lattice import box_sites, core_sites
-from .model import HaldaneParams, _read_number, _read_numbers, haldane_model, model_from_json
+from .model import _read_number, _read_numbers, haldane_blocks, model_from_json
 
 if TYPE_CHECKING:
     from .probes import EnsembleConfig
@@ -417,20 +417,17 @@ def _run_phase_diagram(config: ExperimentConfig):
         raise ValueError(f"grid {rows_n}x{cols_n} needs at least one row and one column")
     t1 = _read_number(base, "t1", 1.0)
     t2 = _read_number(base, "t2", _DEFAULT_MODEL["t2"])
-    phis = np.linspace(-math.pi, math.pi, rows_n)
-    ms = np.linspace(-6.0, 6.0, cols_n)
+    # the whole (phi, M) grid, row-major in phi, as one hopping stack
+    phis, ms = (a.ravel() for a in np.meshgrid(np.linspace(-math.pi, math.pi, rows_n),
+                                               np.linspace(-6.0, 6.0, cols_n), indexing="ij"))
+    stack = haldane_blocks(t1, t2, phis, ms * t2, str(base.get("dimerization", "d3")))
     rows = []
-    for phi in phis:
-        models = [haldane_model(HaldaneParams(t1=t1, t2=t2, phi=float(phi),
-                                              M=float(m_over_t2) * t2,
-                                              dimerization=str(base.get("dimerization", "d3"))))
-                  for m_over_t2 in ms]
-        for m_over_t2, res in zip(ms, chern_numbers(models)):
-            if isinstance(res, ValueError):
-                c, status = 0, "gapless"  # on the critical curve
-            else:
-                c, status = res.value, "gapped"
-            rows.append((float(phi), float(m_over_t2), c, status))
+    for phi, m_over_t2, res in zip(phis.tolist(), ms.tolist(), chern_ladder(*stack)):
+        if isinstance(res, ValueError):
+            c, status = 0, "gapless"  # on the critical curve
+        else:
+            c, status = res.value, "gapped"
+        rows.append((phi, m_over_t2, c, status))
     return rows, {"t1": t1, "t2": t2}
 
 

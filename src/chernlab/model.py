@@ -25,6 +25,7 @@ __all__ = [
     "HoppingModel",
     "HaldaneParams",
     "haldane_model",
+    "haldane_blocks",
     "hopping_entries",
     "dense_from_entries",
     "check_magnetic_periodicity",
@@ -63,20 +64,31 @@ class HoppingModel:
             m = m.copy()
             m.flags.writeable = False
             clean[delta] = m
-        zero = np.zeros((self.n, self.n), dtype=complex)
-        # every block against its partner's adjoint in one comparison; a
-        # missing partner stands in as zero and is reported first
-        blocks = np.array(list(clean.values())).reshape(-1, self.n, self.n)
-        partners = np.array([clean.get((-d[0], -d[1]), zero) for d in clean])
-        partners = partners.reshape(blocks.shape).conj().swapaxes(1, 2)
-        far = np.abs(blocks - partners).max(axis=(1, 2)) > _HERMITICITY_TOL
-        for delta, bad in zip(clean, far):
-            neg = (-delta[0], -delta[1])
-            if neg not in clean:
-                raise ValueError(f"missing reverse hopping for {delta}")
-            if bad:
-                raise ValueError(f"hoppings for {delta} and {neg} are not Hermitian partners")
+        _check_partners(list(clean), np.array(list(clean.values())).reshape(-1, 1, self.n, self.n))
         object.__setattr__(self, "hoppings", clean)
+
+
+def _check_partners(deltas: list, blocks: np.ndarray) -> None:
+    """Refuse a hopping stack whose blocks are not Hermitian partners.
+
+    ``blocks`` has shape (D, P, n, n): the blocks of P models at the D
+    displacements ``deltas``. Every block is compared against its reverse
+    displacement's adjoint in one comparison over the whole stack; a
+    missing reverse stands in as zero. The first displacement in order
+    with a missing reverse, or with a partner off at any of the P models,
+    raises ValueError.
+    """
+    index = {delta: i for i, delta in enumerate(deltas)}
+    reverse = [index.get((-d[0], -d[1]), len(deltas)) for d in deltas]
+    padded = np.concatenate([blocks, np.zeros((1,) + blocks.shape[1:], dtype=complex)])
+    partners = padded[reverse].conj().swapaxes(-1, -2)
+    far = np.abs(blocks - partners).max(axis=(1, 2, 3), initial=0.0) > _HERMITICITY_TOL
+    for delta, rev, bad in zip(deltas, reverse, far):
+        neg = (-delta[0], -delta[1])
+        if rev == len(deltas):
+            raise ValueError(f"missing reverse hopping for {delta}")
+        if bad:
+            raise ValueError(f"hoppings for {delta} and {neg} are not Hermitian partners")
 
 
 @dataclass(frozen=True)
@@ -88,20 +100,36 @@ class HaldaneParams:
     dimerization: str = "d3"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t1) and self.t1 > 0.0):
-            raise ValueError("t1 must be finite and positive")
-        if not (math.isfinite(self.t2) and self.t2 >= 0.0):
-            raise ValueError("t2 must be finite and nonnegative")
-        if not math.isfinite(self.M):
-            raise ValueError("M must be finite")
-        if not (-np.pi <= self.phi <= np.pi):
-            raise ValueError("phi must lie in [-pi, pi]")
-        if self.dimerization not in ("d1", "d2", "d3"):
-            raise ValueError("dimerization must be one of d1, d2, d3")
+        _check_haldane(self.t1, self.t2, self.phi, self.M, self.dimerization)
 
 
-def haldane_model(p: HaldaneParams) -> HoppingModel:
-    """Honeycomb model with complex next-nearest hops and staggered mass.
+def _check_haldane(t1, t2, phi, M, dimerization: str) -> None:
+    """Refuse Haldane parameters, phi and M scalars or arrays of points.
+
+    The checks run in the order t1, t2, M, phi, dimerization, each over
+    every point at once, and the first failing one raises its ValueError.
+    """
+    if not (math.isfinite(t1) and t1 > 0.0):
+        raise ValueError("t1 must be finite and positive")
+    if not (math.isfinite(t2) and t2 >= 0.0):
+        raise ValueError("t2 must be finite and nonnegative")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("M must be finite")
+    if not np.all((-np.pi <= phi) & (phi <= np.pi)):
+        raise ValueError("phi must lie in [-pi, pi]")
+    if dimerization not in ("d1", "d2", "d3"):
+        raise ValueError("dimerization must be one of d1, d2, d3")
+
+
+def haldane_blocks(t1: float, t2: float, phi, M,
+                   dimerization: str = "d3") -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Haldane hopping blocks at the points of the 1-d arrays phi and M.
+
+    Returns the seven displacements, in the order (0, 0), up, dn, dg and
+    their reverses, and the (7, P, 2, 2) blocks of the P points, block
+    [:, i] the hoppings of ``haldane_model`` at (phi[i], M[i]). The
+    parameters are checked as ``HaldaneParams`` checks them, with its
+    messages, and the blocks as Hermitian partners over the whole stack.
 
     Orbital 0 is sublattice A (on-site +M), orbital 1 is B (-M). The
     next-nearest block is the same for every displacement a_i and every
@@ -109,32 +137,38 @@ def haldane_model(p: HaldaneParams) -> HoppingModel:
     only moves where the three t1 bonds land: the in-cell bond goes to
     the on-site block, the other two to a cyclic pair of a_i blocks.
     """
-    w = p.t2 * np.exp(-1j * p.phi)
-    nnn = np.diag([w, np.conj(w)])
+    phi = np.asarray(phi, dtype=float)
+    M = np.asarray(M, dtype=float)
+    _check_haldane(t1, t2, phi, M, dimerization)
+    w = t2 * np.exp(-1j * phi)
     # a1 = d2 - d3, a2 = d3 - d1 for the nearest-neighbor bonds
     # d1 = (1/2, -sqrt3/2), d2 = (1/2, sqrt3/2), d3 = (-1, 0)
     # (block with t1 at [0,1], block with t1 at [1,0], block left diagonal)
-    slots = {
+    up, dn, dg = {
         "d3": (_A1, _A2, _A3),
         "d1": (_A2, _A3, _A1),
         "d2": (_A3, _A1, _A2),
-    }[p.dimerization]
-    up, dn, dg = slots
-    h_up = nnn.copy()
-    h_up[0, 1] = p.t1
-    h_dn = nnn.copy()
-    h_dn[1, 0] = p.t1
-    onsite = np.array([[p.M, p.t1], [p.t1, -p.M]], dtype=complex)
-    hop = {
-        (0, 0): onsite,
-        up: h_up,
-        dn: h_dn,
-        dg: nnn,
-        (-up[0], -up[1]): h_up.conj().T,
-        (-dn[0], -dn[1]): h_dn.conj().T,
-        (-dg[0], -dg[1]): nnn.conj().T,
-    }
-    return HoppingModel(n=2, r=1, hoppings=hop, flux=0.0)
+    }[dimerization]
+    deltas = [(0, 0), up, dn, dg, (-up[0], -up[1]), (-dn[0], -dn[1]), (-dg[0], -dg[1])]
+    blocks = np.zeros((7, len(phi), 2, 2), dtype=complex)
+    onsite, h_up, h_dn = blocks[0], blocks[1], blocks[2]
+    onsite[:, 0, 0] = M
+    onsite[:, 1, 1] = -M
+    onsite[:, 0, 1] = onsite[:, 1, 0] = t1
+    blocks[1:4, :, 0, 0] = w
+    blocks[1:4, :, 1, 1] = np.conj(w)
+    h_up[:, 0, 1] = t1
+    h_dn[:, 1, 0] = t1
+    blocks[4:] = blocks[1:4].conj().swapaxes(-1, -2)
+    _check_partners(deltas, blocks)
+    return deltas, blocks
+
+
+def haldane_model(p: HaldaneParams) -> HoppingModel:
+    """Honeycomb model with complex next-nearest hops and staggered mass:
+    ``haldane_blocks`` at the one point (p.phi, p.M)."""
+    deltas, blocks = haldane_blocks(p.t1, p.t2, [p.phi], [p.M], p.dimerization)
+    return HoppingModel(n=2, r=1, hoppings=dict(zip(deltas, blocks[:, 0])), flux=0.0)
 
 
 def hopping_entries(model: HoppingModel, box: Box,

@@ -122,12 +122,18 @@ def test_criterion_04_marker_tracks_chern_number_and_sign():
 
 
 def test_criterion_05_exact_identities(model):
-    # (a) windowed trace formula == triple-commutator form on the full box
+    # (a) windowed trace formula == triple-commutator form on the full box,
+    # where both vanish by the trace identity, and on the central window 4,
+    # where both read about -1, so the agreement is not two small numbers
     box = box_sites(10)
     P = ProjectionMatrix(restrict_simple(model, box).eigenpairs(hi=0.0)[1])
     a = chern_marker(P, box, 10)
     b = chern_marker_triple(P, box, 10)
     assert abs(a - b) <= 1e-6
+    a = chern_marker(P, box, 4)
+    b = chern_marker_triple(P, box, 4)
+    assert abs(a - b) <= 1e-12
+    assert abs(a) >= 0.5
 
     # (b) periodic and simple assemblies agree entry-for-entry away from
     # the wrap-around shell, with zero rounding slack

@@ -105,15 +105,15 @@ def test_chern_raises_on_gapless():
 
 def spy_grids(monkeypatch, counts=None):
     """Grid sides built by the ladders (bloch._bloch_grids), in call order;
-    the number of models of each call goes to ``counts`` if given."""
+    the number of models in each call's stack goes to ``counts`` if given."""
     seen = []
     build = bloch._bloch_grids
 
-    def spy(models, N):
+    def spy(d, blocks, N):
         seen.append(N)
         if counts is not None:
-            counts.append(len(models))
-        return build(models, N)
+            counts.append(blocks.shape[1])
+        return build(d, blocks, N)
 
     monkeypatch.setattr(bloch, "_bloch_grids", spy)
     return seen
@@ -156,9 +156,14 @@ def test_odd_or_small_grid_walks_one_rounded_ladder(monkeypatch):
 
 
 def phase_row(phi_index, rows, cols):
-    """Models of one phase-diagram row, as ``phase-diagram --grid rowsxcols`` builds them."""
+    """Models of one row of the ``phase-diagram --grid rowsxcols`` sweep."""
     phi = float(np.linspace(-np.pi, np.pi, rows)[phi_index])
     return [std_model(phi=phi, M=float(m) * T2) for m in np.linspace(-6.0, 6.0, cols)]
+
+
+# the 6x6 bench sweep, the 1x5 row at phi = -pi (gapless at M = 0), and the
+# 41-column row at phi index 26, where M = +-4.2 t2 climbs to grid 768
+PHASE_ROWS = [(i, 6, 6) for i in range(6)] + [(0, 1, 5), (26, 41, 41)]
 
 
 def one_at_a_time(model):
@@ -168,11 +173,11 @@ def one_at_a_time(model):
         return err
 
 
-# the 6x6 bench sweep, the 1x5 row at phi = -pi (gapless at M = 0), and the
-# 41-column row at phi index 26, where M = +-4.2 t2 climbs to grid 768
-@pytest.mark.parametrize("row", [(i, 6, 6) for i in range(6)] + [(0, 1, 5), (26, 41, 41)])
+# each row alone, then every row in one call, mixing gapped, gapless and
+# near-curve points on one ladder
+@pytest.mark.parametrize("row", PHASE_ROWS + [None])
 def test_chern_numbers_match_one_at_a_time(row):
-    models = phase_row(*row)
+    models = phase_row(*row) if row else [m for r in PHASE_ROWS for m in phase_row(*r)]
     batched = bloch.chern_numbers(models)
     assert len(batched) == len(models)
     for got, want in zip(batched, map(one_at_a_time, models)):
@@ -184,12 +189,23 @@ def test_chern_numbers_match_one_at_a_time(row):
             assert abs(got.curvature_sum - want.curvature_sum) <= 1e-12
 
 
-def test_phase_diagram_builds_one_grid_per_rung_per_row(monkeypatch, tmp_path):
+def test_phase_diagram_builds_one_grid_per_rung(monkeypatch, tmp_path):
     counts = []
     seen = spy_grids(monkeypatch, counts)
+    built = []
+    check = HoppingModel.__post_init__
+
+    def spy_check(model):
+        built.append(model)
+        check(model)
+
+    monkeypatch.setattr(HoppingModel, "__post_init__", spy_check)
     assert cli_main(["phase-diagram", "--grid", "6x6", "--out", str(tmp_path)]) == 0
-    # every row certifies and integrates on grid 24: one call of six points
-    assert list(zip(seen, counts)) == [(24, 6)] * 6
+    # every point certifies and integrates on grid 24: one call of all 36
+    # points, from one hopping stack; the one model built is the base model
+    # the config check reads, and the sweep builds none per point
+    assert list(zip(seen, counts)) == [(24, 36)]
+    assert len(built) == 1
     # rungs hold at most _MAX_GRID^2 k-points: the two near-curve points of
     # the 41-column row share each rung up to 384 and take 768 one at a time
     seen.clear()

@@ -5,6 +5,7 @@ cover the console-script wiring, what the CLI imports, and reruns under
 another BLAS thread count.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -295,6 +296,34 @@ def test_phase_diagram_reports_gapless_points(tmp_path, model_file):
     assert [(float(r[1]), int(r[2]), r[3]) for r in rows] == [
         (-6.0, 0, "gapped"), (-3.0, 0, "gapped"), (0.0, 0, "gapless"),
         (3.0, 0, "gapped"), (6.0, 0, "gapped")]
+
+
+# phase-diagram --grid 9x13 on the default model: Chern number per point,
+# rows phi = -pi .. pi, columns M/t2 = -6 .. 6 ("g" gapless, "+"/"-" +-1)
+PHASE_9X13 = ["000000g000000",
+              "000+++++++000",
+              "0+++++++++++0",
+              "000+++++++000",
+              "000000g000000",
+              "000-------000",
+              "0-----------0",
+              "000-------000",
+              "000000g000000"]
+PHASE_9X13_SHA256 = "0163635d28a21d83e2415748b27fde3d1410c867463d8f534a1889a8f8cde4dd"
+
+
+def test_phase_diagram_9x13_bytes_are_pinned(tmp_path):
+    # a non-square grid: a phi/M transposition of the flattened sweep
+    # moves the phi column, and a misplaced point moves the map
+    assert main(["phase-diagram", "--grid", "9x13", "--out", str(tmp_path)]) == 0
+    _, _, rows = read_csv(tmp_path / "phase_diagram.csv")
+    signs = {"-1": "-", "0": "0", "1": "+"}
+    cells = ["g" if r[3] == "gapless" else signs[r[2]] for r in rows]
+    assert ["".join(cells[i:i + 13]) for i in range(0, len(cells), 13)] == PHASE_9X13
+    assert [float(r[0]) for r in rows[::13]] == np.linspace(-np.pi, np.pi, 9).tolist()
+    assert [float(r[1]) for r in rows[:13]] == np.linspace(-6.0, 6.0, 13).tolist()
+    data = (tmp_path / "phase_diagram.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PHASE_9X13_SHA256
 
 
 @pytest.mark.parametrize("command, section, values, key", [

@@ -8,7 +8,9 @@ from chernlab.lattice import box_sites
 from chernlab.model import (
     HaldaneParams,
     HoppingModel,
+    _check_partners,
     check_magnetic_periodicity,
+    haldane_blocks,
     haldane_model,
     hopping_norm_sum,
     model_from_json,
@@ -64,6 +66,46 @@ def test_haldane_params_validation():
         HaldaneParams(phi=4.0)
     with pytest.raises(ValueError):
         HaldaneParams(dimerization="d4")
+
+
+@pytest.mark.parametrize("dimerization", ["d1", "d2", "d3"])
+def test_haldane_blocks_match_haldane_model_bit_for_bit(dimerization):
+    phis = [-np.pi, -np.pi / 2, 0.0, 0.3, np.pi]
+    ms = [m * T2 for m in (-6.0, 0.0, 4.2)]
+    points = [(phi, M) for phi in phis for M in ms]
+    deltas, blocks = haldane_blocks(1.0, T2, [p[0] for p in points], [p[1] for p in points],
+                                    dimerization)
+    assert blocks.shape == (7, len(points), 2, 2)
+    for i, (phi, M) in enumerate(points):
+        want = haldane_model(HaldaneParams(t1=1.0, t2=T2, phi=phi, M=M,
+                                           dimerization=dimerization)).hoppings
+        assert list(want) == deltas
+        for delta, block in zip(deltas, blocks[:, i]):
+            assert np.array_equal(block, want[delta])
+            assert block.tobytes() == want[delta].tobytes()  # the signs of zeros too
+
+
+def test_haldane_blocks_refuse_as_params_do():
+    # a bad point anywhere in the arrays raises HaldaneParams' own message
+    good = {"t1": 1.0, "t2": T2, "phi": [0.0, 1.0, -1.0], "M": [0.0, 1.0, 2.0]}
+    for key, value, bad_point in (
+            ("t1", 0.0, 0.0), ("t1", math.nan, math.nan), ("t2", -0.1, -0.1),
+            ("t2", math.inf, math.inf), ("M", [0.0, math.nan, 1.0], math.nan),
+            ("M", [0.0, 1.0, -math.inf], -math.inf), ("phi", [0.0, 4.0, 1.0], 4.0),
+            ("phi", [0.0, 1.0, math.nan], math.nan), ("dimerization", "d4", "d4")):
+        with pytest.raises(ValueError) as want:
+            HaldaneParams(**{key: bad_point})
+        with pytest.raises(ValueError) as got:
+            haldane_blocks(**{**good, key: value})
+        assert str(got.value) == str(want.value)
+
+
+def test_stack_partner_check_reads_every_point():
+    deltas, blocks = haldane_blocks(1.0, T2, np.linspace(-1.0, 1.0, 6), np.zeros(6))
+    _check_partners(deltas, blocks)
+    blocks[1, 4, 0, 1] += 1e-9
+    with pytest.raises(ValueError, match=r"hoppings for \(1, 0\) and \(-1, 0\) are not"):
+        _check_partners(deltas, blocks)
 
 
 def test_dimerizations_are_spectrally_equivalent():
